@@ -18,6 +18,7 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional
 
@@ -27,7 +28,8 @@ from . import conditions, continuous, corpus, discrete
 from .core import (DEFAULT_NORM, GeometricTail, GridSpec, MatrixKernelSeq,
                    NoiseSpec, RunManifest, SignedMeasureRepr, DensitySample,
                    config_digest, neg_identity_point_mass, rng_stream)
-from .evidence import EvidenceReport, TailThresholds, median_tail_verdict
+from .evidence import (INCONCLUSIVE, EvidenceReport, TailThresholds,
+                       median_tail_verdict)
 
 EXIT_OK = 0
 EXIT_TABLE_FAIL = 1
@@ -230,6 +232,18 @@ CHECK_IDS = ("cond-f", "cond-sigma-high", "cond-sigma-low", "s-epsilon",
 # ---------------------------------------------------------------------------
 # builders
 
+@contextmanager
+def _building():
+    """Values the library rejects while a run is built from a validated
+    config are config errors; once the run starts, they are numeric ones."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _signal(spec, what: str):
     """Name, constant or None -> callable on time arrays (or None)."""
     if spec is None:
@@ -385,17 +399,20 @@ def _run_paths(n_paths: int, one, threads: int):
 def cmd_simulate_discrete(cfg: dict, out_dir: str, threads: int) -> int:
     d = int(cfg["dim"])
     N = int(cfg["horizon"])
-    kernel = _discrete_kernel(cfg["kernel"], d)
-    f_fn = _signal(cfg["forcing"], "forcing")
-    s_fn = _signal(cfg["diffusion"], "diffusion")
-    steps = np.arange(N, dtype=float)
-    f_vals = np.zeros((N, d)) if f_fn is None else \
-        np.tile(np.asarray(f_fn(steps), float)[:, None], (1, d))
-    diag = np.zeros(N) if s_fn is None else np.asarray(s_fn(steps), float)
-    sig_vals = diag[:, None, None] * np.eye(d)[None]
-    noise = _noise(cfg["noise"], d)
-    initial = None if cfg["initial"] is None else np.asarray(cfg["initial"], float)
-    sys_ = discrete.DiscreteSystem(kernel, N, f_vals, sig_vals, noise, initial)
+    with _building():
+        kernel = _discrete_kernel(cfg["kernel"], d)
+        f_fn = _signal(cfg["forcing"], "forcing")
+        s_fn = _signal(cfg["diffusion"], "diffusion")
+        steps = np.arange(N, dtype=float)
+        f_vals = np.zeros((N, d)) if f_fn is None else \
+            np.tile(np.asarray(f_fn(steps), float)[:, None], (1, d))
+        diag = np.zeros(N) if s_fn is None else np.asarray(s_fn(steps), float)
+        sig_vals = diag[:, None, None] * np.eye(d)[None]
+        noise = _noise(cfg["noise"], d)
+        initial = None if cfg["initial"] is None else \
+            np.asarray(cfg["initial"], float)
+        sys_ = discrete.DiscreteSystem(kernel, N, f_vals, sig_vals, noise,
+                                       initial)
 
     seed = int(cfg["master_seed"])
     M = int(cfg["ensemble"]["n_paths"])
@@ -426,34 +443,48 @@ def cmd_simulate_discrete(cfg: dict, out_dir: str, threads: int) -> int:
                 for i, (_, S) in enumerate(results) for c in cps]
         _write_csv(os.path.join(out_dir, "partial_sums.csv"),
                    ["path_index", "N", "S"], rows)
-        if M >= 30 and len(cps) >= 2:
+        short = []
+        if M < 30:
+            short.append("fewer than 30 paths")
+        if len(cps) < 2:
+            short.append("fewer than 2 checkpoints")
+        if short:
+            report = EvidenceReport(
+                "lp-tail", {"n_paths": M}, tuple(int(c) for c in cps),
+                {"reason": "; ".join(short)}, TailThresholds().as_dict(),
+                INCONCLUSIVE)
+        else:
             report = discrete.tail_decision(
                 [S[:int(cps[-1]) + 1] for _, S in results],
                 half_index=int(cps[-2]))
-            _write_json(os.path.join(out_dir, "evidence.json"), report)
+        _write_json(os.path.join(out_dir, "evidence.json"), report)
     _write_manifest(out_dir, seed, cfg)
     return EXIT_OK
 
 
 def cmd_simulate_sve(cfg: dict, out_dir: str, threads: int) -> int:
     d = int(cfg["dim"])
-    grid = GridSpec(float(cfg["grid"]["step_h"]), float(cfg["grid"]["horizon_T"]))
-    nu = _measure(cfg["kernel"], d)
-    sys_ = continuous.ContinuousSystem(
-        nu, grid, _signal(cfg["forcing"], "forcing"),
-        _signal(cfg["diffusion"], "diffusion"),
-        None if cfg["initial"] is None else np.asarray(cfg["initial"], float),
-        cfg["noise_dim"])
-    seed = int(cfg["master_seed"])
-    M = int(cfg["ensemble"]["n_paths"])
     p = cfg["p"]
     cps = cfg["checkpoint_times"]
-    if cps is None and p is not None:
-        T = grid.horizon_T
-        cps = [T / 4, T / 2, T]
     keep_times = cfg["ensemble"]["keep_times"]
-    keep_idx = None if keep_times is None else \
-        [grid.index_at(float(t)) for t in keep_times]
+    with _building():
+        grid = GridSpec(float(cfg["grid"]["step_h"]),
+                        float(cfg["grid"]["horizon_T"]))
+        nu = _measure(cfg["kernel"], d)
+        sys_ = continuous.ContinuousSystem(
+            nu, grid, _signal(cfg["forcing"], "forcing"),
+            _signal(cfg["diffusion"], "diffusion"),
+            None if cfg["initial"] is None else
+            np.asarray(cfg["initial"], float),
+            cfg["noise_dim"])
+        if cps is None and p is not None:
+            T = grid.horizon_T
+            cps = [T / 4, T / 2, T]
+        cp_idx = None if p is None else [grid.index_at(float(t)) for t in cps]
+        keep_idx = None if keep_times is None else \
+            [grid.index_at(float(t)) for t in keep_times]
+    seed = int(cfg["master_seed"])
+    M = int(cfg["ensemble"]["n_paths"])
     norm = cfg["norm"]
 
     def one(i: int):
@@ -465,7 +496,7 @@ def cmd_simulate_sve(cfg: dict, out_dir: str, threads: int) -> int:
         S = None
         if p is not None:
             cum = continuous.lp_time_integral(X, float(p), grid, norm)
-            S = [float(cum[grid.index_at(float(t))]) for t in cps]
+            S = [float(cum[k]) for k in cp_idx]
         return kept, S
 
     results = _run_paths(M, one, threads)
@@ -502,15 +533,17 @@ def cmd_simulate_sve(cfg: dict, out_dir: str, threads: int) -> int:
 
 def cmd_simulate_sfde(cfg: dict, out_dir: str, threads: int) -> int:
     d = int(cfg["dim"])
-    grid = GridSpec(float(cfg["grid"]["step_h"]), float(cfg["grid"]["horizon_T"]))
-    mu = _measure(cfg["kernel"], d)
     psi = cfg["history"]
-    psi_arg = _signal(psi, "history") if isinstance(psi, str) else \
-        (0.0 if psi is None else float(psi))
-    sys_ = continuous.DelaySystem(mu, float(cfg["tau"]), psi_arg, grid,
-                                  _signal(cfg["forcing"], "forcing"),
-                                  _signal(cfg["diffusion"], "diffusion"),
-                                  cfg["noise_dim"])
+    with _building():
+        grid = GridSpec(float(cfg["grid"]["step_h"]),
+                        float(cfg["grid"]["horizon_T"]))
+        mu = _measure(cfg["kernel"], d)
+        psi_arg = _signal(psi, "history") if isinstance(psi, str) else \
+            (0.0 if psi is None else float(psi))
+        sys_ = continuous.DelaySystem(mu, float(cfg["tau"]), psi_arg, grid,
+                                      _signal(cfg["forcing"], "forcing"),
+                                      _signal(cfg["diffusion"], "diffusion"),
+                                      cfg["noise_dim"])
     seed = int(cfg["master_seed"])
     M = int(cfg["ensemble"]["n_paths"])
 
@@ -541,16 +574,18 @@ def cmd_resolvent(cfg: dict, out_dir: str) -> int:
     if kind == "discrete":
         if cfg["horizon"] is None:
             raise ConfigError("missing key: horizon")
-        kernel = _discrete_kernel(cfg["kernel"], d)
+        with _building():
+            kernel = _discrete_kernel(cfg["kernel"], d)
         R = discrete.resolvent_seq(kernel, int(cfg["horizon"]))
         rows = [[n] + [_fmt(v) for v in R[n].ravel()] for n in range(len(R))]
         _write_csv(os.path.join(out_dir, "resolvent.csv"), ["n"] + cols, rows)
     elif kind in ("differential", "functional"):
         if cfg["grid"] is None:
             raise ConfigError("missing key: grid.step_h")
-        grid = GridSpec(float(cfg["grid"]["step_h"]),
-                        float(cfg["grid"]["horizon_T"]))
-        mu = _measure(cfg["kernel"], d)
+        with _building():
+            grid = GridSpec(float(cfg["grid"]["step_h"]),
+                            float(cfg["grid"]["horizon_T"]))
+            mu = _measure(cfg["kernel"], d)
         if kind == "differential":
             r = continuous.differential_resolvent(mu, grid)
         else:
@@ -584,7 +619,8 @@ def cmd_check(cfg: dict, out_dir: str) -> int:
 
     if cond in ("cond-f", "cond-sigma-high"):
         gspec = need("grid")
-        grid = GridSpec(float(gspec["step_h"]), float(gspec["horizon_T"]))
+        with _building():
+            grid = GridSpec(float(gspec["step_h"]), float(gspec["horizon_T"]))
         cpt = cfg["checkpoint_times"]
         if cond == "cond-f":
             fn = _signal(need("function"), "function")

@@ -8,6 +8,11 @@ three-valued tail rules to their L^p / l^p partial integrals.
 
 "For all theta > 0" is approximated on a declared finite set of widths
 (default 0.5, 1, 2, 4); the aggregate verdict is the worst per-width one.
+All widths of one check share one cumulative lattice, evaluated once up to
+the widest window and sliced per width. Its bits do not depend on which
+widths are requested: the lattice is built in chunks anchored at t = 0 and
+summed in sequence, so a longer lattice has the same prefix as a shorter
+one, and each profile equals the one a lattice of its own width gives.
 """
 from __future__ import annotations
 
@@ -61,22 +66,34 @@ def _cumulative_on_lattice(f: Callable, n_cells: int, h: float,
     return F
 
 
-def window_integral(f: Callable, theta: float, grid: GridSpec,
-                    quad_step: Optional[float] = None) -> WindowProfile:
-    """Window profile integral_t^{t+theta} f at every grid node; f must be
-    evaluable on [0, T + theta]."""
+def window_profiles(f: Callable, thetas: Sequence[float], grid: GridSpec,
+                    quad_step: Optional[float] = None
+                    ) -> list[WindowProfile]:
+    """Window profiles integral_t^{t+theta} f at every grid node, one per
+    width, all sliced from one cumulative lattice up to the widest window;
+    f must be evaluable on [0, T + max(thetas)]."""
     h = grid.step_h
-    m = grid.snap(theta)
+    ms = [grid.snap(theta) for theta in thetas]
+    if not ms:
+        raise ValueError("need at least one window width")
     refine = 1
     if quad_step is not None:
         refine = int(round(h / quad_step))
         if refine < 1 or abs(h / refine - quad_step) > 1e-9 * h:
             raise ValueError("quad_step must divide the grid step")
     n = grid.n_steps
-    F = _cumulative_on_lattice(f, n + m, h, refine)
-    values = F[m: m + n + 1] - F[: n + 1]
-    return WindowProfile(theta=float(theta), grid=grid, values=values,
-                         quad_step=h / refine)
+    F = _cumulative_on_lattice(f, n + max(ms), h, refine)
+    return [WindowProfile(theta=float(theta), grid=grid,
+                          values=F[m: m + n + 1] - F[: n + 1],
+                          quad_step=h / refine)
+            for theta, m in zip(thetas, ms)]
+
+
+def window_integral(f: Callable, theta: float, grid: GridSpec,
+                    quad_step: Optional[float] = None) -> WindowProfile:
+    """Window profile integral_t^{t+theta} f at every grid node; f must be
+    evaluable on [0, T + theta]."""
+    return window_profiles(f, (theta,), grid, quad_step)[0]
 
 
 def profile_lp_evidence(profile: WindowProfile, p: float,
@@ -123,11 +140,10 @@ def _multi_theta_report(condition_id: str, signal: Callable, exponent: float,
                         extra_params: dict) -> EvidenceReport:
     per = []
     cps: tuple = ()
-    for theta in thetas:
-        prof = window_integral(signal, theta, grid, quad_step)
+    for prof in window_profiles(signal, thetas, grid, quad_step):
         rep = profile_lp_evidence(prof, exponent, checkpoint_times, thresholds)
         cps = rep.checkpoints
-        per.append({"theta": float(theta), "verdict": rep.verdict,
+        per.append({"theta": prof.theta, "verdict": rep.verdict,
                     "checkpoint_values": rep.diagnostics["checkpoint_values"]})
     verdicts = [e["verdict"] for e in per]
     if VIOLATED in verdicts:
@@ -400,10 +416,9 @@ def window_fading_evidence(f: Callable, thetas: Sequence[float] = (0.5, 1.0, 2.0
     grid = GridSpec(step_h, times[-1])
     per = []
     verdicts = []
-    for theta in thetas:
-        prof = window_integral(f, theta, grid)
+    idx = [grid.index_at(x) for x in times]
+    for prof in window_profiles(f, thetas, grid):
         absvals = np.abs(prof.values)
-        idx = [grid.index_at(x) for x in times]
         sups = [float(absvals[i0:i1].max()) for i0, i1 in zip(idx, idx[1:])]
         if sups[-1] < tol:
             v = SATISFIED
@@ -411,7 +426,7 @@ def window_fading_evidence(f: Callable, thetas: Sequence[float] = (0.5, 1.0, 2.0
             v = VIOLATED
         else:
             v = INCONCLUSIVE
-        per.append({"theta": float(theta), "segment_sups": sups, "verdict": v})
+        per.append({"theta": prof.theta, "segment_sups": sups, "verdict": v})
         verdicts.append(v)
     if VIOLATED in verdicts:
         agg = VIOLATED

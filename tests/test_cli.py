@@ -51,6 +51,22 @@ def test_simulate_discrete_outputs(tmp_path):
     assert json.loads((out / "manifest.json").read_text())["master_seed"] == 0
 
 
+@pytest.mark.parametrize("over,reason", [
+    ({}, "fewer than 30 paths"),
+    ({"ensemble": {"n_paths": 30, "keep_paths": False}, "checkpoints": [16]},
+     "fewer than 2 checkpoints"),
+])
+def test_simulate_discrete_short_ensemble_reports_inconclusive(tmp_path, over,
+                                                               reason):
+    cfg = write_config(tmp_path, "d.json", discrete_cfg(**over))
+    out = tmp_path / "out"
+    assert main(["simulate-discrete", "--config", cfg,
+                 "--out", str(out)]) == EXIT_OK
+    report = json.loads((out / "evidence.json").read_text())
+    assert report["verdict"] == "inconclusive"
+    assert report["diagnostics"]["reason"] == reason
+
+
 def test_simulate_discrete_rerun_is_byte_identical(tmp_path):
     cfg = write_config(tmp_path, "d.json", discrete_cfg())
     a, b = tmp_path / "a", tmp_path / "b"
@@ -299,6 +315,38 @@ def test_bad_corpus_name_is_config_error(tmp_path, capsys):
     assert main(["simulate-discrete", "--config", cfg,
                  "--out", str(tmp_path / "o")]) == EXIT_CONFIG
     assert "bad forcing" in capsys.readouterr().err
+
+
+def test_nonpositive_step_is_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, "c.json", {
+        "schema_version": 1,
+        "condition": "cond-f",
+        "function": "zero",
+        "grid": {"step_h": -0.01, "horizon_T": 8.0},
+    })
+    assert main(["check", "--config", cfg,
+                 "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert "config error: step_h must be positive" in capsys.readouterr().err
+
+
+def test_two_point_probability_out_of_range_is_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, "d.json", discrete_cfg(
+        noise={"family": "two-point", "p1": 1.5}))
+    assert main(["simulate-discrete", "--config", cfg,
+                 "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert "config error: probabilities" in capsys.readouterr().err
+
+
+def test_off_grid_keep_time_is_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, "s.json", {
+        "schema_version": 1,
+        "grid": {"step_h": 0.01, "horizon_T": 2.0},
+        "kernel": "neg-identity",
+        "ensemble": {"n_paths": 1, "keep_times": [0.505]},
+    })
+    assert main(["simulate-sve", "--config", cfg,
+                 "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert "config error: location 0.505" in capsys.readouterr().err
 
 
 # numeric failures -----------------------------------------------------------

@@ -13,7 +13,7 @@ from svlab.conditions import (
     exp_filter_equivalence, forcing_window_evidence,
     gaussian_exceedance_series, irregular_window_sums, profile_lp_evidence,
     unit_window_evidence, unit_windows, window_fading_evidence,
-    window_integral)
+    window_integral, window_profiles)
 from svlab.core import GridSpec
 
 
@@ -58,6 +58,56 @@ def test_window_integral_additive():
         p2 = window_integral(f2, 1.5, g)
         np.testing.assert_allclose(both.values, p1.values + p2.values,
                                    atol=1e-10)
+
+
+@pytest.mark.parametrize("h,T,quad_step", [
+    (0.05, 8.0, None),
+    (0.05, 8.0, 0.01),
+    # 10 000 + 400 cells against a 4e6 // 500 = 8 000-cell chunk
+    (0.01, 100.0, 2e-5),
+])
+def test_window_profiles_match_standalone_bytes(h, T, quad_step):
+    """Slices of the shared lattice are bit-identical to one lattice per
+    width: chunks are anchored at t = 0 and cumsum adds in sequence."""
+    f = lambda t: np.sin(3.0 * t) * np.exp(-0.01 * t) + 0.1
+    g = GridSpec(h, T)
+    thetas = (0.5, 1.0, 2.0, 4.0)
+    for prof, theta in zip(window_profiles(f, thetas, g, quad_step), thetas):
+        alone = window_integral(f, theta, g, quad_step)
+        assert prof.theta == alone.theta == theta
+        assert prof.quad_step == alone.quad_step
+        assert prof.values.tobytes() == alone.values.tobytes()
+
+
+def test_window_profiles_rejects_empty_widths():
+    with pytest.raises(ValueError, match="at least one window width"):
+        window_profiles(corpus.zero_f, (), GridSpec(0.1, 5.0))
+
+
+class CountingSignal:
+    """Wraps a signal and counts the time points it is evaluated at."""
+
+    def __init__(self, f):
+        self.f = f
+        self.points = 0
+
+    def __call__(self, t):
+        self.points += np.size(t)
+        return self.f(t)
+
+
+def test_multi_width_checks_evaluate_one_lattice():
+    g = GridSpec(0.05, 16.0)
+    sig = CountingSignal(corpus.ExpDecayFamily(1.0))
+    forcing_window_evidence(sig, 2.0, g, thetas=(0.5, 1.0, 2.0, 4.0),
+                            quad_step=0.01)
+    n, max_m, refine = g.n_steps, g.snap(4.0), 5
+    assert sig.points == (n + max_m) * refine
+
+    sig = CountingSignal(corpus.OscFamily(0.1, 0.5))
+    window_fading_evidence(sig, thetas=(0.5, 1.0, 2.0), step_h=1e-3)
+    n, max_m = GridSpec(1e-3, 20.0).n_steps, 2000
+    assert sig.points == n + max_m
 
 
 # L^p evidence on a profile --------------------------------------------------
