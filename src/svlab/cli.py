@@ -98,7 +98,10 @@ def validate_config(cfg: dict, schema: dict, path: str = "") -> dict:
                 sub = {}
             out[k] = validate_config(sub, spec, dotted)
         else:
-            if k not in cfg or cfg[k] is None:
+            # an explicit null stays null where the leaf admits it; a
+            # missing key takes the default
+            if k not in cfg or (cfg[k] is None and
+                                type(None) not in spec.kinds):
                 if spec.required:
                     raise ConfigError(f"missing key: {dotted}")
                 out[k] = spec.default
@@ -619,9 +622,12 @@ def cmd_check(cfg: dict, out_dir: str) -> int:
 
     if cond in ("cond-f", "cond-sigma-high"):
         gspec = need("grid")
+        cpt = cfg["checkpoint_times"]
         with _building():
             grid = GridSpec(float(gspec["step_h"]), float(gspec["horizon_T"]))
-        cpt = cfg["checkpoint_times"]
+            conditions.window_widths(thetas, grid, cfg["quad_step"])
+            for t in cpt or ():
+                grid.index_at(float(t))
         if cond == "cond-f":
             fn = _signal(need("function"), "function")
             report = conditions.forcing_window_evidence(
@@ -646,6 +652,9 @@ def cmd_check(cfg: dict, out_dir: str) -> int:
         fn = _signal(need("function"), "function")
         seg = cfg["segment_times"] if cfg["segment_times"] is not None else \
             (2.0, 6.0, 10.0, 14.0, 18.0, 20.0)
+        with _building():
+            grid, _ = conditions.segment_grid(seg, float(cfg["fading_step"]))
+            conditions.window_widths(thetas, grid)
         report = conditions.window_fading_evidence(
             fn, thetas, seg, float(cfg["fading_step"]), float(cfg["tol"]), th)
     elif cond == "lemma-p-lt-1":

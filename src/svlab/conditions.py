@@ -66,12 +66,11 @@ def _cumulative_on_lattice(f: Callable, n_cells: int, h: float,
     return F
 
 
-def window_profiles(f: Callable, thetas: Sequence[float], grid: GridSpec,
-                    quad_step: Optional[float] = None
-                    ) -> list[WindowProfile]:
-    """Window profiles integral_t^{t+theta} f at every grid node, one per
-    width, all sliced from one cumulative lattice up to the widest window;
-    f must be evaluable on [0, T + max(thetas)]."""
+def window_widths(thetas: Sequence[float], grid: GridSpec,
+                  quad_step: Optional[float] = None) -> tuple[list[int], int]:
+    """Grid step counts of the window widths and the lattice refinement
+    h / quad_step; raises ValueError, before any evaluation, for an empty
+    width list, an off-grid width or a quad_step that does not divide h."""
     h = grid.step_h
     ms = [grid.snap(theta) for theta in thetas]
     if not ms:
@@ -81,6 +80,17 @@ def window_profiles(f: Callable, thetas: Sequence[float], grid: GridSpec,
         refine = int(round(h / quad_step))
         if refine < 1 or abs(h / refine - quad_step) > 1e-9 * h:
             raise ValueError("quad_step must divide the grid step")
+    return ms, refine
+
+
+def window_profiles(f: Callable, thetas: Sequence[float], grid: GridSpec,
+                    quad_step: Optional[float] = None
+                    ) -> list[WindowProfile]:
+    """Window profiles integral_t^{t+theta} f at every grid node, one per
+    width, all sliced from one cumulative lattice up to the widest window;
+    f must be evaluable on [0, T + max(thetas)]."""
+    h = grid.step_h
+    ms, refine = window_widths(thetas, grid, quad_step)
     n = grid.n_steps
     F = _cumulative_on_lattice(f, n + max(ms), h, refine)
     return [WindowProfile(theta=float(theta), grid=grid,
@@ -397,6 +407,18 @@ def irregular_window_sums(f: Callable, breakpoints: Sequence[float],
     return windows, sums
 
 
+def segment_grid(segment_times: Sequence[float], step_h: float
+                 ) -> tuple[GridSpec, list[int]]:
+    """Grid of step step_h up to the last segment time, and the grid index
+    of every segment time; raises ValueError unless the times are strictly
+    increasing grid nodes."""
+    times = [float(x) for x in segment_times]
+    if len(times) < 2 or any(b <= a for a, b in zip(times, times[1:])):
+        raise ValueError("segment times must be strictly increasing")
+    grid = GridSpec(step_h, times[-1])
+    return grid, [grid.index_at(x) for x in times]
+
+
 def window_fading_evidence(f: Callable, thetas: Sequence[float] = (0.5, 1.0, 2.0),
                            segment_times: Sequence[float] = (2.0, 6.0, 10.0,
                                                              14.0, 18.0, 20.0),
@@ -410,13 +432,10 @@ def window_fading_evidence(f: Callable, thetas: Sequence[float] = (0.5, 1.0, 2.0
     violated when it stays at least tol without halving from the first
     segment, inconclusive otherwise.
     """
+    grid, idx = segment_grid(segment_times, step_h)
     times = [float(x) for x in segment_times]
-    if len(times) < 2 or any(b <= a for a, b in zip(times, times[1:])):
-        raise ValueError("segment times must be strictly increasing")
-    grid = GridSpec(step_h, times[-1])
     per = []
     verdicts = []
-    idx = [grid.index_at(x) for x in times]
     for prof in window_profiles(f, thetas, grid):
         absvals = np.abs(prof.values)
         sups = [float(absvals[i0:i1].max()) for i0, i1 in zip(idx, idx[1:])]

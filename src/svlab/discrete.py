@@ -6,6 +6,13 @@ and the resolvent R satisfies the same recursion driven by the identity.
 `simulate_direct` steps the recursion; `simulate_via_resolvent` rebuilds the
 same path from R by variation of constants. The two must agree to round-off,
 which is the cheapest deep check of both.
+
+Both recursions lay the kernel out once per call as a lag-reversed slab,
+row a holding K(N-1)[a, :], ..., K(0)[a, :], so the history sum of step n
+is one BLAS product of the slab's last (n+1) d columns with the flattened
+history R(0..n) or X(0..n). Its summation order is fixed per step, so the
+bits of R and X depend neither on the caller's threads (`--threads`) nor on
+the BLAS thread count.
 """
 from __future__ import annotations
 
@@ -19,17 +26,28 @@ from .core import (DEFAULT_NORM, MatrixKernelSeq, NoiseSpec, ScalarLaw,
 from .evidence import (EvidenceReport, TailThresholds, median_tail_verdict)
 
 
+def _lag_slab(kernel: MatrixKernelSeq, N: int) -> np.ndarray:
+    """Contiguous (d, N d) slab A with A[:, k d:(k+1) d] = K(N-1-k).
+
+    A[:, (N-1-n) d:] @ H, with H the history 0..n stacked row-block by
+    row-block, is sum_{j<=n} K(n-j) H(j).
+    """
+    d = kernel.dim
+    K = kernel.values(N - 1)
+    return np.ascontiguousarray(K[::-1].transpose(1, 0, 2)).reshape(d, N * d)
+
+
 def resolvent_seq(kernel: MatrixKernelSeq, n_max: int) -> np.ndarray:
     """Resolvent R(0..n_max): R(0) = I, R(n+1) = R(n) + sum_j K(n-j) R(j)."""
     if n_max < 0:
         raise ValueError("horizon must be nonnegative")
     d = kernel.dim
-    K = kernel.values(n_max)
+    A = _lag_slab(kernel, n_max)
     R = np.empty((n_max + 1, d, d))
     R[0] = np.eye(d)
+    history = R.reshape(-1, d)
     for n in range(n_max):
-        conv = np.einsum("kab,kbc->ac", K[n::-1], R[:n + 1])
-        R[n + 1] = R[n] + conv
+        R[n + 1] = R[n] + A[:, (n_max - 1 - n) * d:] @ history[:(n + 1) * d]
     return R
 
 
@@ -121,12 +139,15 @@ def simulate_direct(sys: DiscreteSystem, noise: Optional[np.ndarray] = None,
     noise = np.asarray(noise, float)
     if noise.shape != (N, sys.noise.dim):
         raise ValueError(f"noise shape {noise.shape} != ({N}, {sys.noise.dim})")
-    K = sys.kernel.values(N)
+    A = _lag_slab(sys.kernel, N)
+    # sigma(n) xi(n+1) of every step in one stacked product
+    shocks = np.matmul(sys.diffusion, noise[:, :, None])[:, :, 0]
     X = np.empty((N + 1, d))
     X[0] = initial
+    history = X.reshape(-1)
     for n in range(N):
-        conv = np.einsum("kab,kb->a", K[n::-1], X[:n + 1])
-        X[n + 1] = X[n] + conv + sys.forcing[n] + sys.diffusion[n] @ noise[n]
+        X[n + 1] = (X[n] + A[:, (N - 1 - n) * d:] @ history[:(n + 1) * d]
+                    + sys.forcing[n] + shocks[n])
     return X
 
 

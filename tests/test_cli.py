@@ -97,6 +97,40 @@ def test_threads_do_not_change_bytes(tmp_path):
     assert (a / "paths.csv").read_bytes() == (b / "paths.csv").read_bytes()
 
 
+def test_threads_do_not_change_bytes_multilag_d3(tmp_path):
+    lag0 = [[-0.3, 0.05, 0.0], [0.02, -0.25, 0.04], [0.0, 0.03, -0.35]]
+    lag2 = [[0.02, -0.01, 0.03], [0.0, 0.04, -0.02], [0.01, 0.0, 0.02]]
+    lag5 = [[-0.01, 0.02, 0.0], [0.03, -0.02, 0.01], [0.0, 0.01, 0.03]]
+    cfg = write_config(tmp_path, "d.json", discrete_cfg(
+        dim=3, horizon=40, ensemble={"n_paths": 5},
+        kernel={"entries": [[0, lag0], [2, lag2], [5, lag5]],
+                "tail": {"start": 7, "coeff": lag2, "ratio": 0.5}}))
+    a, b = tmp_path / "a", tmp_path / "b"
+    main(["simulate-discrete", "--config", cfg, "--out", str(a)])
+    main(["simulate-discrete", "--config", cfg, "--out", str(b),
+          "--threads", "3"])
+    assert len(read_csv(a / "paths.csv")) == 1 + 5 * 41
+    for name in ("paths.csv", "partial_sums.csv", "evidence.json"):
+        assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def test_simulate_discrete_null_p_writes_no_partial_sums(tmp_path):
+    cfg = write_config(tmp_path, "d.json", discrete_cfg(p=None))
+    out = tmp_path / "out"
+    assert main(["simulate-discrete", "--config", cfg,
+                 "--out", str(out)]) == EXIT_OK
+    assert (out / "paths.csv").exists()
+    assert not (out / "partial_sums.csv").exists()
+    assert not (out / "evidence.json").exists()
+    default = tmp_path / "default"
+    main(["simulate-discrete", "--config",
+          write_config(tmp_path, "e.json", discrete_cfg()),
+          "--out", str(default)])
+    assert (default / "partial_sums.csv").exists()
+    assert (out / "manifest.json").read_bytes() != \
+        (default / "manifest.json").read_bytes()
+
+
 def test_simulate_sve_keep_times_and_evidence(tmp_path):
     cfg = write_config(tmp_path, "s.json", {
         "schema_version": 1,
@@ -349,9 +383,50 @@ def test_off_grid_keep_time_is_config_error(tmp_path, capsys):
     assert "config error: location 0.505" in capsys.readouterr().err
 
 
+def _cond_f_cfg(**over):
+    cfg = {
+        "schema_version": 1,
+        "condition": "cond-f",
+        "function": "exp_decay(rate=1.0)",
+        "p": 2.0,
+        "grid": {"step_h": 0.1, "horizon_T": 8.0},
+    }
+    cfg.update(over)
+    return cfg
+
+
+@pytest.mark.parametrize("over,message", [
+    ({"quad_step": 0.03}, "quad_step must divide the grid step"),
+    ({"thetas": [0.55]}, "location 0.55"),
+    ({"checkpoint_times": [2.0, 4.0, 7.95]}, "location 7.95"),
+    ({"thetas": []}, "need at least one window width"),
+    ({"condition": "fading", "thetas": [0.500005]}, "location 0.500005"),
+])
+def test_check_argument_errors_are_config_errors(tmp_path, capsys, over,
+                                                 message):
+    cfg = write_config(tmp_path, "c.json", _cond_f_cfg(**over))
+    assert main(["check", "--config", cfg,
+                 "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert f"config error: {message}" in capsys.readouterr().err
+
+
 # numeric failures -----------------------------------------------------------
 
+def test_check_failure_after_evaluation_exits_numeric(tmp_path, capsys):
+    cfg = write_config(tmp_path, "c.json", {
+        "schema_version": 1,
+        "condition": "lemma-p-lt-1",
+        "function": "const(c=-1.0)",
+        "p": 0.5,
+        "horizon": 4,
+    })
+    assert main(["check", "--config", cfg,
+                 "--out", str(tmp_path / "o")]) == EXIT_NUMERIC
+    assert "numeric error: negative forcing sample" in capsys.readouterr().err
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
 def test_exploding_path_exits_numeric(tmp_path, capsys):
     cfg = write_config(tmp_path, "d.json", discrete_cfg(
         horizon=800, kernel={"entries": [[0, 4.0]]},

@@ -2,12 +2,18 @@
 rules, and the truncated-mean certificates (with scipy as the independent
 quadrature oracle)."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
+import svlab
 from svlab.core import (
     GaussianLaw,
+    GeometricTail,
     MatrixKernelSeq,
     NoiseSpec,
     SampledDensityLaw,
@@ -71,6 +77,120 @@ def test_resolvent_recursion_residual_is_roundoff():
             conv = np.einsum("kab,kbc->ac", Kv[n::-1], R[:n + 1])
             res = np.abs(R[n + 1] - R[n] - conv).max()
             assert res < 1e-13
+
+
+def _panel_kernel(d, with_tail):
+    """Several lags with dense weights, optionally a geometric tail from lag
+    7 on that overlaps none of them."""
+    rng = np.random.default_rng(40 + d)
+    entries = {lag: 0.3 / (lag + 1) * (rng.random((d, d)) - 0.5)
+               for lag in (0, 1, 3, 4)}
+    entries[0] -= 0.2 * np.eye(d)
+    tail = GeometricTail(7, 0.05 * (rng.random((d, d)) - 0.5), 0.6) \
+        if with_tail else None
+    return MatrixKernelSeq(d, entries, tail)
+
+
+def _reference_resolvent(kernel, N):
+    Kv = kernel.values(N)
+    R = np.empty((N + 1, kernel.dim, kernel.dim))
+    R[0] = np.eye(kernel.dim)
+    for n in range(N):
+        acc = np.zeros((kernel.dim, kernel.dim))
+        for j in range(n + 1):
+            acc += Kv[n - j] @ R[j]
+        R[n + 1] = R[n] + acc
+    return R
+
+
+def _reference_direct(sys_, noise, initial):
+    Kv = sys_.kernel.values(sys_.horizon)
+    X = np.empty((sys_.horizon + 1, sys_.dim))
+    X[0] = initial
+    for n in range(sys_.horizon):
+        acc = np.zeros(sys_.dim)
+        for j in range(n + 1):
+            acc += Kv[n - j] @ X[j]
+        X[n + 1] = X[n] + acc + sys_.forcing[n] + sys_.diffusion[n] @ noise[n]
+    return X
+
+
+@pytest.mark.parametrize("with_tail", [False, True])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_slab_solvers_match_per_lag_reference(d, with_tail):
+    kernel = _panel_kernel(d, with_tail)
+    N = 60
+    R = resolvent_seq(kernel, N)
+    ref = _reference_resolvent(kernel, N)
+    assert np.abs(R - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    rng = np.random.default_rng(d)
+    sys_ = DiscreteSystem(kernel, N, 0.1 * rng.standard_normal((N, d)),
+                          0.2 * rng.standard_normal((N, d, d)),
+                          NoiseSpec.gaussian(d),
+                          initial=rng.standard_normal(d))
+    x0, xi = draw_noise(sys_, rng_stream(3, 0))
+    X = simulate_direct(sys_, noise=xi)
+    ref = _reference_direct(sys_, xi, x0)
+    assert np.abs(X - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_resolvent_horizon_zero_is_identity_only():
+    R = resolvent_seq(_panel_kernel(3, True), 0)
+    assert R.shape == (1, 3, 3)
+    np.testing.assert_array_equal(R[0], np.eye(3))
+
+
+def test_direct_horizon_one_is_one_step():
+    kernel = _panel_kernel(2, True)
+    f = np.array([[0.3, -0.1]])
+    s = np.array([[[0.5, 0.2], [0.0, 1.0]]])
+    sys_ = DiscreteSystem(kernel, 1, f, s, NoiseSpec.gaussian(2),
+                          initial=np.array([1.0, 2.0]))
+    xi = np.array([[0.7, -1.3]])
+    X = simulate_direct(sys_, noise=xi)
+    K0 = kernel.values(0)[0]
+    expect = sys_.initial + K0 @ sys_.initial + f[0] + s[0] @ xi[0]
+    assert X.shape == (2, 2)
+    np.testing.assert_array_equal(X[0], sys_.initial)
+    np.testing.assert_allclose(X[1], expect, rtol=1e-15, atol=1e-15)
+
+
+_BLAS_DIGEST = """
+import hashlib
+import numpy as np
+from svlab.core import GeometricTail, MatrixKernelSeq, NoiseSpec
+from svlab.discrete import DiscreteSystem, resolvent_seq, simulate_direct
+d, N = 6, 1500
+rng = np.random.default_rng(8)
+entries = {lag: 0.1 / (lag + 1) * (rng.random((d, d)) - 0.5)
+           for lag in (0, 1, 2, 5, 9)}
+kernel = MatrixKernelSeq(d, entries, GeometricTail(12, 0.01 * np.ones((d, d)), 0.7))
+sys_ = DiscreteSystem(kernel, N, 0.1 * rng.standard_normal((N, d)),
+                      0.2 * rng.standard_normal((N, d, d)), NoiseSpec.gaussian(d),
+                      initial=np.ones(d))
+h = hashlib.sha256(resolvent_seq(kernel, N).tobytes())
+h.update(simulate_direct(sys_, noise=rng.standard_normal((N, d))).tobytes())
+print(h.hexdigest())
+"""
+
+
+def test_slab_bits_do_not_depend_on_blas_threads():
+    """At d = 6 and N = 1500 the per-step products are large enough for
+    OpenBLAS to split them across threads."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(svlab.__file__)))
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       [src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", _BLAS_DIGEST], env=env,
+                             capture_output=True, text=True, check=True,
+                             timeout=120)
+        digests.append(out.stdout.strip())
+    assert len(digests[0]) == 64
+    assert digests[0] == digests[1]
 
 
 # ---------------------------------------------------------------------------
