@@ -614,6 +614,13 @@ def cmd_check(cfg: dict, out_dir: str) -> int:
     thetas = cfg["thetas"] if cfg["thetas"] is not None else \
         list(conditions.DEFAULT_THETAS)
     p = float(cfg["p"])
+    # the exponent range each id is stated for; s-epsilon and fading read no p
+    if cond in ("cond-f", "cond-sigma-low", "irregular-windows") and not p >= 1:
+        raise ConfigError("exponent p must be >= 1")
+    if cond == "cond-sigma-high" and not p >= 2:
+        raise ConfigError("cond-sigma-high is for p >= 2; use cond-sigma-low")
+    if cond == "lemma-p-lt-1" and not 0 < p < 1:
+        raise ConfigError("p must lie in (0, 1)")
 
     def need(key):
         if cfg.get(key) is None:

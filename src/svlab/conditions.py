@@ -176,6 +176,8 @@ def forcing_window_evidence(f: Callable, p: float, grid: GridSpec,
                             thresholds: TailThresholds = TailThresholds()
                             ) -> EvidenceReport:
     """Forcing admissibility: every window profile of f lies in L^p."""
+    if p < 1:
+        raise ValueError("exponent p must be >= 1")
     return _multi_theta_report("forcing-window-lp", f, p, grid, thetas,
                                quad_step, checkpoint_times, thresholds,
                                {"p": p})

@@ -19,12 +19,14 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import lfilter
 
 from .core import (DEFAULT_NORM, CompiledMeasure, GridSpec, HistoryUnderflow,
                    SignedMeasureRepr, canonical_json, config_digest,
                    is_neg_identity_point_mass, rng_stream, vector_norm)
 from .evidence import EvidenceReport, TailThresholds, median_tail_verdict
+from .quad import bisect_root
 
 
 # ---------------------------------------------------------------------------
@@ -392,25 +394,35 @@ def functional_resolvent(mu: SignedMeasureRepr, tau: float,
 # ---------------------------------------------------------------------------
 # characteristic analysis
 
-def characteristic_det(mu: SignedMeasureRepr, tau: float, lam: complex) -> complex:
+def characteristic_det(mu: SignedMeasureRepr, tau: float,
+                       lam: Union[complex, np.ndarray]
+                       ) -> Union[complex, np.ndarray]:
     """det Delta(lambda) with Delta = lambda I - integral mu(ds) e^{lambda s};
-    atoms enter exactly, density cells by exact exponential integration."""
+    atoms enter exactly, density cells by exact exponential integration.
+
+    `lam` is a scalar or an array of lambda values. A scalar gives a Python
+    complex, an array a complex array of the same shape. The terms are
+    added in a fixed order, atoms first and then cells 0..K-1, each term
+    elementwise over lambda, so every value is bit-identical to evaluating
+    that lambda on its own.
+    """
+    lam = np.asarray(lam, complex)
+    z = lam[..., None, None]
     d = mu.dim
-    hat = np.zeros((d, d), complex)
+    hat = np.zeros(lam.shape + (d, d), complex)
     for loc, w in mu.atoms:
-        hat += w * np.exp(lam * loc)
+        hat += w * np.exp(z * loc)
     dens = mu.density
     if dens is not None:
+        zero = z == 0
+        safe = np.where(zero, 1.0, z)
         for k in range(dens.values.shape[0]):
             a = dens.start + k * dens.step
             b = a + dens.step
-            if lam == 0:
-                cell = b - a
-            else:
-                cell = (np.exp(lam * b) - np.exp(lam * a)) / lam
+            cell = np.where(zero, b - a, (np.exp(z * b) - np.exp(z * a)) / safe)
             hat += dens.values[k] * cell
-    delta = lam * np.eye(d, dtype=complex) - hat
-    return complex(np.linalg.det(delta))
+    det = np.linalg.det(z * np.eye(d, dtype=complex) - hat)
+    return complex(det) if lam.ndim == 0 else det
 
 
 @dataclass(frozen=True)
@@ -433,7 +445,7 @@ def characteristic_root_scan(mu: SignedMeasureRepr, tau: float,
     upper-half member. A clean verdict ('stable' iff the rightmost located
     root has negative real part) only speaks for the rectangle scanned.
     """
-    def F(lam: complex) -> complex:
+    def F(lam):
         return characteristic_det(mu, tau, lam)
 
     res = np.linspace(re_range[0], re_range[1], n_re)
@@ -441,44 +453,49 @@ def characteristic_root_scan(mu: SignedMeasureRepr, tau: float,
     roots = []
 
     # real axis: bisection on sign changes
-    fre = np.array([F(complex(x, 0.0)).real for x in res])
+    fre = F(res.astype(complex)).real
     for i in range(n_re - 1):
         if fre[i] == 0.0:
             roots.append(complex(res[i], 0.0))
         elif fre[i] * fre[i + 1] < 0:
-            from .quad import bisect_root
             x = bisect_root(lambda t: F(complex(t, 0.0)).real,
                             res[i], res[i + 1], tol=1e-13)
             roots.append(complex(x, 0.0))
 
     # interior: |det| minima + Newton polish
-    absdet = np.empty((n_im, n_re))
-    for a, y in enumerate(ims):
-        for b, x in enumerate(res):
-            absdet[a, b] = abs(F(complex(x, y)))
+    grid = np.empty((n_im, n_re), complex)
+    grid.real = res
+    grid.imag = ims[:, None]
+    det = F(grid)
+    # np.hypot is libm's hypot, as Python's abs(complex) is; np.abs on a
+    # complex array may round differently
+    absdet = np.hypot(det.real, det.imag)
     cell = complex(res[1] - res[0], ims[1] - ims[0]) if n_re > 1 and n_im > 1 \
         else complex(1.0, 1.0)
-    for a in range(1, n_im - 1):
-        for b in range(1, n_re - 1):
-            if absdet[a, b] == absdet[a - 1:a + 2, b - 1:b + 2].min():
-                lam = complex(res[b], ims[a])
-                for _ in range(60):
-                    dl = 1e-7 * (1.0 + abs(lam))
-                    deriv = (F(lam + dl) - F(lam - dl)) / (2.0 * dl)
-                    if deriv == 0:
-                        break
-                    step = F(lam) / deriv
-                    lam = lam - step
-                    if abs(step) < 1e-13 * (1.0 + abs(lam)):
-                        break
-                inside = (re_range[0] - abs(cell.real) <= lam.real
-                          <= re_range[1] + abs(cell.real)
-                          and -abs(cell.imag) <= lam.imag
-                          <= im_range[1] + abs(cell.imag))
-                if inside and abs(F(lam)) < det_tol:
-                    if lam.imag < 0:
-                        lam = lam.conjugate()
-                    roots.append(lam)
+    minima = ()
+    if n_im > 2 and n_re > 2:
+        low = sliding_window_view(absdet, (3, 3)).min(axis=(2, 3))
+        minima = np.argwhere(absdet[1:-1, 1:-1] == low) + 1
+    for a, b in minima:
+        lam = complex(res[b], ims[a])
+        for _ in range(60):
+            dl = 1e-7 * (1.0 + abs(lam))
+            f_up, f_down, f_lam = F(np.array([lam + dl, lam - dl, lam])).tolist()
+            deriv = (f_up - f_down) / (2.0 * dl)
+            if deriv == 0:
+                break
+            step = f_lam / deriv
+            lam = lam - step
+            if abs(step) < 1e-13 * (1.0 + abs(lam)):
+                break
+        inside = (re_range[0] - abs(cell.real) <= lam.real
+                  <= re_range[1] + abs(cell.real)
+                  and -abs(cell.imag) <= lam.imag
+                  <= im_range[1] + abs(cell.imag))
+        if inside and abs(F(lam)) < det_tol:
+            if lam.imag < 0:
+                lam = lam.conjugate()
+            roots.append(lam)
 
     unique = []
     for lam in sorted(roots, key=lambda z: (z.real, z.imag)):

@@ -401,6 +401,11 @@ def _cond_f_cfg(**over):
     ({"checkpoint_times": [2.0, 4.0, 7.95]}, "location 7.95"),
     ({"thetas": []}, "need at least one window width"),
     ({"condition": "fading", "thetas": [0.500005]}, "location 0.500005"),
+    ({"p": 0.5}, "exponent p must be >= 1"),
+    ({"condition": "cond-sigma-high", "sigma": "const(c=1.0)", "p": 1.5},
+     "cond-sigma-high is for p >= 2"),
+    ({"condition": "lemma-p-lt-1", "p": 1.5, "horizon": 4},
+     "p must lie in (0, 1)"),
 ])
 def test_check_argument_errors_are_config_errors(tmp_path, capsys, over,
                                                  message):

@@ -32,7 +32,7 @@ from svlab.continuous import (
     sve_ensemble_lp_tail,
     trailing_window_average,
 )
-from svlab import corpus
+from svlab import continuous, corpus
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +341,96 @@ def test_characteristic_det_density_cell():
     assert characteristic_det(mu, 1.0, lam) == pytest.approx(expect)
     # lambda = 0 takes the cell-length branch
     assert characteristic_det(mu, 1.0, 0.0) == pytest.approx(1.0)
+
+
+def _det_per_point(mu, lam):
+    """det Delta(lambda) one lambda at a time, atoms then cells in order."""
+    d = mu.dim
+    hat = np.zeros((d, d), complex)
+    for loc, w in mu.atoms:
+        hat += w * np.exp(lam * loc)
+    dens = mu.density
+    if dens is not None:
+        for k in range(dens.values.shape[0]):
+            a = dens.start + k * dens.step
+            b = a + dens.step
+            if lam == 0:
+                cell = b - a
+            else:
+                cell = (np.exp(lam * b) - np.exp(lam * a)) / lam
+            hat += dens.values[k] * cell
+    return complex(np.linalg.det(lam * np.eye(d, dtype=complex) - hat))
+
+
+def _atom_and_100_cells():
+    tau, cells = 1.2, 100
+    step = tau / cells
+    start = -(cells * step)
+    a = start + step * np.arange(cells)
+    vals = -0.2 * np.cos(2.5 * a) * np.exp(0.4 * a)
+    return SignedMeasureRepr(1, ((-tau, np.array([[0.5]])),),
+                             DensitySample(start, step, vals.reshape(-1, 1, 1)))
+
+
+def _det_kernels():
+    rng = np.random.default_rng(3)
+    d2_atoms = ((-0.875, rng.standard_normal((2, 2))),
+                (0.0, rng.standard_normal((2, 2))))
+    d2_density = DensitySample(-0.875, 0.125,
+                               0.5 * rng.standard_normal((7, 2, 2)))
+    return {
+        "d1-atom-100-cells": _atom_and_100_cells(),
+        "d2-atoms-density": SignedMeasureRepr(2, d2_atoms, d2_density),
+        "d2-atoms-only": SignedMeasureRepr(2, d2_atoms),
+    }
+
+
+@pytest.mark.parametrize("name", ["d1-atom-100-cells", "d2-atoms-density",
+                                  "d2-atoms-only"])
+def test_characteristic_det_array_matches_per_point_bits(name):
+    mu = _det_kernels()[name]
+    lams = np.empty((7, 13), complex)
+    lams.real = np.linspace(-3.0, 3.0, 13)
+    lams.imag = np.linspace(-2.0, 4.0, 7)[:, None]
+    assert (lams == 0).sum() == 1
+    got = characteristic_det(mu, 1.0, lams)
+    want = np.array([_det_per_point(mu, complex(z)) for z in lams.ravel()])
+    assert got.shape == lams.shape
+    assert got.tobytes() == want.reshape(lams.shape).tobytes()
+    scalar = characteristic_det(mu, 1.0, 0.3 + 0.2j)
+    assert type(scalar) is complex
+    assert scalar == _det_per_point(mu, 0.3 + 0.2j)
+
+
+def test_root_scan_roots_are_pinned():
+    # atom plus a 100-cell density on a 61 x 51 grid: one real root found by
+    # bisection, two complex ones by Newton polish
+    res = characteristic_root_scan(_atom_and_100_cells(), 1.2,
+                                   (-3.0, 3.0), (0.0, 10.0), 61, 51)
+    assert res.verdict == "unstable"
+    assert [(z.real.hex(), z.imag.hex()) for z in res.roots] == [
+        ("-0x1.36844a3ca3214p+1", "0x1.1eda4058a5394p+3"),
+        ("-0x1.aae0b82c3919dp+0", "0x1.cca3281bf0e40p+1"),
+        ("0x1.3ed79265d766dp-2", "0x0.0p+0"),
+    ]
+
+
+def test_root_scan_evaluates_each_grid_in_one_call(monkeypatch):
+    shapes = []
+
+    def counting(mu, tau, lam):
+        shapes.append(np.shape(lam))
+        return characteristic_det(mu, tau, lam)
+
+    monkeypatch.setattr(continuous, "characteristic_det", counting)
+    n_re, n_im = 21, 11
+    res = continuous.characteristic_root_scan(
+        point_mass([[-0.5]], location=-1.0), 1.0, n_re=n_re, n_im=n_im)
+    assert res.verdict == "stable"
+    assert shapes[0] == (n_re,)
+    assert shapes.count((n_im, n_re)) == 1
+    # the rest is Newton polish, three points a step, and scalar checks
+    assert set(shapes[1:]) <= {(n_im, n_re), (3,), ()}
 
 
 def test_root_scan_stable_case():

@@ -274,6 +274,35 @@ def test_noise_draw_shapes():
     assert NoiseSpec.uniform(0.0, 1.0, m=3).draw(rng, 4).shape == (4, 3)
 
 
+def _shared_gaussian(rng, n):
+    # two components driven by one Gaussian: dependent, not independent
+    z = rng.standard_normal(n)
+    return np.stack([z, -z], axis=1)
+
+
+def test_noise_joint_sampler_draws_dependent_components():
+    noise = NoiseSpec("custom-sampled", (GaussianLaw(), GaussianLaw()),
+                      component_independence=False,
+                      joint_sampler=_shared_gaussian)
+    assert not noise.unrestricted_diffusion
+    draw = noise.draw(np.random.default_rng(7), 5)
+    assert draw.shape == (5, 2)
+    np.testing.assert_array_equal(draw[:, 1], -draw[:, 0])
+
+
+def test_noise_joint_sampler_wrong_shape_raises():
+    noise = NoiseSpec("custom-sampled", (GaussianLaw(), GaussianLaw()),
+                      joint_sampler=lambda rng, n: rng.standard_normal((n, 3)))
+    with pytest.raises(ValueError, match="wrong shape"):
+        noise.draw(np.random.default_rng(7), 5)
+
+
+def test_noise_dependent_components_need_a_sampler():
+    with pytest.raises(ValueError, match="need a joint sampler"):
+        NoiseSpec("custom-sampled", (GaussianLaw(), GaussianLaw()),
+                  component_independence=False)
+
+
 # ---------------------------------------------------------------------------
 # randomness contract
 
