@@ -17,7 +17,6 @@ import csv
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional
@@ -27,9 +26,9 @@ import numpy as np
 from . import conditions, continuous, corpus, discrete
 from .core import (DEFAULT_NORM, GeometricTail, GridSpec, MatrixKernelSeq,
                    NoiseSpec, RunManifest, SignedMeasureRepr, DensitySample,
-                   config_digest, neg_identity_point_mass, rng_stream)
-from .evidence import (INCONCLUSIVE, EvidenceReport, TailThresholds,
-                       median_tail_verdict)
+                   config_digest, neg_identity_point_mass, rng_stream,
+                   run_paths)
+from .evidence import INCONCLUSIVE, EvidenceReport, TailThresholds
 
 EXIT_OK = 0
 EXIT_TABLE_FAIL = 1
@@ -389,13 +388,6 @@ def _ensure_finite(arr: np.ndarray, what: str):
         raise NumericFailure(f"non-finite values in {what}")
 
 
-def _run_paths(n_paths: int, one, threads: int):
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, range(n_paths)))
-    return [one(i) for i in range(n_paths)]
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers (each takes the materialized config and the CLI args)
 
@@ -432,7 +424,7 @@ def cmd_simulate_discrete(cfg: dict, out_dir: str, threads: int) -> int:
         S = None if p is None else discrete.lp_partial_sums(X, float(p), norm)
         return X, S
 
-    results = _run_paths(M, one, threads)
+    results = run_paths(M, one, threads)
 
     if cfg["ensemble"]["keep_paths"]:
         rows = []
@@ -502,7 +494,7 @@ def cmd_simulate_sve(cfg: dict, out_dir: str, threads: int) -> int:
             S = [float(cum[k]) for k in cp_idx]
         return kept, S
 
-    results = _run_paths(M, one, threads)
+    results = run_paths(M, one, threads)
     times = grid.times()
     kept_times = times if keep_idx is None else times[keep_idx]
 
@@ -519,16 +511,9 @@ def cmd_simulate_sve(cfg: dict, out_dir: str, threads: int) -> int:
                 for c, s in zip(cps, S)]
         _write_csv(os.path.join(out_dir, "partial_integrals.csv"),
                    ["path_index", "T", "S"], rows)
-        S = np.array([S for _, S in results])
-        verdict, diagnostics = median_tail_verdict(
-            S[:, -2], S[:, -1], _thresholds(cfg["thresholds"]))
-        diagnostics["median_checkpoint_values"] = [
-            float(np.median(S[:, j])) for j in range(S.shape[1])]
-        report = EvidenceReport(
-            "ensemble-lp-tail",
-            {"p": float(p), "n_paths": M, "master_seed": seed, "norm": norm},
-            tuple(float(c) for c in cps), diagnostics,
-            _thresholds(cfg["thresholds"]).as_dict(), verdict)
+        report = continuous.ensemble_lp_tail_report(
+            np.array([S for _, S in results]), float(p), cps, seed, norm,
+            _thresholds(cfg["thresholds"]))
         _write_json(os.path.join(out_dir, "evidence.json"), report)
     _write_manifest(out_dir, seed, cfg)
     return EXIT_OK
@@ -557,7 +542,7 @@ def cmd_simulate_sfde(cfg: dict, out_dir: str, threads: int) -> int:
         _ensure_finite(X, f"path {i}")
         return X
 
-    results = _run_paths(M, one, threads)
+    results = run_paths(M, one, threads)
     times = sys_.times()
     if cfg["ensemble"]["keep_paths"]:
         rows = []
@@ -585,15 +570,17 @@ def cmd_resolvent(cfg: dict, out_dir: str) -> int:
     elif kind in ("differential", "functional"):
         if cfg["grid"] is None:
             raise ConfigError("missing key: grid.step_h")
+        if kind == "functional" and cfg["tau"] is None:
+            raise ConfigError("missing key: tau")
         with _building():
             grid = GridSpec(float(cfg["grid"]["step_h"]),
                             float(cfg["grid"]["horizon_T"]))
             mu = _measure(cfg["kernel"], d)
+            if kind == "functional":
+                continuous.delay_steps(mu, float(cfg["tau"]), grid)
         if kind == "differential":
             r = continuous.differential_resolvent(mu, grid)
         else:
-            if cfg["tau"] is None:
-                raise ConfigError("missing key: tau")
             r = continuous.functional_resolvent(mu, float(cfg["tau"]), grid)
         times = grid.times()
         rows = [[_fmt(t)] + [_fmt(v) for v in r[k].ravel()]

@@ -14,7 +14,6 @@ history segment.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
@@ -24,7 +23,8 @@ from scipy.signal import lfilter
 
 from .core import (DEFAULT_NORM, CompiledMeasure, GridSpec, HistoryUnderflow,
                    SignedMeasureRepr, canonical_json, config_digest,
-                   is_neg_identity_point_mass, rng_stream, vector_norm)
+                   is_neg_identity_point_mass, rng_stream, run_paths,
+                   vector_norm)
 from .evidence import EvidenceReport, TailThresholds, median_tail_verdict
 from .quad import bisect_root
 
@@ -296,6 +296,24 @@ def trailing_window_average(f, grid: GridSpec, d: int = 1) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # delay systems
 
+def delay_steps(mu: SignedMeasureRepr, tau: float,
+                grid: Optional[GridSpec] = None) -> Optional[int]:
+    """The delay-kernel rule: tau > 0 and mu supported in [-tau, 0]; on a
+    grid, tau must also span at least one step. Returns the history length
+    in grid steps, or None without a grid."""
+    if not tau > 0:
+        raise ValueError("delay tau must be positive")
+    lo, hi = mu.support
+    if lo < -tau - 1e-12 or hi > 1e-12:
+        raise ValueError("delay kernel must be supported in [-tau, 0]")
+    if grid is None:
+        return None
+    n_hist = grid.snap(tau)
+    if n_hist < 1:
+        raise ValueError("tau must span at least one grid step")
+    return n_hist
+
+
 @dataclass(frozen=True)
 class DelaySystem:
     """Finite-delay dynamics: kernel measure mu on [-tau, 0], initial
@@ -310,17 +328,10 @@ class DelaySystem:
     noise_dim: Optional[int] = None
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError("delay tau must be positive")
-        lo, hi = self.mu.support
-        if lo < -self.tau - 1e-12 or hi > 1e-12:
-            raise ValueError("delay kernel must be supported in [-tau, 0]")
+        n_hist = delay_steps(self.mu, self.tau, self.grid)
         d = self.mu.dim
         m = d if self.noise_dim is None else int(self.noise_dim)
         object.__setattr__(self, "noise_dim", m)
-        n_hist = self.grid.snap(self.tau)
-        if n_hist < 1:
-            raise ValueError("tau must span at least one grid step")
         object.__setattr__(self, "n_hist", n_hist)
         hist_times = (np.arange(n_hist + 1) - n_hist) * self.grid.step_h
         psi = self.psi
@@ -377,9 +388,7 @@ def functional_resolvent(mu: SignedMeasureRepr, tau: float,
     """Matrix path r on [0, T] with r(0) = I, r(t) = 0 for t < 0 and
     r'(t) = integral_{[-tau,0]} mu(ds) r(t+s), explicit Euler."""
     d = mu.dim
-    n_hist = grid.snap(tau)
-    if n_hist < 1:
-        raise ValueError("tau must span at least one grid step")
+    n_hist = delay_steps(mu, tau, grid)
     cm = CompiledMeasure(mu, grid)
     h = grid.step_h
     n = grid.n_steps
@@ -406,6 +415,7 @@ def characteristic_det(mu: SignedMeasureRepr, tau: float,
     elementwise over lambda, so every value is bit-identical to evaluating
     that lambda on its own.
     """
+    delay_steps(mu, tau)
     lam = np.asarray(lam, complex)
     z = lam[..., None, None]
     d = mu.dim
@@ -555,18 +565,23 @@ def sve_ensemble_lp_tail(sys: ContinuousSystem, p: float,
         cum = lp_time_integral(path, p, grid, norm)
         return cum[idx]
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one, range(n_paths)))
-    else:
-        rows = [one(i) for i in range(n_paths)]
-    S = np.stack(rows)
+    S = np.stack(run_paths(n_paths, one, threads))
+    return ensemble_lp_tail_report(S, p, checkpoint_times, master_seed, norm,
+                                   thresholds)
+
+
+def ensemble_lp_tail_report(S: np.ndarray, p: float,
+                            checkpoint_times: Sequence[float],
+                            master_seed: int, norm: str,
+                            thresholds: TailThresholds) -> EvidenceReport:
+    """The 'ensemble-lp-tail' report on S[path, checkpoint], the integrals
+    of ||X||^p per path up to each checkpoint time."""
     verdict, diagnostics = median_tail_verdict(S[:, -2], S[:, -1], thresholds)
     diagnostics["median_checkpoint_values"] = [float(np.median(S[:, j]))
                                                for j in range(S.shape[1])]
     return EvidenceReport(
         condition_id="ensemble-lp-tail",
-        params={"p": p, "n_paths": n_paths, "master_seed": master_seed,
+        params={"p": p, "n_paths": S.shape[0], "master_seed": master_seed,
                 "norm": norm},
         checkpoints=tuple(float(t) for t in checkpoint_times),
         diagnostics=diagnostics,

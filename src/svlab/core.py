@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -521,8 +522,9 @@ class NoiseSpec:
     def __post_init__(self):
         if self.family not in self._FAMILIES:
             raise ValueError(f"unknown noise family {self.family!r}")
-        if not self.laws and self.joint_sampler is None:
-            raise ValueError("noise needs per-component laws or a joint sampler")
+        if not self.laws:
+            raise ValueError("noise needs one law per component, also with "
+                             "a joint sampler")
         if not self.component_independence and self.joint_sampler is None:
             raise ValueError("dependent components need a joint sampler")
 
@@ -537,7 +539,7 @@ class NoiseSpec:
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
         if self.joint_sampler is not None:
             out = np.asarray(self.joint_sampler(rng, n), float)
-            if out.shape != (n, self.dim) and self.dim:
+            if out.shape != (n, self.dim):
                 raise ValueError("joint sampler returned wrong shape")
             return out
         if self.family == "gaussian-iid" and all(
@@ -572,6 +574,15 @@ def rng_stream(master_seed: int, path_index: int) -> np.random.Generator:
     """
     return np.random.default_rng(np.random.SeedSequence([int(master_seed),
                                                          int(path_index)]))
+
+
+def run_paths(n_paths: int, one: Callable, threads: int = 1) -> list:
+    """[one(0), ..., one(n_paths - 1)], fanned out over `threads` worker
+    threads; results come back in path order whatever the scheduling."""
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(one, range(n_paths)))
+    return [one(i) for i in range(n_paths)]
 
 
 def canonical_json(obj) -> str:

@@ -1,5 +1,9 @@
 """Built-in verification experiments behind `svlab reproduce <id>`.
 
+The twelve desks are the package's acceptance criteria, numbered 01-12 in
+registry order; they are their only implementation, and the acceptance
+suite (`tests/test_acceptance.py`) runs them and requires every row to PASS.
+
 Each experiment returns table rows [quantity, measured, expected, tolerance,
 status]. They re-run the cross-checks the package was signed off against:
 exact identities (solver equivalence, embedding, closed-form resolvents),
@@ -201,6 +205,10 @@ def s_epsilon():
         checkpoints=(64, 128, 256, 512))
     rows.append(_verdict_row("aggregate verdict, spike windows", rep.verdict,
                              SUMMABLE))
+    for entry in rep.diagnostics["per_eps"]:
+        rows.append(_verdict_row(
+            f"per-eps verdict, spike windows, eps={entry['eps']}",
+            entry["verdict"], SUMMABLE))
     return rows
 
 

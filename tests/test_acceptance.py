@@ -1,343 +1,65 @@
-"""Acceptance gate: the sign-off checks this package must satisfy.
+"""Acceptance gate: the twelve numbered criteria this package must satisfy.
 
-Each test covers one numbered criterion, measures the pinned quantities at
-their stated tolerances, and records a single PASS/FAIL line that the
-terminal summary prints after the run. Runtime budgets are asserted where
-the criterion fixes one.
+Each criterion is one `svlab reproduce` desk (`svlab.reproduce`), which
+holds its pinned quantities and tolerances. A case runs its desk, requires
+every row to read PASS and the runtime budget to hold where the criterion
+fixes one, and records a single PASS/FAIL line that the terminal summary
+prints after the run.
 """
 
-import json
 import time
 
-import numpy as np
 import pytest
 
-from svlab import cli, conditions, continuous, corpus, discrete
-from svlab.core import (GaussianLaw, GridSpec, MatrixKernelSeq, NoiseSpec,
-                        constant_law, neg_identity_point_mass, point_mass,
-                        rng_stream, two_point_law)
-from svlab.evidence import DIVERGENT, SATISFIED, SUMMABLE
+from svlab import reproduce
+
+# criterion number, title, desk id, runtime budget in seconds (or None)
+CRITERIA = [
+    ("01", "solver equivalence", "solver-equivalence", 10.0),
+    ("02", "resolvent closed forms", "resolvent-exp", None),
+    ("03", "embedding bit-identity", "ou-embedding", None),
+    ("04", "spike window arithmetic", "spike-windows", 60.0),
+    ("05", "integrability dichotomy desk", "dichotomy-desk", 300.0),
+    ("06", "filtered vs window routes", "lemma-p-lt-1", None),
+    ("07", "exceedance series", "s-epsilon", None),
+    ("08", "stationary variance", "ou-variance", 120.0),
+    ("09", "delay steps and root scan", "sfde-steps", None),
+    ("10", "pathwise gap decay", "pathwise-gap", 120.0),
+    ("11", "trailing window transform", "f3-transform", None),
+    ("12", "noise-class certificates", "certificates", None),
+]
+
+# the one known failure: criterion 05 may fail on this row alone
+XFAIL_ROW = ("05", "ensemble int ||X||^4 tail, fading diffusion")
+XFAIL_REASON = (
+    "fading-diffusion ensemble: the fourth-moment tail increment decays like "
+    "1/T against a 1-percent-of-head bar, which only clears at horizons "
+    "where the point-sampled oscillatory forcing aliases first; measured "
+    "verdict is ")
 
 
-def test_c01_solver_equivalence(acceptance_line):
-    """Direct recursion and the resolvent formula agree on shared noise."""
+def test_table_lists_every_desk_once_in_order():
+    assert [desk for _, _, desk, _ in CRITERIA] == list(reproduce.REGISTRY)
+    assert [num for num, _, _, _ in CRITERIA] == [
+        "%02d" % k for k in range(1, len(CRITERIA) + 1)]
+
+
+@pytest.mark.parametrize("num,title,desk,budget", CRITERIA,
+                         ids=[f"{num}-{desk}" for num, _, desk, _ in CRITERIA])
+def test_criterion(acceptance_line, num, title, desk, budget):
     t0 = time.perf_counter()
-    N = 500
-    worst = 0.0
-    for k in range(20):
-        d = 1 + k % 4
-        kernel = discrete.random_summable_kernel(rng_stream(1000, k), d)
-        steps = np.arange(N, dtype=float)
-        f_vals = 0.1 * np.tile(np.cos(0.1 * steps)[:, None], (1, d))
-        sig_vals = 0.3 * np.tile(np.eye(d)[None], (N, 1, 1))
-        sys_ = discrete.DiscreteSystem(kernel, N, f_vals, sig_vals,
-                                       NoiseSpec.gaussian(d),
-                                       np.linspace(0.5, 1.0, d))
-        x0, xi = discrete.draw_noise(sys_, rng_stream(2000, k))
-        direct = discrete.simulate_direct(sys_, xi, x0)
-        R = discrete.resolvent_seq(kernel, N)
-        voc = discrete.simulate_via_resolvent(R, sys_, xi, x0)
-        rel = float(np.max(np.abs(direct - voc))
-                    / (np.max(np.abs(direct)) + 1.0))
-        worst = max(worst, rel)
+    rows = reproduce.run_experiment(desk)
     elapsed = time.perf_counter() - t0
-    ok = worst < 1e-9 and elapsed < 10.0
-    acceptance_line("criterion 01: solver equivalence", ok,
-                    f"worst rel gap {worst:.1e} over 20 kernels, "
-                    f"{elapsed:.1f}s")
-    assert worst < 1e-9
-    assert elapsed < 10.0
+    failed = [r for r in rows if r[-1] != "PASS"]
+    in_budget = budget is None or elapsed < budget
+    detail = (f"{desk}: {len(rows) - len(failed)}/{len(rows)} rows PASS "
+              f"in {elapsed:.1f}s"
+              + ("" if budget is None else f" (budget {budget:g}s)")
+              + "".join(f"; FAIL {r[0]} = {r[1]}" for r in failed))
+    acceptance_line(f"criterion {num}: {title}", not failed and in_budget,
+                    detail)
 
-
-def test_c02_resolvent_closed_forms(acceptance_line):
-    K = MatrixKernelSeq(1, {0: np.array([[-0.5]])})
-    R = discrete.resolvent_seq(K, 60)[:, 0, 0]
-    exact_gap = float(np.max(np.abs(R - 0.5 ** np.arange(61))))
-
-    nu = neg_identity_point_mass(1)
-    errs = {}
-    for h in (1e-3, 5e-4):
-        grid = GridSpec(h, 10.0)
-        r = continuous.differential_resolvent(nu, grid)[:, 0, 0]
-        errs[h] = float(np.max(np.abs(r - np.exp(-grid.times()))))
-    ratio = errs[1e-3] / errs[5e-4]
-
-    ok = exact_gap == 0.0 and errs[1e-3] <= 0.6e-3 and 1.6 <= ratio <= 2.4
-    acceptance_line("criterion 02: resolvent closed forms", ok,
-                    f"halving exact, e^-t err {errs[1e-3]:.2e} <= 6e-4, "
-                    f"halving ratio {ratio:.2f}")
-    assert exact_gap == 0.0
-    assert errs[1e-3] <= 0.6e-3
-    assert 1.6 <= ratio <= 2.4
-
-
-def test_c03_ou_embedding_bit_identity(acceptance_line):
-    """The unit-mass kernel at zero reproduces the mean-reverting path
-    bit for bit on a shared stream, whatever the forcing and diffusion."""
-    grid = GridSpec(1e-3, 8.0)
-    nu = neg_identity_point_mass(1)
-    pairs = [("zero", "const(c=1.0)"),
-             ("const(c=2.0)", "exp_decay(rate=1.0)"),
-             ("osc(alpha=0.1,beta=0.5)", "sqrt(spike(beta=0.32))"),
-             ("spike(beta=0.32)", "const(c=0.5)")]
-    identical = 0
-    for i, (f_name, s_name) in enumerate(pairs):
-        f = corpus.resolve(f_name)
-        s = corpus.resolve(s_name)
-        sys_ = continuous.ContinuousSystem(nu, grid, f, s)
-        dB = continuous.brownian_increments(grid, 1, rng_stream(11, i))
-        X = continuous.simulate_sve(sys_, dB=dB)
-        Y = continuous.simulate_ou(f, s, grid, dB=dB)
-        identical += int(np.array_equal(X, Y))
-    ok = identical == len(pairs)
-    acceptance_line("criterion 03: embedding bit-identity", ok,
-                    f"{identical}/{len(pairs)} corpus pairs bit-identical")
-    assert identical == len(pairs)
-
-
-def test_c04_spike_window_arithmetic(acceptance_line):
-    t0 = time.perf_counter()
-    g = corpus.SpikeFamily(0.32)
-    worst = max(abs(g.window_quadrature(n, 1e-4) - 1.0 / n)
-                for n in range(2, 101))
-    ns = np.arange(501, 1001)
-    tail = float(np.sum((1.0 / ns) ** 2))
-    vals = [g.square_integral_to(T) for T in (32, 64, 128, 256, 512, 1024)]
-    min_ratio = min(b / a for a, b in zip(vals, vals[1:]))
-    elapsed = time.perf_counter() - t0
-    ok = worst < 1e-6 and tail < 2e-3 and min_ratio > 1.1 and elapsed < 60.0
-    acceptance_line("criterion 04: spike window arithmetic", ok,
-                    f"window gap {worst:.1e}, tail {tail:.2e}, "
-                    f"min doubling ratio {min_ratio:.3f}, {elapsed:.1f}s")
-    assert worst < 1e-6
-    assert tail < 2e-3
-    assert min_ratio > 1.1
-    assert elapsed < 60.0
-
-
-def _run_check(tmp_path, name, cfg):
-    path = tmp_path / f"{name}.json"
-    path.write_text(json.dumps(cfg))
-    out = tmp_path / name
-    code = cli.main(["check", "--config", str(path), "--out", str(out)])
-    assert code == cli.EXIT_OK
-    return json.loads((out / "report.json").read_text())
-
-
-def test_c05_dichotomy_desk(acceptance_line, tmp_path):
-    """Admissible forcing + fading diffusion against the flipped design
-    with unit diffusion, checks driven through the CLI, ensembles at
-    seed 42 with 200 paths."""
-    t0 = time.perf_counter()
-    rep_f = _run_check(tmp_path, "cond-f", {
-        "schema_version": 1,
-        "condition": "cond-f",
-        "function": "osc(alpha=0.1,beta=0.5)",
-        "p": 4.0,
-        "grid": {"step_h": 1e-5, "horizon_T": 16.0},
-        "checkpoint_times": [4.0, 8.0, 16.0],
-    })
-    rep_s = _run_check(tmp_path, "cond-sigma-high", {
-        "schema_version": 1,
-        "condition": "cond-sigma-high",
-        "sigma": "sqrt(spike(beta=0.32))",
-        "p": 4.0,
-        "grid": {"step_h": 0.01, "horizon_T": 512.0},
-        "quad_step": 2e-5,
-        "checkpoint_times": [128.0, 256.0, 512.0],
-    })
-
-    grid = GridSpec(1e-4, 32.0)
-    nu = neg_identity_point_mass(1)
-    osc = corpus.resolve("osc(alpha=0.1,beta=0.5)")
-    verdicts = {}
-    for label, s_fn in (("fading", corpus.resolve("sqrt(spike(beta=0.32))")),
-                        ("unit", corpus.ConstFamily(1.0))):
-        sys_ = continuous.ContinuousSystem(nu, grid, osc, s_fn)
-        rep = continuous.sve_ensemble_lp_tail(
-            sys_, 4.0, (8.0, 16.0, 32.0), master_seed=42, n_paths=200)
-        verdicts[label] = rep.verdict
-    elapsed = time.perf_counter() - t0
-
-    ok = (rep_f["verdict"] == SATISFIED and rep_s["verdict"] == SATISFIED
-          and verdicts["unit"] == DIVERGENT
-          and verdicts["fading"] == SUMMABLE and elapsed < 300.0)
-    acceptance_line(
-        "criterion 05: integrability dichotomy desk", ok,
-        f"cond-f {rep_f['verdict']}, cond-sigma {rep_s['verdict']}, "
-        f"unit-sigma {verdicts['unit']}, fading-sigma {verdicts['fading']}, "
-        f"{elapsed:.0f}s")
-
-    assert rep_f["verdict"] == SATISFIED
-    assert rep_s["verdict"] == SATISFIED
-    assert verdicts["unit"] == DIVERGENT
-    assert elapsed < 300.0
-    if verdicts["fading"] != SUMMABLE:
-        pytest.xfail(
-            "fading-diffusion ensemble: the fourth-moment tail increment "
-            "decays like 1/T against a 1-percent-of-head bar, which only "
-            "clears at horizons where the point-sampled oscillatory forcing "
-            "aliases first; measured verdict is " + verdicts["fading"])
-
-
-def test_c06_filter_window_equivalence(acceptance_line):
-    agree = 0
-    cases = [(name, p)
-             for name in ("zero", "const(c=1.0)", "geomwin(ratio=0.5)",
-                          "spike(beta=0.32)")
-             for p in (0.4, 0.8)]
-    for name, p in cases:
-        fn = corpus.resolve(name)
-        agree += int(conditions.exp_filter_equivalence(fn, 1.0, p, 64).agree)
-    ok = agree == len(cases)
-    acceptance_line("criterion 06: filtered vs window routes", ok,
-                    f"{agree}/{len(cases)} verdict pairs agree")
-    assert agree == len(cases)
-
-
-def test_c07_exceedance_series(acceptance_line):
-    ones = np.ones(512)
-    gaps = {}
-    for eps in (0.1, 1.0):
-        S = conditions.exceedance_partial_sums(ones, eps)
-        gaps[eps] = float(abs(S[-1] - 512.0 * np.exp(-eps)))
-    n = np.arange(512)
-    w = np.where(n >= 2, 1.0 / np.maximum(n, 1), 0.0)
-    S1 = conditions.exceedance_partial_sums(w, 1.0)
-    tail1 = float(S1[-1] - S1[31])
-    S01 = conditions.exceedance_partial_sums(w, 0.1)
-    tail01 = float(S01[-1] - S01[31])
-    rep = conditions.gaussian_exceedance_series(
-        windows=w, eps_list=(0.1, 1.0), checkpoints=(64, 128, 256, 512))
-
-    ok = (max(gaps.values()) <= 1e-12 and tail1 < 1e-6
-          and rep.verdict == SUMMABLE)
-    acceptance_line(
-        "criterion 07: exceedance series", ok,
-        f"closed-form gap {max(gaps.values()):.1g}, eps=1 tail "
-        f"{tail1:.1e}, eps=0.1 tail {tail01:.3g} (reported), "
-        f"verdict {rep.verdict}")
-    assert max(gaps.values()) <= 1e-12
-    # the n^-1/2 e^-n terms are far below 1e-6 past n = 30; at eps = 0.1
-    # the same cutoff leaves O(1e-2) mass, so that tail is reported above
-    # rather than bounded
-    assert tail1 < 1e-6
-    assert rep.verdict == SUMMABLE
-    for entry in rep.diagnostics["per_eps"]:
-        assert entry["verdict"] == SUMMABLE
-
-
-def test_c08_ou_variance(acceptance_line):
-    t0 = time.perf_counter()
-    grid = GridSpec(1e-3, 2.0)
-    idx = [grid.index_at(t) for t in (0.5, 1.0, 2.0)]
-    M = 10_000
-    kept = np.empty((M, 3))
-    for i in range(M):
-        dB = continuous.brownian_increments(grid, 1, rng_stream(2024, i))
-        Y = continuous.simulate_ou(None, 1.0, grid, dB=dB)
-        kept[i] = Y[idx, 0]
-    worst_z = 0.0
-    for j, t in enumerate((0.5, 1.0, 2.0)):
-        target = (1.0 - np.exp(-2.0 * t)) / 2.0
-        se = target * np.sqrt(2.0 / (M - 1))
-        gap = abs(float(np.var(kept[:, j], ddof=1)) - target)
-        worst_z = max(worst_z, gap / se)
-    elapsed = time.perf_counter() - t0
-    ok = worst_z < 3.0 and elapsed < 120.0
-    acceptance_line("criterion 08: stationary variance", ok,
-                    f"worst deviation {worst_z:.2f} standard errors over "
-                    f"10^4 paths, {elapsed:.1f}s")
-    assert worst_z < 3.0
-    assert elapsed < 120.0
-
-
-def test_c09_delay_steps_and_roots(acceptance_line):
-    h = 1e-3
-    grid = GridSpec(h, 2.0)
-    mu = point_mass(np.array([[-0.5]]), -1.0)
-    sys_ = continuous.DelaySystem(mu, 1.0, 1.0, grid)
-    X = continuous.simulate_sfde(sys_, dB=np.zeros((grid.n_steps, 1)))
-    x1_gap = abs(float(X[sys_.n_hist + grid.index_at(1.0), 0]) - 0.5)
-    r = continuous.functional_resolvent(mu, 1.0, grid)
-    r15_gap = abs(float(r[grid.index_at(1.5), 0, 0]) - 0.75)
-    scans = {a: continuous.characteristic_root_scan(
-        point_mass(np.array([[-a]]), -1.0), 1.0).verdict
-        for a in (0.5, 2.0)}
-    ok = (x1_gap < 2 * h and r15_gap < 2 * h
-          and scans[0.5] == "stable" and scans[2.0] == "unstable")
-    acceptance_line("criterion 09: delay steps and root scan", ok,
-                    f"|X(1)-0.5| {x1_gap:.1e}, |r(1.5)-0.75| {r15_gap:.1e}, "
-                    f"scans {scans[0.5]}/{scans[2.0]}")
-    assert x1_gap < 2 * h
-    assert r15_gap < 2 * h
-    assert scans[0.5] == "stable"
-    assert scans[2.0] == "unstable"
-
-
-def test_c10_pathwise_gap_shrinks(acceptance_line):
-    t0 = time.perf_counter()
-    grid = GridSpec(2e-3, 41.0)
-    nu = neg_identity_point_mass(1)
-    sys_ = continuous.ContinuousSystem(nu, grid, 1.0,
-                                       corpus.ExpDecayFamily(1.0))
-    r = continuous.differential_resolvent(nu, grid)
-    ref = continuous.grid_convolution(r, np.ones(grid.n_steps + 1), grid)
-    early, late = [], []
-    for i in range(100):
-        dB = continuous.brownian_increments(grid, 1, rng_stream(7, i))
-        X = continuous.simulate_sve(sys_, dB=dB)
-        _, sups = continuous.pathwise_gap(X, ref, grid,
-                                          [(4.0, 1.0), (40.0, 1.0)])
-        early.append(sups[0])
-        late.append(sups[1])
-    ratio = float(np.median(late) / np.median(early))
-    elapsed = time.perf_counter() - t0
-    ok = ratio < 0.2 and elapsed < 120.0
-    acceptance_line("criterion 10: pathwise gap decay", ok,
-                    f"late/early sup ratio {ratio:.3f} over 100 paths, "
-                    f"{elapsed:.1f}s")
-    assert ratio < 0.2
-    assert elapsed < 120.0
-
-
-def test_c11_trailing_window_average(acceptance_line):
-    h = 0.01
-    grid = GridSpec(h, 4.0)
-    t = grid.times()
-    mask = t >= 1.0
-    vals = continuous.trailing_window_average(corpus.ConstFamily(2.0), grid)
-    err_c = float(np.max(np.abs(vals[mask] - 1.0)))
-    vals = continuous.trailing_window_average(lambda s: np.asarray(s, float),
-                                              grid)
-    err_t = float(np.max(np.abs(vals[mask] - (t / 2.0 - 1.0 / 6.0)[mask])))
-    ok = err_c < 2 * h and err_t < 2 * h
-    acceptance_line("criterion 11: trailing window transform", ok,
-                    f"constant err {err_c:.4e}, linear err {err_t:.4e}, "
-                    f"both < {2 * h:g}")
-    assert err_c < 2 * h
-    assert err_t < 2 * h
-
-
-def test_c12_noise_class_certificates(acceptance_line):
-    oracle = 0.1071628317652483  # independent quadrature of the normal case
-    cert = discrete.truncated_mean_certificate(GaussianLaw(0.0, 1.0),
-                                               (0.0, 1.0), (-1.0, 0.0))
-    normal_gap = abs(cert.det - oracle)
-
-    law = two_point_law(1.0, 2.0)
-    b1, b2 = discrete.default_separating_sets(law)
-    cert2 = discrete.truncated_mean_certificate(law, b1, b2)
-
-    fail = discrete.truncated_mean_certificate(constant_law(1.0),
-                                               (0.5, 1.5), (2.0, 3.0))
-    clause = getattr(fail, "clause", "certificate-granted")
-
-    ok = (normal_gap < 1e-6 and cert2.det == -0.25
-          and clause == "positive-probability")
-    acceptance_line("criterion 12: noise-class certificates", ok,
-                    f"normal det gap {normal_gap:.1e}, two-point det "
-                    f"{cert2.det}, failure clause '{clause}'")
-    assert normal_gap < 1e-6
-    assert cert2.det == -0.25
-    assert clause == "positive-probability"
+    assert in_budget, f"{desk} took {elapsed:.1f}s, budget {budget:g}s"
+    if [(num, r[0]) for r in failed] == [XFAIL_ROW]:
+        pytest.xfail(XFAIL_REASON + failed[0][1])
+    assert not failed, detail

@@ -9,6 +9,9 @@ import pytest
 
 from svlab.cli import (EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_TABLE_FAIL,
                        main)
+from svlab.conditions import diffusion_window_evidence
+from svlab.core import GridSpec
+from svlab.corpus import resolve
 
 
 def write_config(tmp_path, name, cfg):
@@ -214,6 +217,22 @@ def test_check_cond_f_report(tmp_path):
     assert report["verdict"] == "satisfied-evidence"
 
 
+def test_check_cond_sigma_high_report_matches_library(tmp_path):
+    cfg = write_config(tmp_path, "c.json", {
+        "schema_version": 1,
+        "condition": "cond-sigma-high",
+        "sigma": "sqrt(spike(beta=0.32))",
+        "p": 4.0,
+        "grid": {"step_h": 0.05, "horizon_T": 16.0},
+        "quad_step": 0.01,
+    })
+    out = tmp_path / "out"
+    assert main(["check", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    want = diffusion_window_evidence(resolve("sqrt(spike(beta=0.32))"), 4.0,
+                                     GridSpec(0.05, 16.0), quad_step=0.01)
+    assert (out / "report.json").read_text() == want.to_json()
+
+
 def test_check_irregular_windows_report(tmp_path):
     cfg = write_config(tmp_path, "c.json", {
         "schema_version": 1,
@@ -369,6 +388,28 @@ def test_two_point_probability_out_of_range_is_config_error(tmp_path, capsys):
     assert main(["simulate-discrete", "--config", cfg,
                  "--out", str(tmp_path / "o")]) == EXIT_CONFIG
     assert "config error: probabilities" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tau,atom,message", [
+    (1.0, 0.5, "delay kernel must be supported in [-tau, 0]"),
+    (-1.0, -1.0, "delay tau must be positive"),
+    (0.004, 0.0, "tau must span at least one grid step"),
+])
+@pytest.mark.parametrize("command", ["resolvent", "simulate-sfde"])
+def test_delay_rule_is_config_error(tmp_path, capsys, command, tau, atom,
+                                    message):
+    cfg = {
+        "schema_version": 1,
+        "grid": {"step_h": 0.01, "horizon_T": 1.0},
+        "tau": tau,
+        "kernel": {"atoms": [[atom, -0.5]]},
+    }
+    if command == "resolvent":
+        cfg["kind"] = "functional"
+    path = write_config(tmp_path, "r.json", cfg)
+    assert main([command, "--config", path,
+                 "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert f"config error: {message}" in capsys.readouterr().err
 
 
 def test_off_grid_keep_time_is_config_error(tmp_path, capsys):

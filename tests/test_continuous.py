@@ -311,6 +311,21 @@ def test_delay_system_rejects_mass_beyond_tau():
         DelaySystem(point_mass([[1.0]], location=-2.0), 1.0, 1.0, g)
 
 
+@pytest.mark.parametrize("mu,tau,message", [
+    (point_mass([[1.0]], location=0.5), 1.0, "supported in"),
+    (point_mass([[1.0]], location=-2.0), 1.0, "supported in"),
+    (point_mass([[1.0]], location=-1.0), -1.0, "tau must be positive"),
+])
+def test_delay_rule_guards_resolvent_and_roots(mu, tau, message):
+    g = GridSpec(0.1, 1.0)
+    with pytest.raises(ValueError, match=message):
+        functional_resolvent(mu, tau, g)
+    with pytest.raises(ValueError, match=message):
+        characteristic_det(mu, tau, 0.5)
+    with pytest.raises(ValueError, match=message):
+        characteristic_root_scan(mu, tau)
+
+
 def test_functional_resolvent_closed_form():
     # r_tau(t) = 1 on [0, 1), then 1 - (t-1)/2: r_tau(1.5) = 0.75
     h = 1e-3
@@ -393,11 +408,11 @@ def test_characteristic_det_array_matches_per_point_bits(name):
     lams.real = np.linspace(-3.0, 3.0, 13)
     lams.imag = np.linspace(-2.0, 4.0, 7)[:, None]
     assert (lams == 0).sum() == 1
-    got = characteristic_det(mu, 1.0, lams)
+    got = characteristic_det(mu, 1.2, lams)
     want = np.array([_det_per_point(mu, complex(z)) for z in lams.ravel()])
     assert got.shape == lams.shape
     assert got.tobytes() == want.reshape(lams.shape).tobytes()
-    scalar = characteristic_det(mu, 1.0, 0.3 + 0.2j)
+    scalar = characteristic_det(mu, 1.2, 0.3 + 0.2j)
     assert type(scalar) is complex
     assert scalar == _det_per_point(mu, 0.3 + 0.2j)
 

@@ -297,6 +297,12 @@ def test_noise_joint_sampler_wrong_shape_raises():
         noise.draw(np.random.default_rng(7), 5)
 
 
+def test_noise_joint_sampler_needs_laws():
+    with pytest.raises(ValueError, match="one law per component"):
+        NoiseSpec("custom-sampled", (),
+                  joint_sampler=lambda rng, n: rng.standard_normal((n, 3, 2)))
+
+
 def test_noise_dependent_components_need_a_sampler():
     with pytest.raises(ValueError, match="need a joint sampler"):
         NoiseSpec("custom-sampled", (GaussianLaw(), GaussianLaw()),
