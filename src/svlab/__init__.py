@@ -17,9 +17,9 @@ from .core import (ARTIFACT_VERSION, DEFAULT_NORM, CompiledMeasure,
                    MatrixKernelSeq, MeasureError, NoiseSpec, RunManifest,
                    SampledDensityLaw, SignedMeasureRepr, UniformLaw,
                    canonical_json, config_digest, constant_law,
-                   convolve_measure, is_neg_identity_point_mass,
-                   neg_identity_point_mass, point_mass, rng_stream,
-                   total_variation, two_point_law, vector_norm)
+                   is_neg_identity_point_mass, neg_identity_point_mass,
+                   point_mass, rng_stream, total_variation, two_point_law,
+                   vector_norm)
 from .evidence import (DIVERGENT, INCONCLUSIVE, SATISFIED, SUMMABLE,
                        VIOLATED, EvidenceReport, TailThresholds,
                        median_tail_verdict, tail_verdict)
@@ -30,10 +30,10 @@ from .discrete import (CertificateFailure, DiscreteSystem, IntervalUnion,
                        tail_decision, truncated_mean_certificate)
 from .continuous import (ContinuousSystem, CoupledPaths, DelaySystem,
                          RootScanResult, brownian_increments,
-                         cached_differential_resolvent, characteristic_det,
-                         characteristic_root_scan, coupled_paths,
-                         differential_resolvent, functional_resolvent,
-                         grid_convolution, lp_time_integral, pathwise_gap,
+                         characteristic_det, characteristic_root_scan,
+                         coupled_paths, differential_resolvent,
+                         functional_resolvent, grid_convolution,
+                         lp_time_integral, pathwise_gap,
                          simulate_ou, simulate_sfde, simulate_sve,
                          sve_ensemble_lp_tail, trailing_window_average)
 from .conditions import (ExpFilterEquivalence, WindowProfile,

@@ -24,10 +24,10 @@ from typing import Optional
 import numpy as np
 
 from . import conditions, continuous, corpus, discrete
-from .core import (DEFAULT_NORM, GeometricTail, GridSpec, MatrixKernelSeq,
-                   NoiseSpec, RunManifest, SignedMeasureRepr, DensitySample,
-                   config_digest, neg_identity_point_mass, rng_stream,
-                   run_paths)
+from .core import (DEFAULT_NORM, CompiledMeasure, DensitySample,
+                   GeometricTail, GridSpec, MatrixKernelSeq, NoiseSpec,
+                   RunManifest, SignedMeasureRepr, config_digest,
+                   neg_identity_point_mass, rng_stream, run_paths)
 from .evidence import INCONCLUSIVE, EvidenceReport, TailThresholds
 
 EXIT_OK = 0
@@ -578,6 +578,8 @@ def cmd_resolvent(cfg: dict, out_dir: str) -> int:
             mu = _measure(cfg["kernel"], d)
             if kind == "functional":
                 continuous.delay_steps(mu, float(cfg["tau"]), grid)
+            # snaps the atoms: one off the grid is a config error
+            CompiledMeasure(mu, grid)
         if kind == "differential":
             r = continuous.differential_resolvent(mu, grid)
         else:

@@ -4,16 +4,22 @@ The drift kernel is a signed matrix measure nu on [0, inf); paths follow
 
     dX(t) = [f(t) + integral_{[0,t]} nu(ds) X(t-s)] dt + sigma(t) dB(t)
 
-stepped by Euler-Maruyama with left-endpoint drift quadrature. The kernel
-that is exactly the negative identity point mass at zero is routed through
-the same exponential-integrator scan as `simulate_ou`, so those two
-simulators are bit-identical on shared streams (same equation, same code
-path). Delay dynamics on [-tau, 0] reuse the same stepper with a stored
-history segment.
+stepped by Euler-Maruyama with left-endpoint drift quadrature. Every kernel
+recursion here (paths, delay paths, both resolvents, `coupled_paths`) runs
+through one stepper, `CompiledMeasure.euler`: one BLAS product per step of
+the kernel's lag-reversed tap slab (`core.lag_slab`, the discrete solvers'
+layout) with the history window. On [0, inf) atom lag l counts iff l <= k
+and density lag l iff l <= k - 1, so X(0) sees atoms only; a delay kernel
+on [-tau, 0] counts every tap over the stored history segment. A system
+compiles its kernel once, for every path of an ensemble.
+
+The kernel that is exactly the negative identity point mass at zero is
+routed through the same exponential-integrator scan as `simulate_ou`, so
+those two simulators are bit-identical on shared streams (same equation,
+same code path).
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
@@ -21,10 +27,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import lfilter
 
-from .core import (DEFAULT_NORM, CompiledMeasure, GridSpec, HistoryUnderflow,
-                   SignedMeasureRepr, canonical_json, config_digest,
-                   is_neg_identity_point_mass, rng_stream, run_paths,
-                   vector_norm)
+from .core import (DEFAULT_NORM, CompiledMeasure, GridSpec,
+                   SignedMeasureRepr, is_neg_identity_point_mass, rng_stream,
+                   run_paths, vector_norm)
 from .evidence import EvidenceReport, TailThresholds, median_tail_verdict
 from .quad import bisect_root
 
@@ -79,6 +84,18 @@ def brownian_increments(grid: GridSpec, m: int, rng: np.random.Generator) -> np.
     return rng.standard_normal((grid.n_steps, m)) * np.sqrt(grid.step_h)
 
 
+def _increments(grid: GridSpec, m: int, master_seed: int, path_index: int,
+                dB: Optional[np.ndarray]) -> np.ndarray:
+    """The supplied increments, shape-checked, or the path's own draws."""
+    if dB is None:
+        return brownian_increments(grid, m, rng_stream(master_seed, path_index))
+    dB = np.asarray(dB, float)
+    if dB.shape != (grid.n_steps, m):
+        raise ValueError(f"dB shape {dB.shape} != (n_steps, noise_dim) = "
+                         f"({grid.n_steps}, {m})")
+    return dB
+
+
 # ---------------------------------------------------------------------------
 # the shared exponential-integrator scan
 
@@ -106,8 +123,7 @@ def simulate_ou(f, sigma, grid: GridSpec, *, d: int = 1, m: Optional[int] = None
     m = d if m is None else m
     f_vals = drift_values(f, grid, d)
     sig_vals = diffusion_values(sigma, grid, d, m)
-    if dB is None:
-        dB = brownian_increments(grid, m, rng_stream(master_seed, path_index))
+    dB = _increments(grid, m, master_seed, path_index, dB)
     decay = np.exp(-grid.step_h)
     return _exp_scan(np.zeros(d), _ou_drive(f_vals, sig_vals, dB, decay), decay)
 
@@ -140,6 +156,7 @@ class ContinuousSystem:
         object.__setattr__(self, "f_vals", drift_values(self.forcing, self.grid, d))
         object.__setattr__(self, "sig_vals",
                            diffusion_values(self.diffusion, self.grid, d, m))
+        object.__setattr__(self, "compiled", CompiledMeasure(self.nu, self.grid))
 
     @property
     def dim(self) -> int:
@@ -154,23 +171,33 @@ def simulate_sve(sys: ContinuousSystem, *, master_seed: int = 0,
     the exact negative-identity point mass delegates to the exponential scan
     shared with `simulate_ou` (bit-identical there when initial = 0).
     """
-    grid = sys.grid
-    if dB is None:
-        dB = brownian_increments(grid, sys.noise_dim,
-                                 rng_stream(master_seed, path_index))
+    dB = _increments(sys.grid, sys.noise_dim, master_seed, path_index, dB)
     if is_neg_identity_point_mass(sys.nu):
-        decay = np.exp(-grid.step_h)
+        decay = np.exp(-sys.grid.step_h)
         drive = _ou_drive(sys.f_vals, sys.sig_vals, dB, decay)
         return _exp_scan(sys.initial, drive, decay)
-    cm = CompiledMeasure(sys.nu, grid)
-    h = grid.step_h
-    n, d = grid.n_steps, sys.dim
-    X = np.empty((n + 1, d))
-    X[0] = sys.initial
-    for k in range(n):
-        conv = cm.convolve(X, k)
-        X[k + 1] = X[k] + (sys.f_vals[k] + conv) * h + sys.sig_vals[k] @ dB[k]
-    return X
+    return _euler_path(sys, sys.initial[None], dB)[0]
+
+
+def _euler_path(sys, head: np.ndarray, dB: np.ndarray):
+    """Path of `sys` from the rows `head` on, and its convolution terms."""
+    n, d = sys.f_vals.shape
+    X = np.empty((len(head) + n, d))
+    X[:len(head)] = head
+    noise = np.matmul(sys.sig_vals, dB[:, :, None])
+    conv = sys.compiled.euler(X[:, :, None], len(head) - 1,
+                              sys.f_vals[:, :, None], noise)
+    return X, conv[:, :, 0]
+
+
+def _euler_resolvent(cm: CompiledMeasure, off: int) -> np.ndarray:
+    """r(t_0..t_n) with r(0) = I after `off` zero history rows."""
+    n, d = cm.grid.n_steps, cm.measure.dim
+    r = np.zeros((off + n + 1, d, d))
+    r[off] = np.eye(d)
+    zero = np.zeros((n, d, 1))
+    cm.euler(r, off, zero, zero)
+    return r[off:]
 
 
 @dataclass(frozen=True)
@@ -189,27 +216,21 @@ def coupled_paths(sys: ContinuousSystem, *, master_seed: int = 0,
     """Drive X (kernel nu) and Y (unit-rate reverting) with the same
     increments and form Z = X - Y, which solves the nu-equation forced by
     g = Y + nu * Y. The per-step defect of that equation (divided by h) is
-    reported; it is O(h) by construction."""
+    reported; it is O(h) by construction (nu * Z + g = nu * X + Y)."""
     grid = sys.grid
     dB = brownian_increments(grid, sys.noise_dim,
                              rng_stream(master_seed, path_index))
-    X = simulate_sve(sys, dB=dB)
+    if is_neg_identity_point_mass(sys.nu):
+        X = simulate_sve(sys, dB=dB)
+        conv_x = -X[:-1]
+    else:
+        X, conv_x = _euler_path(sys, sys.initial[None], dB)
     Y = simulate_ou(sys.forcing, sys.diffusion, grid, d=sys.dim,
                     m=sys.noise_dim, dB=dB)
     Z = X - Y
     h = grid.step_h
-    n = grid.n_steps
-    if is_neg_identity_point_mass(sys.nu):
-        conv_z = -Z[:-1]
-        conv_y = -Y[:-1]
-    else:
-        cm = CompiledMeasure(sys.nu, grid)
-        conv_z = np.stack([cm.convolve(Z, k) for k in range(n)])
-        conv_y = np.stack([cm.convolve(Y, k) for k in range(n)])
-    g = Y[:-1] + conv_y
-    resid = Z[1:] - Z[:-1] - h * (conv_z + g)
-    max_resid = float(np.max(np.abs(resid)) / h) if n else 0.0
-    return CoupledPaths(X, Y, Z, dB, max_resid)
+    resid = Z[1:] - Z[:-1] - h * (conv_x + Y[:-1])
+    return CoupledPaths(X, Y, Z, dB, float(np.max(np.abs(resid)) / h))
 
 
 # ---------------------------------------------------------------------------
@@ -220,29 +241,7 @@ def differential_resolvent(nu: SignedMeasureRepr, grid: GridSpec) -> np.ndarray:
     r'(t) = integral_{[0,t]} nu(ds) r(t-s), explicit Euler on the grid."""
     if nu.negative_support:
         raise ValueError("differential resolvent takes a kernel on [0, inf)")
-    d = nu.dim
-    n = grid.n_steps
-    h = grid.step_h
-    cm = CompiledMeasure(nu, grid)
-    r = np.empty((n + 1, d, d))
-    r[0] = np.eye(d)
-    for k in range(n):
-        r[k + 1] = r[k] + h * cm.convolve(r, k)
-    return r
-
-
-def cached_differential_resolvent(nu: SignedMeasureRepr, grid: GridSpec,
-                                  cache_dir: str) -> np.ndarray:
-    """Disk-backed resolvent keyed by the measure and grid digests."""
-    gd = config_digest({"h": grid.step_h.hex(), "T": grid.horizon_T.hex()})
-    key = f"resolvent_{nu.digest()[:16]}_{gd[:16]}.npy"
-    path = os.path.join(cache_dir, key)
-    if os.path.exists(path):
-        return np.load(path)
-    r = differential_resolvent(nu, grid)
-    os.makedirs(cache_dir, exist_ok=True)
-    np.save(path, r)
-    return r
+    return _euler_resolvent(CompiledMeasure(nu, grid), 0)
 
 
 def grid_convolution(kernel_vals: np.ndarray, f_vals: np.ndarray,
@@ -353,6 +352,7 @@ class DelaySystem:
         object.__setattr__(self, "f_vals", drift_values(self.forcing, self.grid, d))
         object.__setattr__(self, "sig_vals",
                            diffusion_values(self.diffusion, self.grid, d, m))
+        object.__setattr__(self, "compiled", CompiledMeasure(self.mu, self.grid))
 
     @property
     def dim(self) -> int:
@@ -367,37 +367,16 @@ def simulate_sfde(sys: DelaySystem, *, master_seed: int = 0, path_index: int = 0
                   dB: Optional[np.ndarray] = None) -> np.ndarray:
     """Euler-Maruyama path on [-tau, T]; rows 0..n_hist hold the initial
     segment, the drift reads history through the delay kernel."""
-    grid = sys.grid
-    if dB is None:
-        dB = brownian_increments(grid, sys.noise_dim,
-                                 rng_stream(master_seed, path_index))
-    cm = CompiledMeasure(sys.mu, grid)
-    h = grid.step_h
-    n, d, off = grid.n_steps, sys.dim, sys.n_hist
-    X = np.empty((off + n + 1, d))
-    X[:off + 1] = sys.psi_vals
-    for k in range(n):
-        conv = cm.convolve(X, k, history_offset=off)
-        X[off + k + 1] = X[off + k] + (sys.f_vals[k] + conv) * h \
-            + sys.sig_vals[k] @ dB[k]
-    return X
+    dB = _increments(sys.grid, sys.noise_dim, master_seed, path_index, dB)
+    return _euler_path(sys, sys.psi_vals, dB)[0]
 
 
 def functional_resolvent(mu: SignedMeasureRepr, tau: float,
                          grid: GridSpec) -> np.ndarray:
     """Matrix path r on [0, T] with r(0) = I, r(t) = 0 for t < 0 and
     r'(t) = integral_{[-tau,0]} mu(ds) r(t+s), explicit Euler."""
-    d = mu.dim
     n_hist = delay_steps(mu, tau, grid)
-    cm = CompiledMeasure(mu, grid)
-    h = grid.step_h
-    n = grid.n_steps
-    r = np.zeros((n_hist + n + 1, d, d))
-    r[n_hist] = np.eye(d)
-    for k in range(n):
-        r[n_hist + k + 1] = r[n_hist + k] + h * cm.convolve(r, k,
-                                                            history_offset=n_hist)
-    return r[n_hist:]
+    return _euler_resolvent(CompiledMeasure(mu, grid), n_hist)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,13 @@ represented matrix-valued signed measure (atoms plus a piecewise-constant
 density), matrix kernel sequences for the summation equations, scalar noise
 laws with exact or quadrature moments, and the reproducible per-path RNG
 stream convention.
+
+`lag_slab` is the one kernel layout of every recursion. `CompiledMeasure`
+compiles a measure once into such a slab, and its `euler` is the one
+stepper of the continuous recursions, one BLAS product per step. Window
+rule at step k: a kernel on [0, inf) applies atom lag l iff l <= k and
+density lag l iff l <= k - 1, so X(0) sees atoms only; a delay kernel
+applies every tap over the stored history.
 """
 from __future__ import annotations
 
@@ -13,7 +20,7 @@ import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -201,86 +208,106 @@ def is_neg_identity_point_mass(m: SignedMeasureRepr) -> bool:
     return loc == 0.0 and np.array_equal(w, -np.eye(m.dim))
 
 
+def lag_slab(taps: np.ndarray) -> np.ndarray:
+    """Taps T(0..L), shape (L+1, d, d), as the contiguous lag-reversed slab
+    A (d, (L+1) d) with A[:, j d:(j+1) d] = T(L-j). A[:, A.shape[1] - m d:]
+    @ H, H the history rows t-m+1..t stacked block by block, is
+    sum_{l<m} T(l) H(t-l): one BLAS product in an order fixed by the layout.
+    """
+    d = taps.shape[1]
+    return np.ascontiguousarray(taps[::-1].transpose(1, 0, 2)).reshape(
+        d, taps.shape[0] * d)
+
+
 class CompiledMeasure:
-    """A measure bound to a grid: atom lags snapped to whole steps and the
-    density sampled at left endpoints, ready for per-step convolution."""
+    """A measure bound to a grid, compiled once into a lag-reversed tap slab:
+    atom lags snapped to whole steps, density cells sampled at left
+    endpoints (value * h), the taps of each lag summed into T(0..max_lag).
+    Under the window rule (module docstring) rows X(1..k) see T, X(0) only
+    the atom taps `origin_taps`, and a delay kernel needs max_lag history
+    rows.
+    """
 
     def __init__(self, measure: SignedMeasureRepr, grid: GridSpec):
         self.measure = measure
         self.grid = grid
         self.negative_support = measure.negative_support
-        lags, weights = [], []
-        for loc, w in measure.atoms:
-            lags.append(grid.snap(abs(loc)))
-            weights.append(w)
-        self.atom_lags = np.asarray(lags, int)
-        self.atom_weights = (np.stack(weights) if weights
-                             else np.zeros((0, measure.dim, measure.dim)))
-        h = grid.step_h
-        dlags, dweights = [], []
+        d, h = measure.dim, grid.step_h
+        self.atom_lags = np.array([grid.snap(abs(loc))
+                                   for loc, _ in measure.atoms], int)
+        self.dens_lags = np.zeros(0, int)
         dens = measure.density
         if dens is not None:
-            if self.negative_support:
-                # left endpoints of [-tau, 0) cells, lag = -s
-                ell = 1
-                while -ell * h >= dens.start - 1e-12:
-                    s = -ell * h
-                    if s < dens.end - 1e-12:
-                        dlags.append(ell)
-                        dweights.append(dens.at(np.array([s]))[0] * h)
-                    ell += 1
-            else:
-                ell = 0
-                while ell * h < dens.end - 1e-12:
-                    s = ell * h
-                    if s >= dens.start - 1e-12:
-                        dlags.append(ell)
-                        dweights.append(dens.at(np.array([s]))[0] * h)
-                    ell += 1
-        self.dens_lags = np.asarray(dlags, int)
-        self.dens_weights = (np.stack(dweights) if dweights
-                             else np.zeros((0, measure.dim, measure.dim)))
+            # left endpoints s = lag h, or s = -lag h (lag >= 1) on [-tau, 0)
+            delay = self.negative_support
+            ell = np.arange(1 if delay else 0,
+                            int((abs(dens.start) + abs(dens.end)) / h) + 2)
+            s = (-ell if delay else ell) * h
+            keep = (s >= dens.start - 1e-12) & (s < dens.end - 1e-12)
+            self.dens_lags = ell[keep]
+        self.max_lag = int(max(self.atom_lags.max(initial=0),
+                               self.dens_lags.max(initial=0)))
+        taps = np.zeros((self.max_lag + 1, d, d))
+        for lag, (_, w) in zip(self.atom_lags, measure.atoms):
+            taps[lag] += w
+        self.origin_taps = None if self.negative_support else taps.copy()
+        if self.dens_lags.size:
+            np.add.at(taps, self.dens_lags, dens.at(s[keep]) * h)
+        self.slab = lag_slab(taps)
+
+    def _first_rows(self, rows, start: int):
+        """First history row the full taps read at state rows `rows`."""
+        if self.negative_support:
+            if np.min(rows) < self.max_lag:
+                raise HistoryUnderflow(f"lag {self.max_lag} reaches before "
+                                       "the stored history")
+            return rows - self.max_lag
+        return np.maximum(rows - self.max_lag, start + 1)
+
+    def _window(self, flat: np.ndarray, row: int, first: int) -> np.ndarray:
+        """Full taps times rows first..row of the (rows d, c) state."""
+        d = self.measure.dim
+        return self.slab[:, self.slab.shape[1] - (row + 1 - first) * d:] \
+            @ flat[first * d:(row + 1) * d]
 
     def convolve(self, path: np.ndarray, t_index: int, history_offset: int = 0) -> np.ndarray:
-        """Quadrature of the past-weighted integral at step t_index.
+        """Quadrature of the past-weighted integral at step t_index, the
+        one-step view of `euler`. path[i], shape (d,) or (d, c), is the state
+        at grid index i - history_offset; a delay kernel reaching before it
+        raises HistoryUnderflow."""
+        path = np.asarray(path, float)
+        X = path.reshape(len(path), self.measure.dim, -1)
+        row = t_index + history_offset
+        out = self._window(X.reshape(-1, X.shape[2]), row,
+                           int(self._first_rows(row, history_offset)))
+        if self.origin_taps is not None and t_index <= self.max_lag:
+            out = out + self.origin_taps[t_index] @ X[history_offset]
+        return out.reshape(path.shape[1:])
 
-        path[i] is the state at grid index i - history_offset. Kernels on
-        [0, inf) truncate to [0, t]; delay kernels must find their whole
-        support in the stored history or HistoryUnderflow is raised.
+    def euler(self, X: np.ndarray, start: int, forcing: np.ndarray,
+              noise: np.ndarray) -> np.ndarray:
+        """Step X[start+k+1] = X[start+k] + (forcing[k] + conv_k) h + noise[k]
+        for k < n = len(forcing), one slab product a step, in place.
+
+        X is C-contiguous (rows, d, c) with rows 0..start filled; c = 1 for
+        a path, d for a resolvent. forcing and noise broadcast to (n, d, c).
+        Returns the convolution terms conv, shape (n, d, c).
         """
-        out = np.zeros(path.shape[1:])
-        if self.atom_lags.size:
-            idx = t_index - self.atom_lags + history_offset
-            if self.negative_support:
-                if np.any(idx < 0):
-                    raise HistoryUnderflow("atom lag reaches before stored history")
-                keep = slice(None)
-            else:
-                keep = self.atom_lags <= t_index
-                idx = idx[keep]
-            w = self.atom_weights[keep]
-            if idx.size:
-                out = out + np.einsum("kab,kb...->a...", w, path[idx])
-        if self.dens_lags.size:
-            if self.negative_support:
-                idx = t_index - self.dens_lags + history_offset
-                if np.any(idx < 0):
-                    raise HistoryUnderflow("density cell reaches before stored history")
-                w = self.dens_weights
-            else:
-                keep = self.dens_lags <= t_index - 1
-                idx = t_index - self.dens_lags[keep] + history_offset
-                w = self.dens_weights[keep]
-            if idx.size:
-                out = out + np.einsum("kab,kb...->a...", w, path[idx])
-        return out
-
-
-def convolve_measure(m: SignedMeasureRepr, path: np.ndarray, t_index: int,
-                     grid: GridSpec, history_offset: int = 0) -> np.ndarray:
-    """One-shot convolution quadrature (compiles the measure on the fly)."""
-    return CompiledMeasure(m, grid).convolve(np.asarray(path, float), t_index,
-                                             history_offset)
+        if not X.flags.c_contiguous:
+            raise ValueError("euler steps a C-contiguous state in place")
+        n = len(forcing)
+        h = self.grid.step_h
+        rows = start + np.arange(n)
+        first = self._first_rows(rows, start)
+        flat = X.reshape(-1, X.shape[2])
+        conv = np.zeros((n,) + X.shape[1:])
+        if self.origin_taps is not None:
+            m = min(n, self.max_lag + 1)
+            conv[:m] = self.origin_taps[:m] @ X[start]
+        for k, (row, lo) in enumerate(zip(rows.tolist(), first.tolist())):
+            conv[k] += self._window(flat, row, lo)
+            X[row + 1] = X[row] + (forcing[k] + conv[k]) * h + noise[k]
+        return conv
 
 
 def total_variation(m: SignedMeasureRepr) -> np.ndarray:

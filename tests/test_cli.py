@@ -10,7 +10,7 @@ import pytest
 from svlab.cli import (EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_TABLE_FAIL,
                        main)
 from svlab.conditions import diffusion_window_evidence
-from svlab.core import GridSpec
+from svlab.core import CompiledMeasure, GridSpec
 from svlab.corpus import resolve
 
 
@@ -115,6 +115,65 @@ def test_threads_do_not_change_bytes_multilag_d3(tmp_path):
     assert len(read_csv(a / "paths.csv")) == 1 + 5 * 41
     for name in ("paths.csv", "partial_sums.csv", "evidence.json"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def _sve_cfg():
+    return {
+        "schema_version": 1,
+        "grid": {"step_h": 0.02, "horizon_T": 4.0},
+        "kernel": {"atoms": [[0.0, -1.5], [0.2, 0.3]], "density": {
+            "name": "exp_decay(rate=2.0)", "start": 0.0, "step": 0.02,
+            "count": 40, "scale": -0.5}},
+        "forcing": "osc(alpha=0.1,beta=0.5)",
+        "diffusion": 0.4,
+        "p": 2.0,
+        "ensemble": {"n_paths": 5},
+    }
+
+
+def _sfde_cfg():
+    return {
+        "schema_version": 1,
+        "grid": {"step_h": 0.02, "horizon_T": 3.0},
+        "tau": 1.0,
+        "kernel": {"atoms": [[-1.0, -0.5], [0.0, -0.2]], "density": {
+            "name": "const(c=1.0)", "start": -1.0, "step": 0.02,
+            "count": 50, "scale": 0.1}},
+        "history": 1.0,
+        "diffusion": 0.3,
+        "ensemble": {"n_paths": 5},
+    }
+
+
+@pytest.mark.parametrize("command,cfg,names", [
+    ("simulate-sve", _sve_cfg(),
+     ("paths.csv", "partial_integrals.csv", "evidence.json")),
+    ("simulate-sfde", _sfde_cfg(), ("paths.csv",)),
+])
+def test_threads_do_not_change_bytes_continuous(tmp_path, command, cfg, names):
+    path = write_config(tmp_path, "c.json", cfg)
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main([command, "--config", path, "--out", str(a)]) == EXIT_OK
+    assert main([command, "--config", path, "--out", str(b),
+                 "--threads", "3"]) == EXIT_OK
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def test_sve_ensemble_compiles_kernel_once(tmp_path, monkeypatch):
+    built = []
+    init = CompiledMeasure.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(CompiledMeasure, "__init__", counting)
+    path = write_config(tmp_path, "s.json", _sve_cfg())
+    assert main(["simulate-sve", "--config", path, "--threads", "2",
+                 "--out", str(tmp_path / "o")]) == EXIT_OK
+    assert len(read_csv(tmp_path / "o" / "partial_integrals.csv")) == 1 + 5 * 3
+    assert len(built) == 1
 
 
 def test_simulate_discrete_null_p_writes_no_partial_sums(tmp_path):
@@ -410,6 +469,25 @@ def test_delay_rule_is_config_error(tmp_path, capsys, command, tau, atom,
     assert main([command, "--config", path,
                  "--out", str(tmp_path / "o")]) == EXIT_CONFIG
     assert f"config error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,extra,location", [
+    ("simulate-sve", {}, 0.015),
+    ("simulate-sfde", {"tau": 1.0}, -0.015),
+    ("resolvent", {"kind": "differential"}, 0.015),
+])
+def test_off_grid_kernel_atom_is_config_error(tmp_path, capsys, command, extra,
+                                              location):
+    cfg = {
+        "schema_version": 1,
+        "grid": {"step_h": 0.01, "horizon_T": 1.0},
+        "kernel": {"atoms": [[location, -0.5]]},
+        **extra,
+    }
+    path = write_config(tmp_path, "k.json", cfg)
+    assert main([command, "--config", path,
+                 "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert "config error: location 0.015" in capsys.readouterr().err
 
 
 def test_off_grid_keep_time_is_config_error(tmp_path, capsys):

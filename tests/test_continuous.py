@@ -4,8 +4,10 @@ root scan."""
 
 import numpy as np
 import pytest
+from scipy.special import lambertw
 
 from svlab.core import (
+    CompiledMeasure,
     DensitySample,
     GridSpec,
     SignedMeasureRepr,
@@ -17,7 +19,6 @@ from svlab.continuous import (
     ContinuousSystem,
     DelaySystem,
     brownian_increments,
-    cached_differential_resolvent,
     characteristic_det,
     characteristic_root_scan,
     coupled_paths,
@@ -71,17 +72,119 @@ def test_resolvent_error_halves_with_step():
     assert 1.6 < ratio < 2.4
 
 
-def test_resolvent_cache_round_trip(tmp_path):
-    g = GridSpec(1e-2, 1.0)
-    nu = point_mass([[-2.0]])
-    first = cached_differential_resolvent(nu, g, str(tmp_path))
-    files = list(tmp_path.glob("resolvent_*.npy"))
-    assert len(files) == 1
-    again = cached_differential_resolvent(nu, g, str(tmp_path))
-    np.testing.assert_array_equal(first, again)
-    # a different grid gets its own cache entry
-    cached_differential_resolvent(nu, GridSpec(1e-2, 2.0), str(tmp_path))
-    assert len(list(tmp_path.glob("resolvent_*.npy"))) == 2
+# ---------------------------------------------------------------------------
+# the slab stepper against a per-lag reference
+
+def _reference_euler(measure, grid, head, forcing, noise):
+    """The window rule one tap at a time: on [0, inf) atom lag l counts iff
+    l <= k and density lag l iff l <= k - 1; a delay kernel counts every tap
+    over the stored history `head`."""
+    cm = CompiledMeasure(measure, grid)
+    h = grid.step_h
+    delay = measure.negative_support
+    sign = -1.0 if delay else 1.0
+    atoms = [(lag, w) for lag, (_, w) in zip(cm.atom_lags.tolist(),
+                                             measure.atoms)]
+    cells = [(lag, measure.density.at(np.array([sign * lag * h]))[0] * h)
+             for lag in cm.dens_lags.tolist()]
+    off = len(head) - 1
+    X = np.zeros((off + grid.n_steps + 1,) + head.shape[1:])
+    X[:off + 1] = head
+    for k in range(grid.n_steps):
+        acc = np.zeros(head.shape[1:])
+        for lag, w in atoms:
+            if delay or lag <= k:
+                acc += w @ X[off + k - lag]
+        for lag, w in cells:
+            if delay or lag <= k - 1:
+                acc += w @ X[off + k - lag]
+        X[off + k + 1] = X[off + k] + (forcing[k] + acc) * h + noise[k]
+    return X
+
+
+def _stepper_kernel(case, d):
+    rng = np.random.default_rng(40 + d)
+
+    def w(scale):
+        return scale * rng.standard_normal((d, d))
+
+    if case == "delay":
+        dens = DensitySample(-1.0, 0.05, w(0.3)[None] * rng.random((20, 1, 1)))
+        return SignedMeasureRepr(d, atoms=((-1.0, w(0.4)), (0.0, -np.eye(d))),
+                                 density=dens)
+    # density on [0, 0.8) ends before the horizon 2, on [0, 3) after it
+    cells = 16 if case == "short-density" else 60
+    dens = DensitySample(0.0, 0.05, w(0.5)[None] * rng.random((cells, 1, 1)))
+    return SignedMeasureRepr(d, atoms=((0.0, -np.eye(d) + w(0.1)),
+                                       (0.3, w(0.5))), density=dens)
+
+
+@pytest.mark.parametrize("case", ["short-density", "long-density", "delay"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_stepper_matches_per_lag_reference(case, d):
+    g = GridSpec(0.05, 2.0)
+    n = g.n_steps
+    rng = np.random.default_rng(d)
+    nu = _stepper_kernel(case, d)
+    f = rng.standard_normal((n, d))
+    sigma = rng.standard_normal((n, d, d))
+    dB = rng.standard_normal((n, d)) * np.sqrt(g.step_h)
+    noise = np.einsum("kdm,km->kd", sigma, dB)
+
+    def close(got, ref):
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    if case == "delay":
+        psi = 1.0 + rng.standard_normal((21, d))
+        X = simulate_sfde(DelaySystem(nu, 1.0, psi, g, f, sigma), dB=dB)
+        close(X, _reference_euler(nu, g, psi, f, noise))
+        head = np.zeros((21, d, d))
+        head[-1] = np.eye(d)
+        r = functional_resolvent(nu, 1.0, g)
+        close(r, _reference_euler(nu, g, head, np.zeros((n, d, 1)),
+                                  np.zeros((n, d, 1)))[20:])
+    else:
+        x0 = 1.0 + rng.standard_normal(d)
+        X = simulate_sve(ContinuousSystem(nu, g, f, sigma, x0), dB=dB)
+        close(X, _reference_euler(nu, g, x0[None], f, noise))
+        r = differential_resolvent(nu, g)
+        close(r, _reference_euler(nu, g, np.eye(d)[None], np.zeros((n, d, 1)),
+                                  np.zeros((n, d, 1))))
+
+
+def test_convolve_is_one_step_of_the_stepper():
+    g = GridSpec(0.05, 2.0)
+    nu = _stepper_kernel("short-density", 2)
+    sys_ = ContinuousSystem(nu, g, initial=np.array([1.0, -0.5]),
+                            diffusion=0.3 * np.eye(2))
+    dB = brownian_increments(g, 2, rng_stream(4, 0))
+    X = simulate_sve(sys_, dB=dB)
+    for k in range(g.n_steps):
+        conv = sys_.compiled.convolve(X, k)
+        step = X[k] + conv * g.step_h + sys_.sig_vals[k] @ dB[k]
+        np.testing.assert_allclose(X[k + 1], step, rtol=1e-13, atol=1e-15)
+
+
+@pytest.mark.parametrize("shape", ["long", "wide", "column"])
+@pytest.mark.parametrize("simulator", ["sve", "sve-exp", "sfde", "ou"])
+def test_simulators_check_supplied_increments(simulator, shape):
+    g = GridSpec(0.1, 1.0)
+    n = g.n_steps
+    dB = {"long": np.zeros((n + 1, 1)), "wide": np.zeros((n, 2)),
+          "column": np.zeros((n, 1, 1))}[shape]
+    run = {
+        "sve": lambda: simulate_sve(
+            ContinuousSystem(point_mass([[-2.0]]), g), dB=dB),
+        "sve-exp": lambda: simulate_sve(
+            ContinuousSystem(neg_identity_point_mass(1), g), dB=dB),
+        "sfde": lambda: simulate_sfde(
+            DelaySystem(point_mass([[-0.5]], location=-0.5), 0.5, 1.0, g),
+            dB=dB),
+        "ou": lambda: simulate_ou(None, 1.0, g, dB=dB),
+    }[simulator]
+    with pytest.raises(ValueError, match=r"dB shape .* != \(n_steps, noise_dim\)"):
+        run()
 
 
 # ---------------------------------------------------------------------------
@@ -446,6 +549,23 @@ def test_root_scan_evaluates_each_grid_in_one_call(monkeypatch):
     assert shapes.count((n_im, n_re)) == 1
     # the rest is Newton polish, three points a step, and scalar checks
     assert set(shapes[1:]) <= {(n_im, n_re), (3,), ()}
+
+
+@pytest.mark.parametrize("a,b,tau", [(2.0, 0.0, 1.0), (1.0, -0.5, 1.5),
+                                     (0.8, 0.3, 2.0), (0.2, -0.3, 1.0)])
+def test_root_scan_matches_lambert_w_branches(a, b, tau):
+    """mu = b delta_0 - a delta_{-tau}: det Delta = lambda - b + a e^{-lambda tau}
+    vanishes at b + W_k(-a tau e^{-b tau}) / tau, branch 0 rightmost."""
+    mu = SignedMeasureRepr(1, atoms=((0.0, [[b]]), (-tau, [[-a]])))
+    res = characteristic_root_scan(mu, tau)
+    z = -a * tau * np.exp(-b * tau)
+    branches = [b + complex(lambertw(z, k)) / tau for k in range(-10, 11)]
+    inside = [lam for lam in branches
+              if -3.0 <= lam.real <= 3.0 and 0.0 <= lam.imag <= 10.0]
+    assert res.rightmost == pytest.approx(branches[10].real, abs=1e-9)
+    for root in res.roots:
+        assert min(abs(root - lam) for lam in inside) < 1e-9
+    assert len(res.roots) == len(inside)
 
 
 def test_root_scan_stable_case():

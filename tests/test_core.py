@@ -20,7 +20,6 @@ from svlab.core import (
     canonical_json,
     config_digest,
     constant_law,
-    convolve_measure,
     is_neg_identity_point_mass,
     neg_identity_point_mass,
     point_mass,
@@ -132,7 +131,7 @@ def test_convolve_point_mass_at_zero():
     g = GridSpec(0.1, 1.0)
     m = neg_identity_point_mass(2)
     path = np.tile([1.5, -2.0], (g.n_steps + 1, 1))
-    out = convolve_measure(m, path, 4, g)
+    out = CompiledMeasure(m, g).convolve(path, 4)
     np.testing.assert_allclose(out, [-1.5, 2.0])
 
 
@@ -140,7 +139,7 @@ def test_convolve_unit_lag_atom():
     g = GridSpec(1.0, 5.0)
     m = point_mass([[1.0]], location=1.0)
     path = g.times()[:, None]   # path(t) = t
-    out = convolve_measure(m, path, 3, g)
+    out = CompiledMeasure(m, g).convolve(path, 3)
     np.testing.assert_allclose(out, [2.0])
 
 
@@ -150,7 +149,7 @@ def test_convolve_constant_density():
     dens = DensitySample(0.0, 0.1, np.ones((10, 1, 1)))
     m = SignedMeasureRepr(1, density=dens)
     path = np.ones((g.n_steps + 1, 1))
-    out = convolve_measure(m, path, g.index_at(1.5), g)
+    out = CompiledMeasure(m, g).convolve(path, g.index_at(1.5))
     np.testing.assert_allclose(out, [1.0], atol=1e-12)
 
 
@@ -176,9 +175,9 @@ def test_convolve_history_underflow():
     m = SignedMeasureRepr(1, atoms=((-1.0, [[1.0]]),))
     path = np.ones((g.n_steps + 1, 1))
     with pytest.raises(HistoryUnderflow):
-        convolve_measure(m, path, 1, g)
+        CompiledMeasure(m, g).convolve(path, 1)
     # with enough prepended history the same lookup succeeds
-    out = convolve_measure(m, path, 3, g, history_offset=2)
+    out = CompiledMeasure(m, g).convolve(path, 3, history_offset=2)
     np.testing.assert_allclose(out, [1.0])
 
 
@@ -187,7 +186,7 @@ def test_atom_snapping_rejected_off_grid():
     m = point_mass([[1.0]], location=0.35)  # exact midpoint
     path = np.ones((11, 1))
     with pytest.raises(GridError):
-        convolve_measure(m, path, 5, g)
+        CompiledMeasure(m, g).convolve(path, 5)
 
 
 def test_neg_identity_detection():

@@ -171,13 +171,28 @@ sys_ = DiscreteSystem(kernel, N, 0.1 * rng.standard_normal((N, d)),
                       initial=np.ones(d))
 h = hashlib.sha256(resolvent_seq(kernel, N).tobytes())
 h.update(simulate_direct(sys_, noise=rng.standard_normal((N, d))).tobytes())
+from svlab.core import DensitySample, GridSpec, SignedMeasureRepr
+from svlab.continuous import (ContinuousSystem, DelaySystem,
+                              functional_resolvent, simulate_sfde,
+                              simulate_sve)
+g = GridSpec(0.01, 6.0)
+dens = DensitySample(0.0, 0.01, 0.002 * (rng.random((400, d, d)) - 0.5))
+nu = SignedMeasureRepr(d, atoms=((0.0, -np.eye(d)),), density=dens)
+h.update(simulate_sve(ContinuousSystem(nu, g, diffusion=0.3 * np.eye(d)),
+                      master_seed=8).tobytes())
+mu = SignedMeasureRepr(d, atoms=((-4.0, -0.1 * np.eye(d)), (0.0, -np.eye(d))),
+                       density=DensitySample(-4.0, 0.01, dens.values))
+h.update(simulate_sfde(DelaySystem(mu, 4.0, np.ones((401, d)), g,
+                                   diffusion=0.3 * np.eye(d)),
+                       master_seed=8).tobytes())
+h.update(functional_resolvent(mu, 4.0, g).tobytes())
 print(h.hexdigest())
 """
 
 
 def test_slab_bits_do_not_depend_on_blas_threads():
-    """At d = 6 and N = 1500 the per-step products are large enough for
-    OpenBLAS to split them across threads."""
+    """At d = 6 and N = 1500, and with 400 continuous taps, the per-step
+    products are large enough for OpenBLAS to split them across threads."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(svlab.__file__)))
     digests = []
     for threads in ("1", "2"):
