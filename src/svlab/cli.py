@@ -482,10 +482,7 @@ def cmd_simulate_sve(cfg: dict, out_dir: str, threads: int) -> int:
     M = int(cfg["ensemble"]["n_paths"])
     norm = cfg["norm"]
 
-    def one(i: int):
-        dB = continuous.brownian_increments(grid, sys_.noise_dim,
-                                            rng_stream(seed, i))
-        X = continuous.simulate_sve(sys_, dB=dB)
+    def reduce(i: int, X: np.ndarray):
         _ensure_finite(X, f"path {i}")
         kept = X if keep_idx is None else X[keep_idx]
         S = None
@@ -494,7 +491,7 @@ def cmd_simulate_sve(cfg: dict, out_dir: str, threads: int) -> int:
             S = [float(cum[k]) for k in cp_idx]
         return kept, S
 
-    results = run_paths(M, one, threads)
+    results = continuous.ensemble(sys_, seed, M, reduce, threads)
     times = grid.times()
     kept_times = times if keep_idx is None else times[keep_idx]
 
@@ -535,14 +532,11 @@ def cmd_simulate_sfde(cfg: dict, out_dir: str, threads: int) -> int:
     seed = int(cfg["master_seed"])
     M = int(cfg["ensemble"]["n_paths"])
 
-    def one(i: int):
-        dB = continuous.brownian_increments(grid, sys_.noise_dim,
-                                            rng_stream(seed, i))
-        X = continuous.simulate_sfde(sys_, dB=dB)
+    def reduce(i: int, X: np.ndarray):
         _ensure_finite(X, f"path {i}")
         return X
 
-    results = run_paths(M, one, threads)
+    results = continuous.ensemble(sys_, seed, M, reduce, threads)
     times = sys_.times()
     if cfg["ensemble"]["keep_paths"]:
         rows = []
@@ -578,6 +572,9 @@ def cmd_resolvent(cfg: dict, out_dir: str) -> int:
             mu = _measure(cfg["kernel"], d)
             if kind == "functional":
                 continuous.delay_steps(mu, float(cfg["tau"]), grid)
+            elif mu.negative_support:
+                raise ConfigError("differential resolvent takes a kernel "
+                                  "on [0, inf)")
             # snaps the atoms: one off the grid is a config error
             CompiledMeasure(mu, grid)
         if kind == "differential":

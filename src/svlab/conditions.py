@@ -29,6 +29,9 @@ from .evidence import (DIVERGENT, INCONCLUSIVE, SATISFIED, SUMMABLE, VIOLATED,
 from .quad import trapezoid_refined
 
 DEFAULT_THETAS = (0.5, 1.0, 2.0, 4.0)
+# lattice points per chunk, and per evaluation of the integrand
+LATTICE_CHUNK = 4_000_000
+LATTICE_SLICE = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -48,18 +51,30 @@ class WindowProfile:
 
 def _cumulative_on_lattice(f: Callable, n_cells: int, h: float,
                            refine: int) -> np.ndarray:
-    """F[j] = left-Riemann integral of f over [0, j*h] at step h/refine,
-    evaluated in bounded chunks so long horizons stay in memory."""
+    """F[j] = left-Riemann integral of f over [0, j*h] at step h/refine.
+
+    The lattice runs in chunks of at most LATTICE_CHUNK points (the chunk
+    boundaries fix the bits), so long horizons stay in memory. Inside a
+    chunk, f is evaluated on slices of LATTICE_SLICE points into one buffer
+    allocated once per call, which is then summed in place. f must be
+    pointwise, f(t)[i] a function of t[i] alone, so that slicing does not
+    change its values.
+    """
     step = h / refine
     F = np.empty(n_cells + 1)
     F[0] = 0.0
-    block = max(1, 4_000_000 // refine)
+    block = max(1, LATTICE_CHUNK // refine)
+    buf = np.empty(min(block, n_cells) * refine)
     run = 0.0
     pos = 0
     while pos < n_cells:
         nb = min(block, n_cells - pos)
-        t = (pos * refine + np.arange(nb * refine)) * step
-        cs = np.cumsum(np.asarray(f(t), float)) * step
+        cs = buf[:nb * refine]
+        for lo in range(0, cs.size, LATTICE_SLICE):
+            hi = min(lo + LATTICE_SLICE, cs.size)
+            cs[lo:hi] = f((pos * refine + np.arange(lo, hi)) * step)
+        np.cumsum(cs, out=cs)
+        cs *= step
         F[pos + 1: pos + nb + 1] = run + cs[refine - 1::refine]
         run = F[pos + nb]
         pos += nb

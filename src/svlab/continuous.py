@@ -13,6 +13,13 @@ and density lag l iff l <= k - 1, so X(0) sees atoms only; a delay kernel
 on [-tau, 0] counts every tap over the stored history segment. A system
 compiles its kernel once, for every path of an ensemble.
 
+`ensemble` steps the paths of an ensemble PATH_BLOCK = 8 at a time, on the
+stepper's trailing column axis: path i sits in column i % 8 of block i // 8
+with its own `rng_stream(master_seed, i)` draws, and unused columns step
+zero increments. `simulate_sve` and `simulate_sfde` step one path in its
+column of such a block, so path i has the same bytes alone, in an ensemble
+of any size and under any `--threads`.
+
 The kernel that is exactly the negative identity point mass at zero is
 routed through the same exponential-integrator scan as `simulate_ou`, so
 those two simulators are bit-identical on shared streams (same equation,
@@ -32,6 +39,8 @@ from .core import (DEFAULT_NORM, CompiledMeasure, GridSpec,
                    run_paths, vector_norm)
 from .evidence import EvidenceReport, TailThresholds, median_tail_verdict
 from .quad import bisect_root
+
+PATH_BLOCK = 8
 
 
 # ---------------------------------------------------------------------------
@@ -162,12 +171,18 @@ class ContinuousSystem:
     def dim(self) -> int:
         return self.nu.dim
 
+    @property
+    def head(self) -> np.ndarray:
+        """The stored rows a path starts from: X(0), shape (1, d)."""
+        return self.initial[None]
+
 
 def simulate_sve(sys: ContinuousSystem, *, master_seed: int = 0,
                  path_index: int = 0, dB: Optional[np.ndarray] = None) -> np.ndarray:
     """Path of the kernel-driven equation on the system grid, shape (n+1, d).
 
-    Generic kernels step X_{k+1} = X_k + [f_k + (nu * X)_k] h + sigma_k dB_k;
+    Generic kernels step X_{k+1} = X_k + [f_k + (nu * X)_k] h + sigma_k dB_k
+    in column path_index % PATH_BLOCK of a block, drawn or supplied dB alike;
     the exact negative-identity point mass delegates to the exponential scan
     shared with `simulate_ou` (bit-identical there when initial = 0).
     """
@@ -176,18 +191,61 @@ def simulate_sve(sys: ContinuousSystem, *, master_seed: int = 0,
         decay = np.exp(-sys.grid.step_h)
         drive = _ou_drive(sys.f_vals, sys.sig_vals, dB, decay)
         return _exp_scan(sys.initial, drive, decay)
-    return _euler_path(sys, sys.initial[None], dB)[0]
+    return _one_path(sys, path_index, dB)[0]
 
 
-def _euler_path(sys, head: np.ndarray, dB: np.ndarray):
-    """Path of `sys` from the rows `head` on, and its convolution terms."""
+def _block(sys, dB: np.ndarray):
+    """Step PATH_BLOCK paths of `sys` from its head rows on, with
+    increments dB of shape (n, m, PATH_BLOCK). Returns the state, shape
+    (rows, d, PATH_BLOCK), and its convolution terms, (n, d, PATH_BLOCK)."""
+    head = sys.head
     n, d = sys.f_vals.shape
-    X = np.empty((len(head) + n, d))
-    X[:len(head)] = head
-    noise = np.matmul(sys.sig_vals, dB[:, :, None])
-    conv = sys.compiled.euler(X[:, :, None], len(head) - 1,
-                              sys.f_vals[:, :, None], noise)
-    return X, conv[:, :, 0]
+    X = np.empty((len(head) + n, d, PATH_BLOCK))
+    X[:len(head)] = head[:, :, None]
+    conv = sys.compiled.euler(X, len(head) - 1, sys.f_vals[:, :, None],
+                              np.matmul(sys.sig_vals, dB))
+    return X, conv
+
+
+def _one_path(sys, path_index: int, dB: np.ndarray):
+    """Path `path_index` and its convolution terms, stepped in its column
+    of a block whose other columns get zero increments."""
+    col = path_index % PATH_BLOCK
+    block = np.zeros(dB.shape + (PATH_BLOCK,))
+    block[:, :, col] = dB
+    X, conv = _block(sys, block)
+    return X[:, :, col].copy(), conv[:, :, col]
+
+
+def ensemble(sys: Union[ContinuousSystem, DelaySystem], master_seed: int,
+             n_paths: int, reduce: Callable[[int, np.ndarray], object],
+             threads: int = 1) -> list:
+    """[reduce(i, X_i) for i in range(n_paths)], X_i the path of `sys` on
+    the stream rng_stream(master_seed, i), as `simulate_sve` or
+    `simulate_sfde` give it for path_index = i.
+
+    Generic kernels step the paths in blocks of PATH_BLOCK: path i sits in
+    column i % PATH_BLOCK of block i // PATH_BLOCK, columns past n_paths get
+    zero increments and draw nothing, and `threads` workers take whole
+    blocks. The negative identity point mass scans each path on its own.
+    Only one block of paths per worker is held at a time.
+    """
+    if isinstance(sys, ContinuousSystem) and is_neg_identity_point_mass(sys.nu):
+        return run_paths(n_paths, lambda i: reduce(i, simulate_sve(
+            sys, master_seed=master_seed, path_index=i)), threads)
+    m = sys.noise_dim
+
+    def block(b: int) -> list:
+        paths = range(b * PATH_BLOCK, min((b + 1) * PATH_BLOCK, n_paths))
+        dB = np.zeros((sys.grid.n_steps, m, PATH_BLOCK))
+        for i in paths:
+            dB[:, :, i % PATH_BLOCK] = brownian_increments(
+                sys.grid, m, rng_stream(master_seed, i))
+        X = _block(sys, dB)[0]
+        return [reduce(i, X[:, :, i % PATH_BLOCK].copy()) for i in paths]
+
+    blocks = run_paths(-(-n_paths // PATH_BLOCK), block, threads)
+    return [out for outs in blocks for out in outs]
 
 
 def _euler_resolvent(cm: CompiledMeasure, off: int) -> np.ndarray:
@@ -224,7 +282,7 @@ def coupled_paths(sys: ContinuousSystem, *, master_seed: int = 0,
         X = simulate_sve(sys, dB=dB)
         conv_x = -X[:-1]
     else:
-        X, conv_x = _euler_path(sys, sys.initial[None], dB)
+        X, conv_x = _one_path(sys, path_index, dB)
     Y = simulate_ou(sys.forcing, sys.diffusion, grid, d=sys.dim,
                     m=sys.noise_dim, dB=dB)
     Z = X - Y
@@ -358,6 +416,11 @@ class DelaySystem:
     def dim(self) -> int:
         return self.mu.dim
 
+    @property
+    def head(self) -> np.ndarray:
+        """The stored rows a path starts from: the initial segment."""
+        return self.psi_vals
+
     def times(self) -> np.ndarray:
         return (np.arange(self.n_hist + self.grid.n_steps + 1) - self.n_hist) \
             * self.grid.step_h
@@ -366,9 +429,10 @@ class DelaySystem:
 def simulate_sfde(sys: DelaySystem, *, master_seed: int = 0, path_index: int = 0,
                   dB: Optional[np.ndarray] = None) -> np.ndarray:
     """Euler-Maruyama path on [-tau, T]; rows 0..n_hist hold the initial
-    segment, the drift reads history through the delay kernel."""
+    segment, the drift reads history through the delay kernel. Stepped in
+    column path_index % PATH_BLOCK of a block, as `simulate_sve`."""
     dB = _increments(sys.grid, sys.noise_dim, master_seed, path_index, dB)
-    return _euler_path(sys, sys.psi_vals, dB)[0]
+    return _one_path(sys, path_index, dB)[0]
 
 
 def functional_resolvent(mu: SignedMeasureRepr, tau: float,
@@ -538,13 +602,9 @@ def sve_ensemble_lp_tail(sys: ContinuousSystem, p: float,
     if len(idx) < 2:
         raise ValueError("need at least two checkpoints")
 
-    def one(i: int) -> np.ndarray:
-        dB = brownian_increments(grid, sys.noise_dim, rng_stream(master_seed, i))
-        path = simulate_sve(sys, dB=dB)
-        cum = lp_time_integral(path, p, grid, norm)
-        return cum[idx]
-
-    S = np.stack(run_paths(n_paths, one, threads))
+    S = np.stack(ensemble(
+        sys, master_seed, n_paths,
+        lambda i, X: lp_time_integral(X, p, grid, norm)[idx], threads))
     return ensemble_lp_tail_report(S, p, checkpoint_times, master_seed, norm,
                                    thresholds)
 

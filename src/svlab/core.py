@@ -11,7 +11,11 @@ compiles a measure once into such a slab, and its `euler` is the one
 stepper of the continuous recursions, one BLAS product per step. Window
 rule at step k: a kernel on [0, inf) applies atom lag l iff l <= k and
 density lag l iff l <= k - 1, so X(0) sees atoms only; a delay kernel
-applies every tap over the stored history.
+applies every tap over the stored history. The state's trailing column
+axis holds a resolvent's d columns or a block of continuous.PATH_BLOCK = 8
+paths, path i in column i % 8 of block i // 8 with its own `rng_stream`;
+a fixed width and column make a path's bytes independent of the ensemble
+size and of the thread count that `run_paths` fans blocks out over.
 """
 from __future__ import annotations
 
@@ -605,7 +609,8 @@ def rng_stream(master_seed: int, path_index: int) -> np.random.Generator:
 
 def run_paths(n_paths: int, one: Callable, threads: int = 1) -> list:
     """[one(0), ..., one(n_paths - 1)], fanned out over `threads` worker
-    threads; results come back in path order whatever the scheduling."""
+    threads; results come back in path order whatever the scheduling. The
+    continuous ensembles pass whole blocks of paths as the items."""
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(one, range(n_paths)))

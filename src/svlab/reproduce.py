@@ -261,14 +261,9 @@ def pathwise_gap():
                                        corpus.ExpDecayFamily(1.0))
     r = continuous.differential_resolvent(nu, grid)
     ref = continuous.grid_convolution(r, np.ones(grid.n_steps + 1), grid)
-    early, late = [], []
-    for i in range(100):
-        dB = continuous.brownian_increments(grid, 1, rng_stream(7, i))
-        X = continuous.simulate_sve(sys_, dB=dB)
-        _, sups = continuous.pathwise_gap(X, ref, grid, [(4.0, 1.0),
-                                                         (40.0, 1.0)])
-        early.append(sups[0])
-        late.append(sups[1])
+    early, late = zip(*continuous.ensemble(
+        sys_, 7, 100, lambda i, X: continuous.pathwise_gap(
+            X, ref, grid, [(4.0, 1.0), (40.0, 1.0)])[1]))
     ratio = float(np.median(late) / np.median(early))
     return [_num_row("median sup gap on [40,41] / median on [4,5]",
                      ratio, 0.2)]

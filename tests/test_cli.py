@@ -149,6 +149,11 @@ def _sfde_cfg():
     ("simulate-sve", _sve_cfg(),
      ("paths.csv", "partial_integrals.csv", "evidence.json")),
     ("simulate-sfde", _sfde_cfg(), ("paths.csv",)),
+    # three blocks of paths, so --threads 3 gives each worker one
+    ("simulate-sve", {**_sve_cfg(), "ensemble": {"n_paths": 17}},
+     ("paths.csv", "partial_integrals.csv", "evidence.json")),
+    ("simulate-sfde", {**_sfde_cfg(), "ensemble": {"n_paths": 17}},
+     ("paths.csv",)),
 ])
 def test_threads_do_not_change_bytes_continuous(tmp_path, command, cfg, names):
     path = write_config(tmp_path, "c.json", cfg)
@@ -488,6 +493,20 @@ def test_off_grid_kernel_atom_is_config_error(tmp_path, capsys, command, extra,
     assert main([command, "--config", path,
                  "--out", str(tmp_path / "o")]) == EXIT_CONFIG
     assert "config error: location 0.015" in capsys.readouterr().err
+
+
+def test_differential_resolvent_of_delay_kernel_is_config_error(tmp_path,
+                                                              capsys):
+    path = write_config(tmp_path, "r.json", {
+        "schema_version": 1,
+        "kind": "differential",
+        "grid": {"step_h": 0.01, "horizon_T": 1.0},
+        "kernel": {"atoms": [[-0.5, -0.5]]},
+    })
+    assert main(["resolvent", "--config", path,
+                 "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert ("config error: differential resolvent takes a kernel on "
+            "[0, inf)") in capsys.readouterr().err
 
 
 def test_off_grid_keep_time_is_config_error(tmp_path, capsys):

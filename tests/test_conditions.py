@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from svlab import corpus
+from svlab import conditions, corpus
 from svlab.conditions import (
     DIVERGENT, INCONCLUSIVE, SATISFIED, SUMMABLE, VIOLATED,
     diffusion_window_evidence, exceedance_partial_sums,
@@ -77,6 +77,32 @@ def test_window_profiles_match_standalone_bytes(h, T, quad_step):
         assert prof.theta == alone.theta == theta
         assert prof.quad_step == alone.quad_step
         assert prof.values.tobytes() == alone.values.tobytes()
+
+
+@pytest.mark.parametrize("name", ["osc(alpha=0.1,beta=0.5)",
+                                  "sqrt(spike(beta=0.32))"])
+def test_lattice_slices_keep_one_shot_chunk_bits(name):
+    """Evaluating the integrand slice by slice into a reused buffer gives
+    the bytes of one evaluation and one cumsum per chunk. The lattice spans
+    two full chunks and a short third; every chunk ends in a partial
+    slice."""
+    f = corpus.resolve(name)
+    h, refine = 0.01, 100
+    block = conditions.LATTICE_CHUNK // refine
+    n_cells = 2 * block + 123
+    assert conditions.LATTICE_CHUNK % conditions.LATTICE_SLICE != 0
+    step = h / refine
+    ref = np.empty(n_cells + 1)
+    ref[0] = 0.0
+    pos = 0
+    while pos < n_cells:
+        nb = min(block, n_cells - pos)
+        t = (pos * refine + np.arange(nb * refine)) * step
+        cs = np.cumsum(np.asarray(f(t), float)) * step
+        ref[pos + 1: pos + nb + 1] = ref[pos] + cs[refine - 1::refine]
+        pos += nb
+    got = conditions._cumulative_on_lattice(f, n_cells, h, refine)
+    assert got.tobytes() == ref.tobytes()
 
 
 def test_window_profiles_rejects_empty_widths():

@@ -375,6 +375,59 @@ def test_sve_ensemble_divergent_for_flat_noise():
 
 
 # ---------------------------------------------------------------------------
+# ensembles in blocks of paths
+
+def _block_system(kind):
+    """A d = 2 system with three noise components, for each route."""
+    g = GridSpec(0.05, 2.0)
+    sigma = 0.3 * np.array([[1.0, 0.5, 0.0], [0.0, 1.0, -0.4]])
+    if kind == "sfde":
+        return DelaySystem(_stepper_kernel("delay", 2), 1.0,
+                           np.ones((21, 2)), g, diffusion=sigma, noise_dim=3)
+    nu = (neg_identity_point_mass(2) if kind == "sve-exp"
+          else _stepper_kernel("short-density", 2))
+    return ContinuousSystem(nu, g, lambda t: np.stack([np.sin(t), 0 * t], -1),
+                            sigma, np.array([1.0, -0.5]), 3)
+
+
+def _simulate(sys_, **kw):
+    return (simulate_sfde if isinstance(sys_, DelaySystem)
+            else simulate_sve)(sys_, **kw)
+
+
+@pytest.mark.parametrize("kind", ["sve", "sfde", "sve-exp"])
+def test_ensemble_bytes_do_not_depend_on_size_or_threads(kind, monkeypatch):
+    sys_ = _block_system(kind)
+    streams = []
+    stream = continuous.rng_stream
+
+    def counting(seed, i):
+        streams.append(i)
+        return stream(seed, i)
+
+    monkeypatch.setattr(continuous, "rng_stream", counting)
+    paths = {n: continuous.ensemble(sys_, 5, n, lambda i, X: X.tobytes())
+             for n in (1, 8, 9)}
+    assert streams == [0, *range(8), *range(9)]  # one stream per path
+    assert paths[9][:1] == paths[1]
+    assert paths[9][:8] == paths[8]
+    assert continuous.ensemble(sys_, 5, 9, lambda i, X: X.tobytes(),
+                               threads=3) == paths[9]
+
+
+@pytest.mark.parametrize("kind", ["sve", "sfde", "sve-exp"])
+def test_one_path_is_its_ensemble_column(kind):
+    sys_ = _block_system(kind)
+    paths = continuous.ensemble(sys_, 5, 14, lambda i, X: X)
+    for i in (0, 7, 8, 13):
+        alone = _simulate(sys_, master_seed=5, path_index=i)
+        dB = brownian_increments(sys_.grid, 3, rng_stream(5, i))
+        given = _simulate(sys_, dB=dB, path_index=i)
+        assert alone.shape == paths[i].shape
+        assert alone.tobytes() == given.tobytes() == paths[i].tobytes()
+
+
+# ---------------------------------------------------------------------------
 # delay systems
 
 def test_sfde_method_of_steps_closed_form():

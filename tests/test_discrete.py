@@ -186,13 +186,19 @@ h.update(simulate_sfde(DelaySystem(mu, 4.0, np.ones((401, d)), g,
                                    diffusion=0.3 * np.eye(d)),
                        master_seed=8).tobytes())
 h.update(functional_resolvent(mu, 4.0, g).tobytes())
+from svlab.continuous import ensemble
+for X in ensemble(ContinuousSystem(nu, g, diffusion=0.3 * np.eye(d)), 8, 9,
+                  lambda i, X: X):
+    h.update(X.tobytes())
 print(h.hexdigest())
 """
 
 
 def test_slab_bits_do_not_depend_on_blas_threads():
     """At d = 6 and N = 1500, and with 400 continuous taps, the per-step
-    products are large enough for OpenBLAS to split them across threads."""
+    products are large enough for OpenBLAS to split them across threads;
+    the digest covers both solver families, both continuous resolvents and
+    a 9-path ensemble, two blocks of paths."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(svlab.__file__)))
     digests = []
     for threads in ("1", "2"):
