@@ -246,6 +246,12 @@ def _building():
         raise ConfigError(str(exc)) from exc
 
 
+def _strictly_increasing(indices, what: str, given):
+    """Checkpoint grid indices must strictly increase."""
+    if any(b <= a for a, b in zip(indices, indices[1:])):
+        raise ConfigError(f"{what} must strictly increase, got {given}")
+
+
 def _signal(spec, what: str):
     """Name, constant or None -> callable on time arrays (or None)."""
     if spec is None:
@@ -356,8 +362,26 @@ def _thresholds(spec) -> TailThresholds:
 # ---------------------------------------------------------------------------
 # writers
 
-def _fmt(x) -> str:
-    return "%.17g" % float(x)
+def _write_table(path: str, header, int_columns, float_block):
+    """Numeric CSV of the integer columns and then the columns of the
+    (rows, k) float_block as %.17g, in the bytes csv.writer gives (CRLF line
+    ends); each row is one %-format of a tuple from .tolist() columns."""
+    block = np.asarray(float_block, float)
+    cols = [np.asarray(c).tolist() for c in int_columns] + block.T.tolist()
+    fmt = ",".join(["%d"] * len(int_columns)
+                   + ["%.17g"] * block.shape[1]) + "\r\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(fmt % row for row in zip(*cols))
+
+
+def _write_paths(out_dir: str, d: int, times: np.ndarray, paths: list):
+    """paths.csv of continuous paths: index, time and the d state values."""
+    _write_table(os.path.join(out_dir, "paths.csv"),
+                 ["path_index", "t"] + [f"X_{j+1}" for j in range(d)],
+                 [np.repeat(np.arange(len(paths)), len(times))],
+                 np.column_stack([np.tile(times, len(paths)),
+                                  np.asarray(paths).reshape(-1, d)]))
 
 
 def _write_csv(path: str, header, rows):
@@ -408,11 +432,16 @@ def cmd_simulate_discrete(cfg: dict, out_dir: str, threads: int) -> int:
             np.asarray(cfg["initial"], float)
         sys_ = discrete.DiscreteSystem(kernel, N, f_vals, sig_vals, noise,
                                        initial)
+        cps = cfg["checkpoints"]
+        if cps is not None:
+            if not all(type(c) is int and 0 <= c <= N for c in cps):
+                raise ConfigError(f"checkpoints must be integers in [0, {N}], "
+                                  f"got {cps}")
+            _strictly_increasing(cps, "checkpoints", cps)
 
     seed = int(cfg["master_seed"])
     M = int(cfg["ensemble"]["n_paths"])
     p = cfg["p"]
-    cps = cfg["checkpoints"]
     if cps is None and p is not None:
         cps = [N // 4, N // 2, N]
     norm = cfg["norm"]
@@ -427,17 +456,16 @@ def cmd_simulate_discrete(cfg: dict, out_dir: str, threads: int) -> int:
     results = run_paths(M, one, threads)
 
     if cfg["ensemble"]["keep_paths"]:
-        rows = []
-        for i, (X, _) in enumerate(results):
-            for n in range(N + 1):
-                rows.append([i, n] + [_fmt(v) for v in X[n]])
-        _write_csv(os.path.join(out_dir, "paths.csv"),
-                   ["path_index", "n"] + [f"X_{j+1}" for j in range(d)], rows)
+        _write_table(os.path.join(out_dir, "paths.csv"),
+                     ["path_index", "n"] + [f"X_{j+1}" for j in range(d)],
+                     [np.repeat(np.arange(M), N + 1),
+                      np.tile(np.arange(N + 1), M)],
+                     np.asarray([X for X, _ in results]).reshape(-1, d))
     if p is not None:
-        rows = [[i, int(c), _fmt(S[int(c)])]
-                for i, (_, S) in enumerate(results) for c in cps]
-        _write_csv(os.path.join(out_dir, "partial_sums.csv"),
-                   ["path_index", "N", "S"], rows)
+        _write_table(os.path.join(out_dir, "partial_sums.csv"),
+                     ["path_index", "N", "S"],
+                     [np.repeat(np.arange(M), len(cps)), np.tile(cps, M)],
+                     np.asarray([S[cps] for _, S in results]).reshape(-1, 1))
         short = []
         if M < 30:
             short.append("fewer than 30 paths")
@@ -476,6 +504,8 @@ def cmd_simulate_sve(cfg: dict, out_dir: str, threads: int) -> int:
             T = grid.horizon_T
             cps = [T / 4, T / 2, T]
         cp_idx = None if p is None else [grid.index_at(float(t)) for t in cps]
+        if cp_idx is not None:
+            _strictly_increasing(cp_idx, "checkpoint_times", cps)
         keep_idx = None if keep_times is None else \
             [grid.index_at(float(t)) for t in keep_times]
     seed = int(cfg["master_seed"])
@@ -496,18 +526,13 @@ def cmd_simulate_sve(cfg: dict, out_dir: str, threads: int) -> int:
     kept_times = times if keep_idx is None else times[keep_idx]
 
     if cfg["ensemble"]["keep_paths"]:
-        rows = []
-        for i, (X, _) in enumerate(results):
-            for t, row in zip(kept_times, X):
-                rows.append([i, _fmt(t)] + [_fmt(v) for v in row])
-        _write_csv(os.path.join(out_dir, "paths.csv"),
-                   ["path_index", "t"] + [f"X_{j+1}" for j in range(d)], rows)
+        _write_paths(out_dir, d, kept_times, [X for X, _ in results])
     if p is not None:
-        rows = [[i, _fmt(c), _fmt(s)]
-                for i, (_, S) in enumerate(results)
-                for c, s in zip(cps, S)]
-        _write_csv(os.path.join(out_dir, "partial_integrals.csv"),
-                   ["path_index", "T", "S"], rows)
+        _write_table(os.path.join(out_dir, "partial_integrals.csv"),
+                     ["path_index", "T", "S"],
+                     [np.repeat(np.arange(M), len(cps))],
+                     np.column_stack([np.tile(np.asarray(cps, float), M),
+                                      np.ravel([S for _, S in results])]))
         report = continuous.ensemble_lp_tail_report(
             np.array([S for _, S in results]), float(p), cps, seed, norm,
             _thresholds(cfg["thresholds"]))
@@ -537,14 +562,8 @@ def cmd_simulate_sfde(cfg: dict, out_dir: str, threads: int) -> int:
         return X
 
     results = continuous.ensemble(sys_, seed, M, reduce, threads)
-    times = sys_.times()
     if cfg["ensemble"]["keep_paths"]:
-        rows = []
-        for i, X in enumerate(results):
-            for t, row in zip(times, X):
-                rows.append([i, _fmt(t)] + [_fmt(v) for v in row])
-        _write_csv(os.path.join(out_dir, "paths.csv"),
-                   ["path_index", "t"] + [f"X_{j+1}" for j in range(d)], rows)
+        _write_paths(out_dir, d, sys_.times(), results)
     _write_manifest(out_dir, seed, cfg)
     return EXIT_OK
 
@@ -559,8 +578,8 @@ def cmd_resolvent(cfg: dict, out_dir: str) -> int:
         with _building():
             kernel = _discrete_kernel(cfg["kernel"], d)
         R = discrete.resolvent_seq(kernel, int(cfg["horizon"]))
-        rows = [[n] + [_fmt(v) for v in R[n].ravel()] for n in range(len(R))]
-        _write_csv(os.path.join(out_dir, "resolvent.csv"), ["n"] + cols, rows)
+        _write_table(os.path.join(out_dir, "resolvent.csv"), ["n"] + cols,
+                     [np.arange(len(R))], R.reshape(len(R), d * d))
     elif kind in ("differential", "functional"):
         if cfg["grid"] is None:
             raise ConfigError("missing key: grid.step_h")
@@ -581,10 +600,8 @@ def cmd_resolvent(cfg: dict, out_dir: str) -> int:
             r = continuous.differential_resolvent(mu, grid)
         else:
             r = continuous.functional_resolvent(mu, float(cfg["tau"]), grid)
-        times = grid.times()
-        rows = [[_fmt(t)] + [_fmt(v) for v in r[k].ravel()]
-                for k, t in enumerate(times)]
-        _write_csv(os.path.join(out_dir, "resolvent.csv"), ["t"] + cols, rows)
+        _write_table(os.path.join(out_dir, "resolvent.csv"), ["t"] + cols, [],
+                     np.column_stack([grid.times(), r.reshape(len(r), d * d)]))
     else:
         raise ConfigError(f"unknown resolvent kind '{kind}'")
     _write_manifest(out_dir, 0, cfg)

@@ -6,15 +6,19 @@ The drift kernel is a signed matrix measure nu on [0, inf); paths follow
 
 stepped by Euler-Maruyama with left-endpoint drift quadrature. Every kernel
 recursion here (paths, delay paths, both resolvents, `coupled_paths`) runs
-through one stepper, `CompiledMeasure.euler`: one BLAS product per step of
-the kernel's lag-reversed tap slab (`core.lag_slab`, the discrete solvers'
-layout) with the history window. On [0, inf) atom lag l counts iff l <= k
-and density lag l iff l <= k - 1, so X(0) sees atoms only; a delay kernel
-on [-tau, 0] counts every tap over the stored history segment. A system
-compiles its kernel once, for every path of an ensemble.
+through `CompiledMeasure.euler`, which hands the whole Euler scheme to the
+discrete solvers' block solver `core.lag_solve`: per block of
+core.SOLVE_BLOCK = 64 steps, anchored at the first unknown row, one stacked
+product of the kernel's lag-reversed tap slab (`core.lag_slab`) with the
+rows already solved and one unit lower-triangular solve. On [0, inf) atom
+lag l counts iff l <= k and density lag l iff l <= k - 1, so X(0) sees
+atoms only; a delay kernel on [-tau, 0] counts every tap over the stored
+history segment. A system compiles its kernel once, for every path of an
+ensemble. The bits depend on the block size, not on the columns solved
+beside a path, `--threads` or the BLAS thread count.
 
 `ensemble` steps the paths of an ensemble PATH_BLOCK = 8 at a time, on the
-stepper's trailing column axis: path i sits in column i % 8 of block i // 8
+solver's trailing column axis: path i sits in column i % 8 of block i // 8
 with its own `rng_stream(master_seed, i)` draws, and unused columns step
 zero increments. `simulate_sve` and `simulate_sfde` step one path in its
 column of such a block, so path i has the same bytes alone, in an ensemble

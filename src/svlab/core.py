@@ -6,16 +6,25 @@ density), matrix kernel sequences for the summation equations, scalar noise
 laws with exact or quadrature moments, and the reproducible per-path RNG
 stream convention.
 
-`lag_slab` is the one kernel layout of every recursion. `CompiledMeasure`
-compiles a measure once into such a slab, and its `euler` is the one
-stepper of the continuous recursions, one BLAS product per step. Window
-rule at step k: a kernel on [0, inf) applies atom lag l iff l <= k and
-density lag l iff l <= k - 1, so X(0) sees atoms only; a delay kernel
+`lag_slab` is the one kernel layout of every recursion and `lag_solve`
+the one solver: X[r+1] = X[r] + s sum_l T(l) X[r-l] + drive[r] is a unit
+lower-triangular system, solved SOLVE_BLOCK = 64 steps at a time in blocks
+anchored at the first unknown row, each block one stacked slab product with
+the rows already solved and one triangular solve. The discrete resolvent
+and direct solver call it, and so does `CompiledMeasure`, which compiles a
+measure once into a slab; its `euler` runs every continuous recursion.
+Window rule at step k: a kernel on [0, inf) applies atom lag l iff l <= k
+and density lag l iff l <= k - 1, so X(0) sees atoms only; a delay kernel
 applies every tap over the stored history. The state's trailing column
 axis holds a resolvent's d columns or a block of continuous.PATH_BLOCK = 8
-paths, path i in column i % 8 of block i // 8 with its own `rng_stream`;
-a fixed width and column make a path's bytes independent of the ensemble
-size and of the thread count that `run_paths` fans blocks out over.
+paths, path i in column i % 8 of block i // 8 with its own `rng_stream`.
+
+The bits of a solution depend on SOLVE_BLOCK and the anchor, which fix the
+order of every sum. They do not depend on the other columns solved beside
+a column, which go through the same operations, so a fixed block width and
+column make a path's bytes independent of the ensemble size and of the
+thread count that `run_paths` fans blocks out over; nor on the BLAS thread
+count, whose products and triangular solve keep each column's sums whole.
 """
 from __future__ import annotations
 
@@ -27,11 +36,14 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
+from scipy.linalg import solve_triangular
 
 from .quad import adaptive_simpson
 
 ARTIFACT_VERSION = "0.1.0"
 DEFAULT_NORM = "max"
+SOLVE_BLOCK = 64
 
 
 class GridError(ValueError):
@@ -223,6 +235,69 @@ def lag_slab(taps: np.ndarray) -> np.ndarray:
         d, taps.shape[0] * d)
 
 
+def lag_solve(slab: np.ndarray, X: np.ndarray, start: int, drive: np.ndarray,
+              scale: float = 1.0, first: int = 0) -> np.ndarray:
+    """Solve X[r+1] = X[r] + scale sum_{l<=L} T(l) X[r-l] + drive[r-start]
+    for r = start..start+n-1, n = len(drive), in place, where slab =
+    lag_slab(T(0..L)) and rows below `first` read as zero.
+
+    X is C-contiguous (rows, d, c) with rows first..start known; row start
+    also enters as X[r] of the first step when first > start. drive
+    broadcasts to (n, d, c). The steps go SOLVE_BLOCK at a time, in blocks
+    anchored at row start+1. A block is two calls: one stacked slab product
+    with the windows of the rows already known, the block's own rows
+    reading as zero, and one unit lower-triangular solve against the
+    block's banded Toeplitz matrix, built once per call. Returns the history
+    terms sum_l T(l) X[r-l], shape (n, d, c): that product plus the
+    block-Toeplitz taps times the block's solved rows.
+    """
+    if not X.flags.c_contiguous:
+        raise ValueError("lag_solve fills a C-contiguous state in place")
+    _, d, c = X.shape
+    n = len(drive)
+    if n == 0:
+        return np.zeros((0, d, c))
+    L = slab.shape[1] // d - 1
+    B = min(SOLVE_BLOCK, n)
+    # Tb[(i, a), (j, b)] = T(i-1-j)[a, b]: the taps from solved row j of a
+    # block into its step i; M = I - shift - scale Tb is the block's matrix
+    lag = np.subtract.outer(np.arange(B), np.arange(B)) - 1
+    taps = slab.reshape(d, L + 1, d)[:, ::-1].transpose(1, 0, 2)
+    Tb = np.where(((lag >= 0) & (lag <= L))[:, :, None, None],
+                  taps[np.clip(lag, 0, L)], 0.0)
+    Tb = Tb.transpose(0, 2, 1, 3).reshape(B * d, B * d)
+    M = -scale * Tb - np.kron(np.eye(B, k=-1), np.eye(d))
+    # Z[z] holds X[base + z]: excluded rows, the B rows below `first` that
+    # a window may reach and the rows not yet solved are zero
+    base = first - B
+    Z = np.zeros((start + n + 1 - base, d, c))
+    Z[first - base:start + 1 - base] = X[first:start + 1]
+    flat = Z.reshape(-1, c)
+    row, col = flat.strides
+    hist = np.empty((n, d, c))
+    prev = X[start]
+    for k0 in range(0, n, B):
+        nb = min(B, n - k0)
+        a = start + k0
+        # window width: the lags from the block's last step that reach
+        # row `first` or later
+        w = max(0, min(L, a + nb - 1 - first)) + 1
+        windows = as_strided(flat[(a + 1 - w - base) * d:],
+                             (nb, w * d, c), (d * row, row, col))
+        known = slab[:, (L + 1 - w) * d:] @ windows
+        rhs = drive[k0:k0 + nb] + scale * known
+        rhs[0] += prev
+        sol = solve_triangular(M[:nb * d, :nb * d], rhs.reshape(nb * d, c),
+                               lower=True, unit_diagonal=True,
+                               check_finite=False)
+        Z[a + 1 - base:a + 1 + nb - base] = sol.reshape(nb, d, c)
+        hist[k0:k0 + nb] = known + (Tb[:nb * d, :nb * d] @ sol).reshape(
+            nb, d, c)
+        prev = Z[a + nb - base]
+    X[start + 1:start + n + 1] = Z[start + 1 - base:]
+    return hist
+
+
 class CompiledMeasure:
     """A measure bound to a grid, compiled once into a lag-reversed tap slab:
     atom lags snapped to whole steps, density cells sampled at left
@@ -291,26 +366,22 @@ class CompiledMeasure:
     def euler(self, X: np.ndarray, start: int, forcing: np.ndarray,
               noise: np.ndarray) -> np.ndarray:
         """Step X[start+k+1] = X[start+k] + (forcing[k] + conv_k) h + noise[k]
-        for k < n = len(forcing), one slab product a step, in place.
+        for k < n = len(forcing) in place, through `lag_solve`.
 
         X is C-contiguous (rows, d, c) with rows 0..start filled; c = 1 for
         a path, d for a resolvent. forcing and noise broadcast to (n, d, c).
-        Returns the convolution terms conv, shape (n, d, c).
+        Returns the convolution terms conv, shape (n, d, c): the solver's
+        history terms plus the origin taps on X(0).
         """
-        if not X.flags.c_contiguous:
-            raise ValueError("euler steps a C-contiguous state in place")
-        n = len(forcing)
         h = self.grid.step_h
-        rows = start + np.arange(n)
-        first = self._first_rows(rows, start)
-        flat = X.reshape(-1, X.shape[2])
-        conv = np.zeros((n,) + X.shape[1:])
-        if self.origin_taps is not None:
-            m = min(n, self.max_lag + 1)
-            conv[:m] = self.origin_taps[:m] @ X[start]
-        for k, (row, lo) in enumerate(zip(rows.tolist(), first.tolist())):
-            conv[k] += self._window(flat, row, lo)
-            X[row + 1] = X[row] + (forcing[k] + conv[k]) * h + noise[k]
+        drive = np.empty((len(forcing),) + X.shape[1:])
+        np.add(forcing * h, noise, out=drive)
+        origin = np.zeros((0,) + X.shape[1:]) if self.origin_taps is None \
+            else self.origin_taps[:len(drive)] @ X[start]
+        drive[:len(origin)] += origin * h
+        conv = lag_solve(self.slab, X, start, drive, h,
+                         int(self._first_rows(start, start)))
+        conv[:len(origin)] += origin
         return conv
 
 

@@ -9,11 +9,12 @@ which is the cheapest deep check of both.
 
 Both recursions lay the kernel out once per call as the lag-reversed slab
 of `core.lag_slab` (also the continuous stepper's layout), row a holding
-K(N-1)[a, :], ..., K(0)[a, :], so the history sum of step n is one BLAS
-product of the slab's last (n+1) d columns with the flattened history
-R(0..n) or X(0..n). Its summation order is fixed per step, so the bits of
-R and X depend neither on the caller's threads (`--threads`) nor on the
-BLAS thread count.
+K(N-1)[a, :], ..., K(0)[a, :], and solve it with `core.lag_solve`: a
+block of core.SOLVE_BLOCK = 64 steps, anchored at row 1, is one stacked
+product of the slab with the rows already solved and one unit
+lower-triangular solve. The summation order is fixed by the block layout,
+so the bits of R and X depend on the block size but neither on the
+caller's threads (`--threads`) nor on the BLAS thread count.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .core import (DEFAULT_NORM, MatrixKernelSeq, NoiseSpec, ScalarLaw,
-                   lag_slab, rng_stream, vector_norm)
+                   lag_slab, lag_solve, rng_stream, vector_norm)
 from .evidence import (EvidenceReport, TailThresholds, median_tail_verdict)
 
 
@@ -32,12 +33,10 @@ def resolvent_seq(kernel: MatrixKernelSeq, n_max: int) -> np.ndarray:
     if n_max < 0:
         raise ValueError("horizon must be nonnegative")
     d = kernel.dim
-    A = lag_slab(kernel.values(n_max - 1))
     R = np.empty((n_max + 1, d, d))
     R[0] = np.eye(d)
-    history = R.reshape(-1, d)
-    for n in range(n_max):
-        R[n + 1] = R[n] + A[:, (n_max - 1 - n) * d:] @ history[:(n + 1) * d]
+    lag_solve(lag_slab(kernel.values(n_max - 1)), R, 0,
+              np.zeros((n_max, 1, 1)))
     return R
 
 
@@ -129,16 +128,13 @@ def simulate_direct(sys: DiscreteSystem, noise: Optional[np.ndarray] = None,
     noise = np.asarray(noise, float)
     if noise.shape != (N, sys.noise.dim):
         raise ValueError(f"noise shape {noise.shape} != ({N}, {sys.noise.dim})")
-    A = lag_slab(sys.kernel.values(N - 1))
     # sigma(n) xi(n+1) of every step in one stacked product
-    shocks = np.matmul(sys.diffusion, noise[:, :, None])[:, :, 0]
-    X = np.empty((N + 1, d))
-    X[0] = initial
-    history = X.reshape(-1)
-    for n in range(N):
-        X[n + 1] = (X[n] + A[:, (N - 1 - n) * d:] @ history[:(n + 1) * d]
-                    + sys.forcing[n] + shocks[n])
-    return X
+    shocks = np.matmul(sys.diffusion, noise[:, :, None])
+    X = np.empty((N + 1, d, 1))
+    X[0, :, 0] = initial
+    lag_solve(lag_slab(sys.kernel.values(N - 1)), X, 0,
+              sys.forcing[:, :, None] + shocks)
+    return X[:, :, 0]
 
 
 def simulate_via_resolvent(R: np.ndarray, sys: DiscreteSystem,

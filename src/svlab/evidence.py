@@ -42,7 +42,11 @@ def tail_verdict(s_half: float, s_full: float,
 
 def median_tail_verdict(s_half, s_full,
                         thresholds: TailThresholds = TailThresholds()):
-    """Ensemble verdict from per-path sums: medians of increment and ratio."""
+    """Ensemble verdict from per-path sums: medians of increment and ratio.
+
+    The diagnostics carry the verdict's margins: tail_bar = eps_tail *
+    median_s_half + eps_abs, tail_margin = median_increment - tail_bar
+    (> 0: not summable) and ratio_margin = median_ratio - ratio_div."""
     s_half = np.asarray(s_half, float)
     s_full = np.asarray(s_full, float)
     med_half = float(np.median(s_half))
@@ -51,7 +55,8 @@ def median_tail_verdict(s_half, s_full,
         ratios = np.where(s_half > 0, s_full / s_half,
                           np.where(s_full > 0, np.inf, 1.0))
     med_ratio = float(np.median(ratios))
-    if med_incr < thresholds.eps_tail * med_half + thresholds.eps_abs:
+    tail_bar = thresholds.eps_tail * med_half + thresholds.eps_abs
+    if med_incr < tail_bar:
         verdict = SUMMABLE
     elif med_ratio > thresholds.ratio_div:
         verdict = DIVERGENT
@@ -63,6 +68,11 @@ def median_tail_verdict(s_half, s_full,
         "median_increment": med_incr,
         "median_ratio": med_ratio,
         "n_paths": int(s_half.size),
+        # how near the verdict was to flipping: summable iff tail_margin < 0,
+        # else divergent iff ratio_margin > 0
+        "tail_bar": tail_bar,
+        "tail_margin": med_incr - tail_bar,
+        "ratio_margin": med_ratio - thresholds.ratio_div,
     }
     return verdict, diagnostics
 

@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from svlab import cli, continuous
 from svlab.cli import (EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_TABLE_FAIL,
                        main)
 from svlab.conditions import diffusion_window_evidence
@@ -357,7 +358,63 @@ def test_reproduce_requires_experiment(tmp_path, capsys):
     assert "needs an experiment id" in capsys.readouterr().err
 
 
+def test_table_writer_bytes_match_csv_writer(tmp_path):
+    """The one-pass writer against csv.writer on the %.17g strings of each
+    value, the formatter it replaced."""
+    floats = np.array([[-0.0, 5e-324, 1.7976931348623157e308],
+                       [0.1, -2.5e-300, 1.0 / 3.0],
+                       [1e16, -1.7976931348623157e308, 0.0]])
+    ints = [np.array([0, 7, 123456789012]), np.array([-3, 0, 2 ** 40])]
+    header = ["path_index", "n", "X_1", "X_2", "X_3"]
+    want = tmp_path / "want.csv"
+    with open(want, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows([i, n] + ["%.17g" % float(v) for v in row]
+                    for i, n, row in zip(*ints, floats))
+    got = tmp_path / "got.csv"
+    cli._write_table(str(got), header, ints, floats)
+    assert got.read_bytes() == want.read_bytes()
+    assert got.read_bytes().splitlines()[1] == \
+        b"0,-3,-0,4.9406564584124654e-324,1.7976931348623157e+308"
+    cli._write_table(str(got), ["t", "r_11"], [], floats[:, :2])
+    assert got.read_bytes().splitlines()[1:] == [
+        b"-0,4.9406564584124654e-324", b"0.10000000000000001,-2.5e-300",
+        b"10000000000000000,-1.7976931348623157e+308"]
+
+
 # config errors --------------------------------------------------------------
+
+@pytest.mark.parametrize("command,cfg,message", [
+    ("simulate-discrete", discrete_cfg(checkpoints=[10, 20, 80]),
+     "checkpoints must be integers in [0, 16], got [10, 20, 80]"),
+    ("simulate-discrete", discrete_cfg(checkpoints=[-1, 10, 16]),
+     "checkpoints must be integers in [0, 16]"),
+    ("simulate-discrete", discrete_cfg(checkpoints=[4, 8.5, 16]),
+     "checkpoints must be integers in [0, 16]"),
+    ("simulate-discrete", discrete_cfg(checkpoints=[8, 4, 16]),
+     "checkpoints must strictly increase, got [8, 4, 16]"),
+    ("simulate-discrete", discrete_cfg(checkpoints=[4, 8, 8]),
+     "checkpoints must strictly increase"),
+    ("simulate-discrete", discrete_cfg(p=None, checkpoints=[4, 2]),
+     "checkpoints must strictly increase"),
+    ("simulate-sve", {**_sve_cfg(), "checkpoint_times": [3.0, 1.0, 2.0]},
+     "checkpoint_times must strictly increase, got [3.0, 1.0, 2.0]"),
+    ("simulate-sve", {**_sve_cfg(), "checkpoint_times": [1.0, 2.0, 2.0]},
+     "checkpoint_times must strictly increase"),
+])
+def test_bad_checkpoints_are_config_errors(tmp_path, capsys, monkeypatch,
+                                           command, cfg, message):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a path was drawn before the config was checked")
+
+    monkeypatch.setattr(cli, "run_paths", no_draws)
+    monkeypatch.setattr(continuous, "ensemble", no_draws)
+    path = write_config(tmp_path, "c.json", cfg)
+    assert main([command, "--config", path,
+                 "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert f"config error: {message}" in capsys.readouterr().err
+
 
 def test_unknown_key_reports_dotted_path(tmp_path, capsys):
     cfg = write_config(tmp_path, "d.json",

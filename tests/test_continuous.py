@@ -7,6 +7,7 @@ import pytest
 from scipy.special import lambertw
 
 from svlab.core import (
+    SOLVE_BLOCK,
     CompiledMeasure,
     DensitySample,
     GridSpec,
@@ -76,28 +77,28 @@ def test_resolvent_error_halves_with_step():
 # the slab stepper against a per-lag reference
 
 def _reference_euler(measure, grid, head, forcing, noise):
-    """The window rule one tap at a time: on [0, inf) atom lag l counts iff
-    l <= k and density lag l iff l <= k - 1; a delay kernel counts every tap
-    over the stored history `head`."""
+    """The window rule tap by tap: on [0, inf) atom lag l counts iff l <= k
+    and density lag l iff l <= k - 1; a delay kernel counts every tap over
+    the stored history `head`. One step at a time, each step summing its
+    counted taps from the measure itself, not from the compiled slab."""
     cm = CompiledMeasure(measure, grid)
     h = grid.step_h
     delay = measure.negative_support
     sign = -1.0 if delay else 1.0
-    atoms = [(lag, w) for lag, (_, w) in zip(cm.atom_lags.tolist(),
-                                             measure.atoms)]
-    cells = [(lag, measure.density.at(np.array([sign * lag * h]))[0] * h)
-             for lag in cm.dens_lags.tolist()]
+    d = measure.dim
+    lags = np.concatenate([cm.atom_lags, cm.dens_lags]).astype(int)
+    weights = np.array([w for _, w in measure.atoms] + [
+        measure.density.at(np.array([sign * lag * h]))[0] * h
+        for lag in cm.dens_lags.tolist()]).reshape(-1, d, d)
+    # the step from which each tap counts
+    since = np.zeros(len(lags), int) if delay else \
+        lags + (np.arange(len(lags)) >= len(cm.atom_lags))
     off = len(head) - 1
     X = np.zeros((off + grid.n_steps + 1,) + head.shape[1:])
     X[:off + 1] = head
     for k in range(grid.n_steps):
-        acc = np.zeros(head.shape[1:])
-        for lag, w in atoms:
-            if delay or lag <= k:
-                acc += w @ X[off + k - lag]
-        for lag, w in cells:
-            if delay or lag <= k - 1:
-                acc += w @ X[off + k - lag]
+        on = since <= k
+        acc = np.einsum("tab,tb...->a...", weights[on], X[off + k - lags[on]])
         X[off + k + 1] = X[off + k] + (forcing[k] + acc) * h + noise[k]
     return X
 
@@ -108,12 +109,17 @@ def _stepper_kernel(case, d):
     def w(scale):
         return scale * rng.standard_normal((d, d))
 
-    if case == "delay":
-        dens = DensitySample(-1.0, 0.05, w(0.3)[None] * rng.random((20, 1, 1)))
-        return SignedMeasureRepr(d, atoms=((-1.0, w(0.4)), (0.0, -np.eye(d))),
+    if case in ("delay", "long-delay"):
+        # tau = 1 spans 20 steps of 0.05, tau = 4 more than a solve block
+        tau = 1.0 if case == "delay" else 4.0
+        cells = int(round(tau / 0.05))
+        dens = DensitySample(-tau, 0.05,
+                             w(0.3)[None] * rng.random((cells, 1, 1)) / tau)
+        return SignedMeasureRepr(d, atoms=((-tau, w(0.4)), (0.0, -np.eye(d))),
                                  density=dens)
-    # density on [0, 0.8) ends before the horizon 2, on [0, 3) after it
-    cells = 16 if case == "short-density" else 60
+    # density on [0, 0.8) ends before the horizon 2, on [0, 5) after it;
+    # its 16 lags fit in a solve block, 100 do not
+    cells = 16 if case == "short-density" else 100
     dens = DensitySample(0.0, 0.05, w(0.5)[None] * rng.random((cells, 1, 1)))
     return SignedMeasureRepr(d, atoms=((0.0, -np.eye(d) + w(0.1)),
                                        (0.3, w(0.5))), density=dens)
@@ -151,6 +157,39 @@ def test_stepper_matches_per_lag_reference(case, d):
         r = differential_resolvent(nu, g)
         close(r, _reference_euler(nu, g, np.eye(d)[None], np.zeros((n, d, 1)),
                                   np.zeros((n, d, 1))))
+
+
+def _dims_and_columns():
+    return [(d, c) for d in (1, 2, 3, 4) for c in sorted({1, d, 8})]
+
+
+@pytest.mark.parametrize("n", [SOLVE_BLOCK - 1, SOLVE_BLOCK, SOLVE_BLOCK + 1,
+                               3 * SOLVE_BLOCK + 5])
+@pytest.mark.parametrize("d,c", _dims_and_columns())
+@pytest.mark.parametrize("case", ["short-density", "long-density", "delay",
+                                  "long-delay"])
+def test_block_stepper_matches_per_lag_reference(case, d, c, n):
+    """`euler` on c columns over horizons on both sides of one solve block
+    and over several, against the window rule tap by tap; the long kernels
+    reach back further than a block."""
+    g = GridSpec(0.05, 0.05 * n)
+    rng = np.random.default_rng(n + 10 * d + c)
+    nu = _stepper_kernel(case, d)
+    cm = CompiledMeasure(nu, g)
+    delay = nu.negative_support
+    n_hist = int(round(abs(nu.support[0]) / 0.05)) if delay else 0
+    head = 1.0 + rng.standard_normal((n_hist + 1, d, c))
+    forcing = rng.standard_normal((n, d, 1))
+    noise = 0.1 * rng.standard_normal((n, d, c))
+    X = np.empty((n_hist + n + 1, d, c))
+    X[:n_hist + 1] = head
+    conv = cm.euler(X, n_hist, forcing, noise)
+    ref = _reference_euler(nu, g, head, forcing, noise)
+    scale = np.abs(ref).max()
+    assert np.abs(X - ref).max() <= 1e-13 * scale
+    # conv is the drift that the reference's steps took
+    ref_conv = (np.diff(ref[n_hist:], axis=0) - noise) / g.step_h - forcing
+    assert np.abs(conv - ref_conv).max() <= 1e-9 * scale
 
 
 def test_convolve_is_one_step_of_the_stepper():

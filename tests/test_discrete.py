@@ -11,7 +11,9 @@ import pytest
 from scipy import integrate, stats
 
 import svlab
+from svlab import core
 from svlab.core import (
+    SOLVE_BLOCK,
     GaussianLaw,
     GeometricTail,
     MatrixKernelSeq,
@@ -19,6 +21,8 @@ from svlab.core import (
     SampledDensityLaw,
     UniformLaw,
     constant_law,
+    lag_slab,
+    lag_solve,
     rng_stream,
     two_point_law,
 )
@@ -135,6 +139,62 @@ def test_slab_solvers_match_per_lag_reference(d, with_tail):
     assert np.abs(X - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
+def _reference_recursion(kernel, X0, drive):
+    """X[n+1] = X[n] + sum_{j<=n} K(n-j) X[j] + drive[n], one step at a
+    time, and the history sums of each step."""
+    n = len(drive)
+    Kv = kernel.values(n)
+    X = np.empty((n + 1,) + X0.shape)
+    X[0] = X0
+    hist = np.empty((n,) + X0.shape)
+    for k in range(n):
+        hist[k] = np.einsum("kab,kbc->ac", Kv[k::-1], X[:k + 1])
+        X[k + 1] = X[k] + hist[k] + drive[k]
+    return X, hist
+
+
+def _dims_and_columns():
+    return [(d, c) for d in (1, 2, 3, 4) for c in sorted({1, d, 8})]
+
+
+@pytest.mark.parametrize("n", [SOLVE_BLOCK - 1, SOLVE_BLOCK, SOLVE_BLOCK + 1,
+                               3 * SOLVE_BLOCK + 5])
+@pytest.mark.parametrize("d,c", _dims_and_columns())
+@pytest.mark.parametrize("with_tail", [False, True])
+def test_block_solve_matches_per_step_reference(n, d, c, with_tail):
+    """Horizons on both sides of one block and over several; a tail makes
+    every lag up to the horizon count."""
+    kernel = _panel_kernel(d, with_tail)
+    rng = np.random.default_rng(n + 10 * d + c)
+    X0 = rng.standard_normal((d, c))
+    drive = 0.1 * rng.standard_normal((n, d, c))
+    X = np.empty((n + 1, d, c))
+    X[0] = X0
+    hist = lag_solve(lag_slab(kernel.values(n - 1)), X, 0, drive)
+    ref, ref_hist = _reference_recursion(kernel, X0, drive)
+    assert np.abs(X - ref).max() <= 1e-13 * np.abs(ref).max()
+    assert np.abs(hist - ref_hist).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_block_solve_makes_one_triangular_solve_per_block(monkeypatch):
+    calls = []
+    solve = core.solve_triangular
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(core, "solve_triangular", counting)
+    kernel = _panel_kernel(2, True)
+    for n in (1, SOLVE_BLOCK - 1, SOLVE_BLOCK, SOLVE_BLOCK + 1,
+              3 * SOLVE_BLOCK + 5):
+        calls.clear()
+        resolvent_seq(kernel, n)
+        assert len(calls) == -(-n // SOLVE_BLOCK)
+        # full blocks, then the remainder
+        assert calls[-1] == (2 * (n - SOLVE_BLOCK * (len(calls) - 1)),) * 2
+
+
 def test_resolvent_horizon_zero_is_identity_only():
     R = resolvent_seq(_panel_kernel(3, True), 0)
     assert R.shape == (1, 3, 3)
@@ -186,7 +246,8 @@ h.update(simulate_sfde(DelaySystem(mu, 4.0, np.ones((401, d)), g,
                                    diffusion=0.3 * np.eye(d)),
                        master_seed=8).tobytes())
 h.update(functional_resolvent(mu, 4.0, g).tobytes())
-from svlab.continuous import ensemble
+from svlab.continuous import differential_resolvent, ensemble
+h.update(differential_resolvent(nu, g).tobytes())
 for X in ensemble(ContinuousSystem(nu, g, diffusion=0.3 * np.eye(d)), 8, 9,
                   lambda i, X: X):
     h.update(X.tobytes())
@@ -195,10 +256,11 @@ print(h.hexdigest())
 
 
 def test_slab_bits_do_not_depend_on_blas_threads():
-    """At d = 6 and N = 1500, and with 400 continuous taps, the per-step
+    """At d = 6 and N = 1500, and with 400 continuous taps, the slab
     products are large enough for OpenBLAS to split them across threads;
     the digest covers both solver families, both continuous resolvents and
-    a 9-path ensemble, two blocks of paths."""
+    a 9-path ensemble, two blocks of paths, each over 600 steps: nine solve
+    blocks and a remainder."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(svlab.__file__)))
     digests = []
     for threads in ("1", "2"):
