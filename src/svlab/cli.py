@@ -28,7 +28,8 @@ from .core import (DEFAULT_NORM, CompiledMeasure, DensitySample,
                    GeometricTail, GridSpec, MatrixKernelSeq, NoiseSpec,
                    RunManifest, SignedMeasureRepr, config_digest,
                    neg_identity_point_mass, rng_stream, run_paths)
-from .evidence import INCONCLUSIVE, EvidenceReport, TailThresholds
+from .evidence import (INCONCLUSIVE, EvidenceReport, TailThresholds,
+                       checkpoint_indices, time_checkpoints)
 
 EXIT_OK = 0
 EXIT_TABLE_FAIL = 1
@@ -246,12 +247,6 @@ def _building():
         raise ConfigError(str(exc)) from exc
 
 
-def _strictly_increasing(indices, what: str, given):
-    """Checkpoint grid indices must strictly increase."""
-    if any(b <= a for a, b in zip(indices, indices[1:])):
-        raise ConfigError(f"{what} must strictly increase, got {given}")
-
-
 def _signal(spec, what: str):
     """Name, constant or None -> callable on time arrays (or None)."""
     if spec is None:
@@ -418,6 +413,11 @@ def _ensure_finite(arr: np.ndarray, what: str):
 def cmd_simulate_discrete(cfg: dict, out_dir: str, threads: int) -> int:
     d = int(cfg["dim"])
     N = int(cfg["horizon"])
+    seed = int(cfg["master_seed"])
+    M = int(cfg["ensemble"]["n_paths"])
+    p = cfg["p"]
+    cps = cfg["checkpoints"]
+    short = []
     with _building():
         kernel = _discrete_kernel(cfg["kernel"], d)
         f_fn = _signal(cfg["forcing"], "forcing")
@@ -432,18 +432,17 @@ def cmd_simulate_discrete(cfg: dict, out_dir: str, threads: int) -> int:
             np.asarray(cfg["initial"], float)
         sys_ = discrete.DiscreteSystem(kernel, N, f_vals, sig_vals, noise,
                                        initial)
-        cps = cfg["checkpoints"]
         if cps is not None:
-            if not all(type(c) is int and 0 <= c <= N for c in cps):
-                raise ConfigError(f"checkpoints must be integers in [0, {N}], "
-                                  f"got {cps}")
-            _strictly_increasing(cps, "checkpoints", cps)
-
-    seed = int(cfg["master_seed"])
-    M = int(cfg["ensemble"]["n_paths"])
-    p = cfg["p"]
-    if cps is None and p is not None:
-        cps = [N // 4, N // 2, N]
+            checkpoint_indices(cps, N, "checkpoints")
+        elif p is not None:
+            cps = [N // 4, N // 2, N]
+        if p is not None:
+            if M < 30:
+                short.append("fewer than 30 paths")
+            if len(cps) < 2:
+                short.append("fewer than 2 checkpoints")
+            if not short:
+                discrete.tail_span(cps[-1], cps[-2])
     norm = cfg["norm"]
 
     def one(i: int):
@@ -466,20 +465,14 @@ def cmd_simulate_discrete(cfg: dict, out_dir: str, threads: int) -> int:
                      ["path_index", "N", "S"],
                      [np.repeat(np.arange(M), len(cps)), np.tile(cps, M)],
                      np.asarray([S[cps] for _, S in results]).reshape(-1, 1))
-        short = []
-        if M < 30:
-            short.append("fewer than 30 paths")
-        if len(cps) < 2:
-            short.append("fewer than 2 checkpoints")
         if short:
             report = EvidenceReport(
-                "lp-tail", {"n_paths": M}, tuple(int(c) for c in cps),
+                "lp-tail", {"n_paths": M}, tuple(cps),
                 {"reason": "; ".join(short)}, TailThresholds().as_dict(),
                 INCONCLUSIVE)
         else:
             report = discrete.tail_decision(
-                [S[:int(cps[-1]) + 1] for _, S in results],
-                half_index=int(cps[-2]))
+                [S[:cps[-1] + 1] for _, S in results], half_index=cps[-2])
         _write_json(os.path.join(out_dir, "evidence.json"), report)
     _write_manifest(out_dir, seed, cfg)
     return EXIT_OK
@@ -501,11 +494,8 @@ def cmd_simulate_sve(cfg: dict, out_dir: str, threads: int) -> int:
             np.asarray(cfg["initial"], float),
             cfg["noise_dim"])
         if cps is None and p is not None:
-            T = grid.horizon_T
-            cps = [T / 4, T / 2, T]
-        cp_idx = None if p is None else [grid.index_at(float(t)) for t in cps]
-        if cp_idx is not None:
-            _strictly_increasing(cp_idx, "checkpoint_times", cps)
+            cps = [grid.horizon_T / k for k in (4, 2, 1)]
+        cp_idx = None if p is None else continuous.tail_checkpoints(grid, cps)
         keep_idx = None if keep_times is None else \
             [grid.index_at(float(t)) for t in keep_times]
     seed = int(cfg["master_seed"])
@@ -630,36 +620,34 @@ def cmd_check(cfg: dict, out_dir: str) -> int:
             raise ConfigError(f"missing key: {key}")
         return cfg[key]
 
+    key = "sigma" if "sigma" in cond or cond == "s-epsilon" else "function"
+    fn = _signal(need(key), key)
     if cond in ("cond-f", "cond-sigma-high"):
         gspec = need("grid")
         cpt = cfg["checkpoint_times"]
         with _building():
             grid = GridSpec(float(gspec["step_h"]), float(gspec["horizon_T"]))
             conditions.window_widths(thetas, grid, cfg["quad_step"])
-            for t in cpt or ():
-                grid.index_at(float(t))
-        if cond == "cond-f":
-            fn = _signal(need("function"), "function")
-            report = conditions.forcing_window_evidence(
-                fn, p, grid, thetas, cfg["quad_step"], cpt, th)
+            if cpt is not None:
+                time_checkpoints(cpt, grid)
+        evidence = conditions.forcing_window_evidence if cond == "cond-f" \
+            else conditions.diffusion_window_evidence
+        report = evidence(fn, p, grid, thetas, cfg["quad_step"], cpt, th)
+    elif cond in ("cond-sigma-low", "s-epsilon"):
+        n_windows = int(cfg["n_windows"])
+        with _building():
+            conditions.unit_window_checkpoints(n_windows, cfg["checkpoints"])
+        if cond == "cond-sigma-low":
+            report = conditions.unit_window_evidence(
+                fn, p, n_windows, float(cfg["window_step"]),
+                cfg["checkpoints"], th)
         else:
-            fn = _signal(need("sigma"), "sigma")
-            report = conditions.diffusion_window_evidence(
-                fn, p, grid, thetas, cfg["quad_step"], cpt, th)
-    elif cond == "cond-sigma-low":
-        fn = _signal(need("sigma"), "sigma")
-        report = conditions.unit_window_evidence(
-            fn, p, int(cfg["n_windows"]), float(cfg["window_step"]),
-            cfg["checkpoints"], th)
-    elif cond == "s-epsilon":
-        fn = _signal(need("sigma"), "sigma")
-        eps = cfg["eps"] if cfg["eps"] is not None else [0.1, 1.0]
-        report = conditions.gaussian_exceedance_series(
-            fn, [float(e) for e in eps], int(cfg["n_windows"]),
-            quad_step=float(cfg["window_step"]),
-            checkpoints=cfg["checkpoints"], thresholds=th)
+            eps = cfg["eps"] if cfg["eps"] is not None else [0.1, 1.0]
+            report = conditions.gaussian_exceedance_series(
+                fn, [float(e) for e in eps], n_windows,
+                quad_step=float(cfg["window_step"]),
+                checkpoints=cfg["checkpoints"], thresholds=th)
     elif cond == "fading":
-        fn = _signal(need("function"), "function")
         seg = cfg["segment_times"] if cfg["segment_times"] is not None else \
             (2.0, 6.0, 10.0, 14.0, 18.0, 20.0)
         with _building():
@@ -668,31 +656,21 @@ def cmd_check(cfg: dict, out_dir: str) -> int:
         report = conditions.window_fading_evidence(
             fn, thetas, seg, float(cfg["fading_step"]), float(cfg["tol"]), th)
     elif cond == "lemma-p-lt-1":
-        fn = _signal(need("function"), "function")
         pair = conditions.exp_filter_equivalence(
             fn, float(cfg["filter_rate"]), p, int(cfg["horizon"]),
             float(cfg["step_h"]), th)
-        _write_json(os.path.join(out_dir, "report.json"), {
-            "integral": pair.integral_report.to_dict(),
-            "windows": pair.window_report.to_dict(),
-            "agree": pair.agree,
-        })
-        _write_manifest(out_dir, int(cfg["master_seed"]), cfg)
-        return EXIT_OK
+        report = {"integral": pair.integral_report.to_dict(),
+                  "windows": pair.window_report.to_dict(),
+                  "agree": pair.agree}
     else:  # irregular-windows
-        fn = _signal(need("function"), "function")
         bps = need("breakpoints")
         windows, sums = conditions.irregular_window_sums(
             fn, [float(b) for b in bps], p,
             alpha=float(need("spacing_min")), beta=float(need("spacing_max")),
             quad_step=float(cfg["window_step"]))
-        _write_json(os.path.join(out_dir, "report.json"), {
-            "condition_id": "irregular-windows",
-            "windows": [float(w) for w in windows],
-            "partial_sums": [float(s) for s in sums],
-        })
-        _write_manifest(out_dir, int(cfg["master_seed"]), cfg)
-        return EXIT_OK
+        report = {"condition_id": "irregular-windows",
+                  "windows": [float(w) for w in windows],
+                  "partial_sums": [float(s) for s in sums]}
 
     _write_json(os.path.join(out_dir, "report.json"), report)
     _write_manifest(out_dir, int(cfg["master_seed"]), cfg)
@@ -784,8 +762,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("experiment", nargs="?", default=None)
     p.add_argument("--list", action="store_true", dest="list_only")
     p.add_argument("--out", default="svlab-out")
-    p.add_argument("--seed", type=int, default=None, help=argparse.SUPPRESS)
-    p.add_argument("--threads", type=int, default=1, help=argparse.SUPPRESS)
     return ap
 
 

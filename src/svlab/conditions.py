@@ -25,7 +25,8 @@ from scipy.signal import lfilter
 from .core import GridSpec
 from .evidence import (DIVERGENT, INCONCLUSIVE, SATISFIED, SUMMABLE, VIOLATED,
                        EvidenceReport, TailThresholds, as_condition_verdict,
-                       tail_verdict)
+                       checkpoint_indices, tail_verdict, time_checkpoints,
+                       worst_verdict)
 from .quad import trapezoid_refined
 
 DEFAULT_THETAS = (0.5, 1.0, 2.0, 4.0)
@@ -134,8 +135,9 @@ def profile_lp_evidence(profile: WindowProfile, p: float,
         raise ValueError("exponent p must be >= 1")
     grid = profile.grid
     if checkpoint_times is None:
-        T = grid.horizon_T
-        checkpoint_times = (T / 4, T / 2, T)
+        checkpoint_times = [grid.horizon_T / k for k in (4, 2, 1)]
+    else:
+        time_checkpoints(checkpoint_times, grid)
     cps = [float(t) for t in checkpoint_times]
     power = np.abs(profile.values) ** p
     cum = np.zeros(len(power))
@@ -164,24 +166,16 @@ def _multi_theta_report(condition_id: str, signal: Callable, exponent: float,
                         thresholds: TailThresholds,
                         extra_params: dict) -> EvidenceReport:
     per = []
-    cps: tuple = ()
     for prof in window_profiles(signal, thetas, grid, quad_step):
         rep = profile_lp_evidence(prof, exponent, checkpoint_times, thresholds)
-        cps = rep.checkpoints
         per.append({"theta": prof.theta, "verdict": rep.verdict,
                     "checkpoint_values": rep.diagnostics["checkpoint_values"]})
-    verdicts = [e["verdict"] for e in per]
-    if VIOLATED in verdicts:
-        agg = VIOLATED
-    elif INCONCLUSIVE in verdicts:
-        agg = INCONCLUSIVE
-    else:
-        agg = verdicts[0]
     params = {"thetas": [float(t) for t in thetas], "exponent": exponent,
               "step_h": grid.step_h, "horizon_T": grid.horizon_T}
     params.update(extra_params)
-    return EvidenceReport(condition_id, params, cps,
-                          {"per_theta": per}, thresholds.as_dict(), agg)
+    return EvidenceReport(condition_id, params, rep.checkpoints,
+                          {"per_theta": per}, thresholds.as_dict(),
+                          worst_verdict(e["verdict"] for e in per))
 
 
 def forcing_window_evidence(f: Callable, p: float, grid: GridSpec,
@@ -226,6 +220,16 @@ def unit_windows(sigma_sq: Callable, n_windows: int,
     return vals.reshape(n_windows, k).sum(axis=1) / k
 
 
+def unit_window_checkpoints(n_windows: int, checkpoints=None) -> list[int]:
+    """The given checkpoints under the checkpoint rule, else n/8, n/4, n/2
+    and n; those below 1 are dropped."""
+    if checkpoints is None:
+        checkpoints = [n_windows // 2 ** k for k in (3, 2, 1, 0)]
+    else:
+        checkpoint_indices(checkpoints, n_windows, "checkpoints")
+    return [int(c) for c in checkpoints if c >= 1]
+
+
 def unit_window_evidence(sigma: Callable, p: float, n_windows: int,
                          quad_step: float = 1e-3,
                          checkpoints: Optional[Sequence[int]] = None,
@@ -239,14 +243,11 @@ def unit_window_evidence(sigma: Callable, p: float, n_windows: int,
     """
     if p < 1:
         raise ValueError("exponent p must be >= 1")
+    cps = unit_window_checkpoints(n_windows, checkpoints)
     I = unit_windows(lambda t: np.asarray(sigma(t), float) ** 2,
                      n_windows, quad_step)
     terms = I ** (p / 2.0)
     S = np.concatenate([[0.0], np.cumsum(terms)])
-    if checkpoints is None:
-        checkpoints = [n_windows // 8, n_windows // 4, n_windows // 2,
-                       n_windows]
-    cps = [int(c) for c in checkpoints if int(c) >= 1]
     at = [float(S[c]) for c in cps]
     verdict = as_condition_verdict(tail_verdict(at[-2], at[-1], thresholds)) \
         if len(cps) >= 3 else INCONCLUSIVE
@@ -254,7 +255,8 @@ def unit_window_evidence(sigma: Callable, p: float, n_windows: int,
         "diffusion-unit-window-lp",
         {"p": p, "n_windows": n_windows, "quad_step": quad_step},
         tuple(cps),
-        {"checkpoint_values": at, "tail_increment": at[-1] - at[-2],
+        {"checkpoint_values": at,
+         "tail_increment": at[-1] - at[-2] if len(at) > 1 else None,
          "first_windows": [float(x) for x in I[:8]]},
         thresholds.as_dict(), verdict)
 
@@ -292,42 +294,31 @@ def gaussian_exceedance_series(sigma: Optional[Callable] = None,
     eps > 0 marks almost-sure decay of the scalar noise-driven path.
 
     Windows may be passed directly; otherwise they are quadratures of
-    sigma^2. One verdict per eps plus an aggregate (divergent if any eps
-    diverges, summable if all are summable).
+    sigma^2. One verdict per eps plus their worst_verdict.
     """
     if any(e <= 0 for e in eps_list):
         raise ValueError("every eps must be positive")
+    if windows is None and sigma is None:
+        raise ValueError("need sigma or explicit windows")
+    cps = unit_window_checkpoints(
+        n_windows if windows is None else len(windows), checkpoints)
     if windows is None:
-        if sigma is None:
-            raise ValueError("need sigma or explicit windows")
         windows = unit_windows(lambda t: np.asarray(sigma(t), float) ** 2,
                                n_windows, quad_step)
     windows = np.asarray(windows, float)
-    n_windows = len(windows)
-    if checkpoints is None:
-        checkpoints = [n_windows // 8, n_windows // 4, n_windows // 2,
-                       n_windows]
-    cps = [int(c) for c in checkpoints if int(c) >= 1]
     per = []
-    verdicts = []
     for eps in eps_list:
         S = exceedance_partial_sums(windows, eps)
         at = [float(S[c]) for c in cps]
         v = tail_verdict(at[-2], at[-1], thresholds) if len(cps) >= 3 \
             else INCONCLUSIVE
         per.append({"eps": float(eps), "partial_sums": at, "verdict": v})
-        verdicts.append(v)
-    if verdicts and all(v == SUMMABLE for v in verdicts):
-        agg = SUMMABLE
-    elif DIVERGENT in verdicts:
-        agg = DIVERGENT
-    else:
-        agg = INCONCLUSIVE
     return EvidenceReport(
         "exceedance-series",
-        {"eps_list": [float(e) for e in eps_list], "n_windows": n_windows,
+        {"eps_list": [float(e) for e in eps_list], "n_windows": len(windows),
          "quad_step": quad_step},
-        tuple(cps), {"per_eps": per}, thresholds.as_dict(), agg)
+        tuple(cps), {"per_eps": per}, thresholds.as_dict(),
+        worst_verdict(e["verdict"] for e in per))
 
 
 # ---------------------------------------------------------------------------
@@ -450,9 +441,7 @@ def window_fading_evidence(f: Callable, thetas: Sequence[float] = (0.5, 1.0, 2.0
     segment, inconclusive otherwise.
     """
     grid, idx = segment_grid(segment_times, step_h)
-    times = [float(x) for x in segment_times]
     per = []
-    verdicts = []
     for prof in window_profiles(f, thetas, grid):
         absvals = np.abs(prof.values)
         sups = [float(absvals[i0:i1].max()) for i0, i1 in zip(idx, idx[1:])]
@@ -463,14 +452,8 @@ def window_fading_evidence(f: Callable, thetas: Sequence[float] = (0.5, 1.0, 2.0
         else:
             v = INCONCLUSIVE
         per.append({"theta": prof.theta, "segment_sups": sups, "verdict": v})
-        verdicts.append(v)
-    if VIOLATED in verdicts:
-        agg = VIOLATED
-    elif INCONCLUSIVE in verdicts:
-        agg = INCONCLUSIVE
-    else:
-        agg = SATISFIED
     return EvidenceReport(
         "window-fading",
         {"thetas": [float(t) for t in thetas], "step_h": step_h, "tol": tol},
-        tuple(times), {"per_theta": per}, thresholds.as_dict(), agg)
+        tuple(float(x) for x in segment_times), {"per_theta": per},
+        thresholds.as_dict(), worst_verdict(e["verdict"] for e in per))

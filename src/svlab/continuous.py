@@ -41,7 +41,8 @@ from scipy.signal import lfilter
 from .core import (DEFAULT_NORM, CompiledMeasure, GridSpec,
                    SignedMeasureRepr, is_neg_identity_point_mass, rng_stream,
                    run_paths, vector_norm)
-from .evidence import EvidenceReport, TailThresholds, median_tail_verdict
+from .evidence import (EvidenceReport, TailThresholds, median_tail_verdict,
+                       time_checkpoints)
 from .quad import bisect_root
 
 PATH_BLOCK = 8
@@ -593,6 +594,14 @@ def lp_time_integral(path: np.ndarray, p: float, grid: GridSpec,
     return out
 
 
+def tail_checkpoints(grid: GridSpec, checkpoint_times) -> list[int]:
+    """Indices of at least two checkpoint times under the checkpoint rule."""
+    idx = time_checkpoints(checkpoint_times, grid)
+    if len(idx) < 2:
+        raise ValueError("need at least two checkpoints")
+    return idx
+
+
 def sve_ensemble_lp_tail(sys: ContinuousSystem, p: float,
                          checkpoint_times: Sequence[float], *,
                          master_seed: int = 0, n_paths: int = 30,
@@ -602,9 +611,7 @@ def sve_ensemble_lp_tail(sys: ContinuousSystem, p: float,
     """Ensemble evidence on the integrals of ||X||^p: medians of the tail
     increment and ratio between the last two checkpoints."""
     grid = sys.grid
-    idx = [grid.index_at(t) for t in checkpoint_times]
-    if len(idx) < 2:
-        raise ValueError("need at least two checkpoints")
+    idx = tail_checkpoints(grid, checkpoint_times)
 
     S = np.stack(ensemble(
         sys, master_seed, n_paths,

@@ -194,6 +194,14 @@ def lp_partial_sums(path: np.ndarray, p: float, norm: str = DEFAULT_NORM) -> np.
     return np.cumsum(vals)
 
 
+def tail_span(full: int, half: Optional[int] = None) -> tuple[int, int]:
+    """(half, full) of a tail comparison; needs half >= 1, full - half >= 2."""
+    half = full // 2 if half is None else half
+    if full - half < 2 or half < 1:
+        raise ValueError("horizon too short for a tail comparison")
+    return half, full
+
+
 def tail_decision(partial_sums: Sequence[np.ndarray],
                   thresholds: TailThresholds = TailThresholds(),
                   half_index: Optional[int] = None,
@@ -210,10 +218,7 @@ def tail_decision(partial_sums: Sequence[np.ndarray],
     length = len(seqs[0])
     if any(len(s) != length for s in seqs):
         raise ValueError("partial-sum sequences must share a horizon")
-    hi = length - 1
-    half = hi // 2 if half_index is None else half_index
-    if hi - half < 2 or half < 1:
-        raise ValueError("horizon too short for a tail comparison")
+    half, hi = tail_span(length - 1, half_index)
     s_half = np.array([s[half] for s in seqs])
     s_full = np.array([s[hi] for s in seqs])
     verdict, diagnostics = median_tail_verdict(s_half, s_full, thresholds)

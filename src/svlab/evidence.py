@@ -1,8 +1,8 @@
-"""Three-valued evidence verdicts shared by every numeric check.
+"""Three-valued evidence verdicts shared by every numeric check, the rule
+for well-formed checkpoints and the aggregate of per-width verdicts.
 
-A partial-sum (or partial-integral) sequence is compared at a horizon and its
-half point. The tail rules are deliberately one-sided: they report evidence,
-never proof.
+Partial sums (or integrals) are compared at their last two checkpoints. The
+tail rules are deliberately one-sided: they report evidence, never proof.
 """
 from __future__ import annotations
 
@@ -75,6 +75,34 @@ def median_tail_verdict(s_half, s_full,
         "ratio_margin": med_ratio - thresholds.ratio_div,
     }
     return verdict, diagnostics
+
+
+def checkpoint_indices(indices, hi: int, what: str, given=None) -> list:
+    """The checkpoint rule: checkpoints are grid indices, integers in
+    [0, hi] that strictly increase; errors quote `given` (default indices)."""
+    given = list(indices if given is None else given)
+    if not all(isinstance(c, (int, np.integer)) and not isinstance(c, bool)
+               and 0 <= c <= hi for c in indices):
+        raise ValueError(f"{what} must be integers in [0, {hi}], got {given}")
+    if any(b <= a for a, b in zip(indices, indices[1:])):
+        raise ValueError(f"{what} must strictly increase, got {given}")
+    return [int(c) for c in indices]
+
+
+def time_checkpoints(times, grid) -> list:
+    """Grid indices of checkpoint_times under the checkpoint rule."""
+    return checkpoint_indices([grid.index_at(float(t)) for t in times],
+                              grid.n_steps, "checkpoint_times", times)
+
+
+def worst_verdict(verdicts) -> str:
+    """Violated (divergent) if any verdict is, else inconclusive if any is
+    or there are none, else the verdict they all share."""
+    seen = set(verdicts)
+    for v in (VIOLATED, DIVERGENT):
+        if v in seen:
+            return v
+    return seen.pop() if len(seen) == 1 else INCONCLUSIVE
 
 
 def as_condition_verdict(v: str) -> str:

@@ -217,11 +217,10 @@ def ou_variance():
     grid = GridSpec(1e-3, 2.0)
     idx = [grid.index_at(t) for t in (0.5, 1.0, 2.0)]
     M = 10_000
-    kept = np.empty((M, 3))
-    for i in range(M):
-        dB = continuous.brownian_increments(grid, 1, rng_stream(2024, i))
-        Y = continuous.simulate_ou(None, 1.0, grid, dB=dB)
-        kept[i] = Y[idx, 0]
+    sys_ = continuous.ContinuousSystem(neg_identity_point_mass(1), grid,
+                                       None, 1.0)
+    kept = np.array(continuous.ensemble(sys_, 2024, M,
+                                        lambda i, Y: Y[idx, 0]))
     rows = []
     for j, t in enumerate((0.5, 1.0, 2.0)):
         target = (1.0 - np.exp(-2.0 * t)) / 2.0

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from svlab import cli, continuous
+from svlab import cli, conditions, continuous
 from svlab.cli import (EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_TABLE_FAIL,
                        main)
 from svlab.conditions import diffusion_window_evidence
@@ -358,6 +358,16 @@ def test_reproduce_requires_experiment(tmp_path, capsys):
     assert "needs an experiment id" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--seed", "--threads"])
+def test_reproduce_rejects_run_flags(tmp_path, capsys, flag):
+    # a desk fixes its own seeds and threads; argparse rejects the flags
+    with pytest.raises(SystemExit) as exc:
+        main(["reproduce", "certificates", flag, "5", "--out", str(tmp_path)])
+    assert exc.value.code == EXIT_CONFIG
+    assert f"unrecognized arguments: {flag} 5" in capsys.readouterr().err
+    assert not (tmp_path / "reproduce-certificates.csv").exists()
+
+
 def test_table_writer_bytes_match_csv_writer(tmp_path):
     """The one-pass writer against csv.writer on the %.17g strings of each
     value, the formatter it replaced."""
@@ -385,6 +395,15 @@ def test_table_writer_bytes_match_csv_writer(tmp_path):
 
 # config errors --------------------------------------------------------------
 
+def _check_cfg(condition, **over):
+    cfg = {"schema_version": 1, "condition": condition,
+           "function": "const(c=1.0)", "sigma": "const(c=1.0)"}
+    if condition in ("cond-f", "cond-sigma-high"):
+        cfg["grid"] = {"step_h": 0.5, "horizon_T": 16.0}
+    cfg.update(over)
+    return cfg
+
+
 @pytest.mark.parametrize("command,cfg,message", [
     ("simulate-discrete", discrete_cfg(checkpoints=[10, 20, 80]),
      "checkpoints must be integers in [0, 16], got [10, 20, 80]"),
@@ -402,18 +421,61 @@ def test_table_writer_bytes_match_csv_writer(tmp_path):
      "checkpoint_times must strictly increase, got [3.0, 1.0, 2.0]"),
     ("simulate-sve", {**_sve_cfg(), "checkpoint_times": [1.0, 2.0, 2.0]},
      "checkpoint_times must strictly increase"),
+    ("simulate-sve", {**_sve_cfg(), "checkpoint_times": [1.0]},
+     "need at least two checkpoints"),
+    # default checkpoints [0, 1, 2]: the tail needs full - half >= 2
+    ("simulate-discrete", discrete_cfg(horizon=2, ensemble={"n_paths": 30}),
+     "horizon too short for a tail comparison"),
+    ("check", _check_cfg("cond-f", checkpoint_times=[16.0, 8.0, 4.0]),
+     "checkpoint_times must strictly increase, got [16.0, 8.0, 4.0]"),
+    ("check", _check_cfg("cond-sigma-high", checkpoint_times=[16.0, 8.0, 4.0]),
+     "checkpoint_times must strictly increase, got [16.0, 8.0, 4.0]"),
+    ("check", _check_cfg("cond-sigma-low", p=1.5, n_windows=64,
+                         checkpoints=[64, 32, 16]),
+     "checkpoints must strictly increase, got [64, 32, 16]"),
+    ("check", _check_cfg("s-epsilon", n_windows=64, checkpoints=[64, 32, 16]),
+     "checkpoints must strictly increase, got [64, 32, 16]"),
+    ("check", _check_cfg("cond-sigma-low", p=1.5, n_windows=4,
+                         checkpoints=[5]),
+     "checkpoints must be integers in [0, 4], got [5]"),
+    ("check", _check_cfg("cond-sigma-low", p=1.5, n_windows=64,
+                         checkpoints=[1000]),
+     "checkpoints must be integers in [0, 64], got [1000]"),
+    ("check", _check_cfg("s-epsilon", n_windows=64, checkpoints=[1000]),
+     "checkpoints must be integers in [0, 64], got [1000]"),
+    # the parent truncated these with int()
+    ("check", _check_cfg("cond-sigma-low", p=1.5, n_windows=64,
+                         checkpoints=[16.0, 32, 64]),
+     "checkpoints must be integers in [0, 64], got [16.0, 32, 64]"),
+    ("simulate-discrete", discrete_cfg(checkpoints=[True, 8, 16]),
+     "checkpoints must be integers in [0, 16]"),
 ])
 def test_bad_checkpoints_are_config_errors(tmp_path, capsys, monkeypatch,
                                            command, cfg, message):
-    def no_draws(*args, **kwargs):
-        raise AssertionError("a path was drawn before the config was checked")
+    def no_work(*args, **kwargs):
+        raise AssertionError("work began before the config was checked")
 
-    monkeypatch.setattr(cli, "run_paths", no_draws)
-    monkeypatch.setattr(continuous, "ensemble", no_draws)
+    monkeypatch.setattr(cli, "run_paths", no_work)
+    monkeypatch.setattr(continuous, "ensemble", no_work)
+    monkeypatch.setattr(conditions, "window_profiles", no_work)
+    monkeypatch.setattr(conditions, "unit_windows", no_work)
     path = write_config(tmp_path, "c.json", cfg)
     assert main([command, "--config", path,
                  "--out", str(tmp_path / "o")]) == EXIT_CONFIG
     assert f"config error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("condition", ["cond-sigma-low", "s-epsilon"])
+@pytest.mark.parametrize("cps", [[5], [0]])
+def test_unit_window_checks_read_one_checkpoint_as_inconclusive(
+        tmp_path, condition, cps):
+    # a lone (or, after dropping 0, no) checkpoint has no tail to compare
+    path = write_config(tmp_path, "c.json", _check_cfg(
+        condition, p=1.5, n_windows=64, checkpoints=cps))
+    assert main(["check", "--config", path,
+                 "--out", str(tmp_path / "o")]) == EXIT_OK
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert report["verdict"] == "inconclusive"
 
 
 def test_unknown_key_reports_dotted_path(tmp_path, capsys):

@@ -1,14 +1,19 @@
 """The ensemble tail verdict and the margins that say how near it was to
-flipping."""
+flipping, the checkpoint rule, and the aggregate of per-width and per-eps
+verdicts."""
 
+import itertools
 import json
 
 import numpy as np
 import pytest
 
-from svlab.evidence import (DIVERGENT, INCONCLUSIVE, SUMMABLE,
-                            EvidenceReport, TailThresholds,
-                            median_tail_verdict)
+from svlab.conditions import window_widths
+from svlab.core import GridSpec
+from svlab.evidence import (DIVERGENT, INCONCLUSIVE, SATISFIED, SUMMABLE,
+                            VIOLATED, EvidenceReport, TailThresholds,
+                            checkpoint_indices, median_tail_verdict,
+                            time_checkpoints, worst_verdict)
 
 TH = TailThresholds()          # eps_tail 1e-2, eps_abs 1e-8, ratio_div 1.5
 HALF = np.linspace(0.9, 1.1, 31)   # median 1.0
@@ -44,3 +49,71 @@ def test_margins_are_deterministic_json():
     diag = json.loads(rep.to_json())["diagnostics"]
     assert diag["ratio_margin"] == 0.5
     assert diag["tail_margin"] == pytest.approx(15.5 - (0.155 + 1e-8))
+
+
+# the aggregate of per-width and per-eps verdicts ------------------------------
+
+def _per_theta_rule(verdicts):
+    """The per-width aggregate of the window L^p checks."""
+    if VIOLATED in verdicts:
+        return VIOLATED
+    if INCONCLUSIVE in verdicts:
+        return INCONCLUSIVE
+    return verdicts[0]
+
+
+def _fading_rule(verdicts):
+    """The per-width aggregate of the fading check."""
+    if VIOLATED in verdicts:
+        return VIOLATED
+    if INCONCLUSIVE in verdicts:
+        return INCONCLUSIVE
+    return SATISFIED
+
+
+def _per_eps_rule(verdicts):
+    """The per-eps aggregate of the exceedance series."""
+    if verdicts and all(v == SUMMABLE for v in verdicts):
+        return SUMMABLE
+    if DIVERGENT in verdicts:
+        return DIVERGENT
+    return INCONCLUSIVE
+
+
+CONDITION_VOCAB = (SATISFIED, VIOLATED, INCONCLUSIVE)
+SERIES_VOCAB = (SUMMABLE, DIVERGENT, INCONCLUSIVE)
+
+
+@pytest.mark.parametrize("rule,vocab,min_len", [
+    # the window checks reject an empty width list before any verdict
+    (_per_theta_rule, CONDITION_VOCAB, 1),
+    (_fading_rule, CONDITION_VOCAB, 1),
+    (_per_eps_rule, SERIES_VOCAB, 0),
+])
+def test_worst_verdict_matches_each_aggregate(rule, vocab, min_len):
+    for n in range(min_len, 5):
+        for verdicts in itertools.product(vocab, repeat=n):
+            assert worst_verdict(verdicts) == rule(list(verdicts)), verdicts
+            assert worst_verdict(iter(verdicts)) == rule(list(verdicts))
+
+
+def test_worst_verdict_of_nothing_is_inconclusive():
+    assert worst_verdict([]) == INCONCLUSIVE
+    with pytest.raises(ValueError, match="at least one window width"):
+        window_widths([], GridSpec(0.1, 1.0))
+
+
+# the checkpoint rule ----------------------------------------------------------
+
+@pytest.mark.parametrize("cps", [[], [0], [0, 4, 8], [np.int64(2), 8]])
+def test_checkpoint_rule_accepts(cps):
+    assert checkpoint_indices(cps, 8, "checkpoints") == [int(c) for c in cps]
+
+
+def test_time_checkpoints_name_the_times_as_given():
+    grid = GridSpec(0.5, 4.0)
+    assert time_checkpoints([1.0, 2.0, 4.0], grid) == [2, 4, 8]
+    with pytest.raises(ValueError, match=r"got \[2, 1.0\]"):
+        time_checkpoints([2, 1.0], grid)
+    with pytest.raises(ValueError, match="outside"):
+        time_checkpoints([1.0, 5.0], grid)
