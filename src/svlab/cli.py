@@ -134,14 +134,29 @@ _NOISE = {"family": leaf(str, default="gaussian-iid"),
 
 _SIGNAL = leaf(str, *NUM, type(None), default=None)
 
+_KERNEL_SEQ = {"entries": leaf(list, required=True),
+               "tail": leaf(dict, type(None), default=None)}
+
+_TAIL = {"start": leaf(int, required=True),
+         "coeff": leaf(*NUM, list, required=True),
+         "ratio": leaf(*NUM, required=True)}
+
+_MEASURE = {"atoms": leaf(list, default=[]),
+            "density": leaf(dict, type(None), default=None)}
+
+_DENSITY = {"name": leaf(str, *NUM, required=True),
+            "start": leaf(*NUM, required=True),
+            "step": leaf(*NUM, required=True),
+            "count": leaf(int, required=True),
+            "scale": leaf(*NUM, default=1.0)}
+
 SCHEMAS = {
     "simulate-discrete": {
         "schema_version": leaf(int, required=True),
         "master_seed": leaf(int, default=0),
         "dim": leaf(int, default=1),
         "horizon": leaf(int, required=True),
-        "kernel": {"entries": leaf(list, required=True),
-                   "tail": leaf(dict, type(None), default=None)},
+        "kernel": _KERNEL_SEQ,
         "forcing": _SIGNAL,
         "diffusion": _SIGNAL,
         "noise": _NOISE,
@@ -275,29 +290,20 @@ def _discrete_kernel(spec, d: int) -> MatrixKernelSeq:
     # resolvent command, whose kernel field is free-form; validate here too
     if not isinstance(spec, dict):
         raise ConfigError("kernel must be a table with 'entries'")
-    unknown = set(spec) - {"entries", "tail"}
-    if unknown:
-        raise ConfigError(f"unknown key: kernel.{sorted(unknown)[0]}")
-    if spec.get("entries") is None:
-        raise ConfigError("missing key: kernel.entries")
+    spec = validate_config(spec, _KERNEL_SEQ, "kernel")
     entries = {}
-    for item in spec["entries"]:
+    for i, item in enumerate(spec["entries"]):
         if not (isinstance(item, (list, tuple)) and len(item) == 2):
             raise ConfigError("kernel.entries items must be [lag, weight]")
         lag, w = item
-        entries[int(lag)] = entries.get(int(lag), 0.0) + _matrix(w, d, "kernel.entries")
+        _check_type(lag, leaf(int), f"kernel.entries[{i}] lag")
+        entries[lag] = entries.get(lag, 0.0) + _matrix(w, d, "kernel.entries")
     tail = None
-    if spec.get("tail") is not None:
-        t = spec["tail"]
-        unknown = set(t) - {"start", "coeff", "ratio"}
-        if unknown:
-            raise ConfigError(f"unknown key: kernel.tail.{sorted(unknown)[0]}")
-        try:
-            tail = GeometricTail(int(t["start"]),
-                                 _matrix(t["coeff"], d, "kernel.tail.coeff"),
-                                 float(t["ratio"]))
-        except KeyError as exc:
-            raise ConfigError(f"missing key: kernel.tail.{exc.args[0]}")
+    if spec["tail"] is not None:
+        t = validate_config(spec["tail"], _TAIL, "kernel.tail")
+        tail = GeometricTail(t["start"],
+                             _matrix(t["coeff"], d, "kernel.tail.coeff"),
+                             float(t["ratio"]))
     return MatrixKernelSeq(d, entries, tail)
 
 
@@ -306,31 +312,23 @@ def _measure(spec, d: int, what: str = "kernel") -> SignedMeasureRepr:
         return neg_identity_point_mass(d)
     if not isinstance(spec, dict):
         raise ConfigError(f"{what} must be 'neg-identity' or a table")
-    unknown = set(spec) - {"atoms", "density"}
-    if unknown:
-        raise ConfigError(f"unknown key: {what}.{sorted(unknown)[0]}")
+    spec = validate_config(spec, _MEASURE, what)
     atoms = []
-    for item in spec.get("atoms", []):
+    for item in spec["atoms"]:
         if not (isinstance(item, (list, tuple)) and len(item) == 2):
             raise ConfigError(f"{what}.atoms items must be [location, weight]")
         loc, w = item
         atoms.append((float(loc), _matrix(w, d, f"{what}.atoms")))
     density = None
-    dspec = spec.get("density")
-    if dspec is not None:
-        for key in ("name", "start", "step", "count"):
-            if key not in dspec:
-                raise ConfigError(f"missing key: {what}.density.{key}")
-        unknown = set(dspec) - {"name", "start", "step", "count", "scale"}
-        if unknown:
-            raise ConfigError(f"unknown key: {what}.density.{sorted(unknown)[0]}")
+    if spec["density"] is not None:
+        dspec = validate_config(spec["density"], _DENSITY, f"{what}.density")
         if d != 1:
             raise ConfigError(f"{what}.density supports dim = 1 only")
         fn = _signal(dspec["name"], f"{what}.density.name")
         start, step = float(dspec["start"]), float(dspec["step"])
-        count = int(dspec["count"])
-        scale = float(dspec.get("scale", 1.0))
-        cells = scale * np.asarray(fn(start + step * np.arange(count)), float)
+        count = dspec["count"]
+        cells = float(dspec["scale"]) * np.asarray(
+            fn(start + step * np.arange(count)), float)
         density = DensitySample(start, step, cells.reshape(count, 1, 1))
     return SignedMeasureRepr(d, tuple(atoms), density)
 
@@ -637,6 +635,8 @@ def cmd_check(cfg: dict, out_dir: str) -> int:
         n_windows = int(cfg["n_windows"])
         with _building():
             conditions.unit_window_checkpoints(n_windows, cfg["checkpoints"])
+            conditions.divisions(1.0, float(cfg["window_step"]),
+                                 "window_step must divide 1")
         if cond == "cond-sigma-low":
             report = conditions.unit_window_evidence(
                 fn, p, n_windows, float(cfg["window_step"]),
@@ -656,6 +656,9 @@ def cmd_check(cfg: dict, out_dir: str) -> int:
         report = conditions.window_fading_evidence(
             fn, thetas, seg, float(cfg["fading_step"]), float(cfg["tol"]), th)
     elif cond == "lemma-p-lt-1":
+        with _building():
+            conditions.divisions(1.0, float(cfg["step_h"]),
+                                 "step_h must divide 1")
         pair = conditions.exp_filter_equivalence(
             fn, float(cfg["filter_rate"]), p, int(cfg["horizon"]),
             float(cfg["step_h"]), th)

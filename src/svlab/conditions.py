@@ -82,6 +82,15 @@ def _cumulative_on_lattice(f: Callable, n_cells: int, h: float,
     return F
 
 
+def divisions(span: float, step: float, message: str) -> int:
+    """span / step; raises ValueError(message), before any evaluation,
+    unless step divides span."""
+    k = int(round(span / step)) if step > 0 else 0
+    if k < 1 or abs(span / k - step) > 1e-9 * span:
+        raise ValueError(message)
+    return k
+
+
 def window_widths(thetas: Sequence[float], grid: GridSpec,
                   quad_step: Optional[float] = None) -> tuple[list[int], int]:
     """Grid step counts of the window widths and the lattice refinement
@@ -93,9 +102,7 @@ def window_widths(thetas: Sequence[float], grid: GridSpec,
         raise ValueError("need at least one window width")
     refine = 1
     if quad_step is not None:
-        refine = int(round(h / quad_step))
-        if refine < 1 or abs(h / refine - quad_step) > 1e-9 * h:
-            raise ValueError("quad_step must divide the grid step")
+        refine = divisions(h, quad_step, "quad_step must divide the grid step")
     return ms, refine
 
 
@@ -214,7 +221,7 @@ def diffusion_window_evidence(sigma: Callable, p: float, grid: GridSpec,
 def unit_windows(sigma_sq: Callable, n_windows: int,
                  quad_step: float = 1e-3) -> np.ndarray:
     """I_n = integral_n^{n+1} sigma^2, n = 0..n_windows-1, left-Riemann."""
-    k = int(round(1.0 / quad_step))
+    k = divisions(1.0, quad_step, "quad_step must divide 1")
     t = np.arange(n_windows * k) / k
     vals = np.asarray(sigma_sq(t), float)
     return vals.reshape(n_windows, k).sum(axis=1) / k
@@ -346,7 +353,7 @@ def exp_filter_equivalence(f: Callable, beta: float, p: float, horizon: int,
     if beta <= 0:
         raise ValueError("beta must be positive")
     horizon = int(horizon)
-    k = int(round(1.0 / step_h))
+    k = divisions(1.0, step_h, "step_h must divide 1")
     h = 1.0 / k
     n = horizon * k
     t = np.arange(n) * h

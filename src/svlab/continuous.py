@@ -5,8 +5,8 @@ The drift kernel is a signed matrix measure nu on [0, inf); paths follow
     dX(t) = [f(t) + integral_{[0,t]} nu(ds) X(t-s)] dt + sigma(t) dB(t)
 
 stepped by Euler-Maruyama with left-endpoint drift quadrature. Every kernel
-recursion here (paths, delay paths, both resolvents, `coupled_paths`) runs
-through `CompiledMeasure.euler`, which hands the whole Euler scheme to the
+recursion here (paths, delay paths, both resolvents) runs through
+`CompiledMeasure.euler`, which hands the whole Euler scheme to the
 discrete solvers' block solver `core.lag_solve`: per block of
 core.SOLVE_BLOCK = 64 steps, anchored at the first unknown row, one stacked
 product of the kernel's lag-reversed tap slab (`core.lag_slab`) with the
@@ -15,7 +15,8 @@ lag l counts iff l <= k and density lag l iff l <= k - 1, so X(0) sees
 atoms only; a delay kernel on [-tau, 0] counts every tap over the stored
 history segment. A system compiles its kernel once, for every path of an
 ensemble. The bits depend on the block size, not on the columns solved
-beside a path, `--threads` or the BLAS thread count.
+beside a path, `--threads` or the BLAS thread count. The solvers return
+no history terms: `coupled_paths` reads its drift through `convolve`.
 
 `ensemble` steps the paths of an ensemble PATH_BLOCK = 8 at a time, on the
 solver's trailing column axis: path i sits in column i % 8 of block i // 8
@@ -118,9 +119,8 @@ def _exp_scan(x0: np.ndarray, drive: np.ndarray, decay: float) -> np.ndarray:
     n, d = drive.shape
     out = np.empty((n + 1, d))
     out[0] = x0
-    for j in range(d):
-        out[1:, j] = lfilter([1.0], [1.0, -decay], drive[:, j],
-                             zi=[decay * x0[j]])[0]
+    out[1:] = lfilter([1.0], [1.0, -decay], drive, axis=0,
+                      zi=decay * x0[None])[0]
     return out
 
 
@@ -196,30 +196,30 @@ def simulate_sve(sys: ContinuousSystem, *, master_seed: int = 0,
         decay = np.exp(-sys.grid.step_h)
         drive = _ou_drive(sys.f_vals, sys.sig_vals, dB, decay)
         return _exp_scan(sys.initial, drive, decay)
-    return _one_path(sys, path_index, dB)[0]
+    return _one_path(sys, path_index, dB)
 
 
-def _block(sys, dB: np.ndarray):
+def _block(sys, dB: np.ndarray) -> np.ndarray:
     """Step PATH_BLOCK paths of `sys` from its head rows on, with
     increments dB of shape (n, m, PATH_BLOCK). Returns the state, shape
-    (rows, d, PATH_BLOCK), and its convolution terms, (n, d, PATH_BLOCK)."""
+    (rows, d, PATH_BLOCK)."""
     head = sys.head
     n, d = sys.f_vals.shape
     X = np.empty((len(head) + n, d, PATH_BLOCK))
     X[:len(head)] = head[:, :, None]
-    conv = sys.compiled.euler(X, len(head) - 1, sys.f_vals[:, :, None],
-                              np.matmul(sys.sig_vals, dB))
-    return X, conv
+    drive = np.matmul(sys.sig_vals, dB)
+    drive += sys.f_vals[:, :, None] * sys.grid.step_h
+    sys.compiled.euler(X, len(head) - 1, drive)
+    return X
 
 
-def _one_path(sys, path_index: int, dB: np.ndarray):
-    """Path `path_index` and its convolution terms, stepped in its column
-    of a block whose other columns get zero increments."""
+def _one_path(sys, path_index: int, dB: np.ndarray) -> np.ndarray:
+    """Path `path_index`, stepped in its column of a block whose other
+    columns get zero increments."""
     col = path_index % PATH_BLOCK
     block = np.zeros(dB.shape + (PATH_BLOCK,))
     block[:, :, col] = dB
-    X, conv = _block(sys, block)
-    return X[:, :, col].copy(), conv[:, :, col]
+    return _block(sys, block)[:, :, col].copy()
 
 
 def ensemble(sys: Union[ContinuousSystem, DelaySystem], master_seed: int,
@@ -246,7 +246,7 @@ def ensemble(sys: Union[ContinuousSystem, DelaySystem], master_seed: int,
         for i in paths:
             dB[:, :, i % PATH_BLOCK] = brownian_increments(
                 sys.grid, m, rng_stream(master_seed, i))
-        X = _block(sys, dB)[0]
+        X = _block(sys, dB)
         return [reduce(i, X[:, :, i % PATH_BLOCK].copy()) for i in paths]
 
     blocks = run_paths(-(-n_paths // PATH_BLOCK), block, threads)
@@ -258,8 +258,7 @@ def _euler_resolvent(cm: CompiledMeasure, off: int) -> np.ndarray:
     n, d = cm.grid.n_steps, cm.measure.dim
     r = np.zeros((off + n + 1, d, d))
     r[off] = np.eye(d)
-    zero = np.zeros((n, d, 1))
-    cm.euler(r, off, zero, zero)
+    cm.euler(r, off, np.zeros((n, d, d)))
     return r[off:]
 
 
@@ -279,15 +278,15 @@ def coupled_paths(sys: ContinuousSystem, *, master_seed: int = 0,
     """Drive X (kernel nu) and Y (unit-rate reverting) with the same
     increments and form Z = X - Y, which solves the nu-equation forced by
     g = Y + nu * Y. The per-step defect of that equation (divided by h) is
-    reported; it is O(h) by construction (nu * Z + g = nu * X + Y)."""
+    reported; it is O(h) by construction (nu * Z + g = nu * X + Y). The
+    drift nu * X of each step comes from `CompiledMeasure.convolve`, the
+    one-step route with its own window code, not from the solver."""
     grid = sys.grid
     dB = brownian_increments(grid, sys.noise_dim,
                              rng_stream(master_seed, path_index))
-    if is_neg_identity_point_mass(sys.nu):
-        X = simulate_sve(sys, dB=dB)
-        conv_x = -X[:-1]
-    else:
-        X, conv_x = _one_path(sys, path_index, dB)
+    X = simulate_sve(sys, path_index=path_index, dB=dB)
+    conv_x = np.array([sys.compiled.convolve(X, k)
+                       for k in range(grid.n_steps)])
     Y = simulate_ou(sys.forcing, sys.diffusion, grid, d=sys.dim,
                     m=sys.noise_dim, dB=dB)
     Z = X - Y
@@ -437,7 +436,7 @@ def simulate_sfde(sys: DelaySystem, *, master_seed: int = 0, path_index: int = 0
     segment, the drift reads history through the delay kernel. Stepped in
     column path_index % PATH_BLOCK of a block, as `simulate_sve`."""
     dB = _increments(sys.grid, sys.noise_dim, master_seed, path_index, dB)
-    return _one_path(sys, path_index, dB)[0]
+    return _one_path(sys, path_index, dB)
 
 
 def functional_resolvent(mu: SignedMeasureRepr, tau: float,

@@ -10,9 +10,10 @@ stream convention.
 the one solver: X[r+1] = X[r] + s sum_l T(l) X[r-l] + drive[r] is a unit
 lower-triangular system, solved SOLVE_BLOCK = 64 steps at a time in blocks
 anchored at the first unknown row, each block one stacked slab product with
-the rows already solved and one triangular solve. The discrete resolvent
-and direct solver call it, and so does `CompiledMeasure`, which compiles a
-measure once into a slab; its `euler` runs every continuous recursion.
+the rows already solved and one triangular solve; it returns no history
+terms. The discrete resolvent and direct solver call it, and so does
+`CompiledMeasure`, which compiles a measure once into a slab; its `euler`
+runs every continuous recursion.
 Window rule at step k: a kernel on [0, inf) applies atom lag l iff l <= k
 and density lag l iff l <= k - 1, so X(0) sees atoms only; a delay kernel
 applies every tap over the stored history. The state's trailing column
@@ -236,7 +237,7 @@ def lag_slab(taps: np.ndarray) -> np.ndarray:
 
 
 def lag_solve(slab: np.ndarray, X: np.ndarray, start: int, drive: np.ndarray,
-              scale: float = 1.0, first: int = 0) -> np.ndarray:
+              scale: float = 1.0, first: int = 0) -> None:
     """Solve X[r+1] = X[r] + scale sum_{l<=L} T(l) X[r-l] + drive[r-start]
     for r = start..start+n-1, n = len(drive), in place, where slab =
     lag_slab(T(0..L)) and rows below `first` read as zero.
@@ -247,16 +248,14 @@ def lag_solve(slab: np.ndarray, X: np.ndarray, start: int, drive: np.ndarray,
     anchored at row start+1. A block is two calls: one stacked slab product
     with the windows of the rows already known, the block's own rows
     reading as zero, and one unit lower-triangular solve against the
-    block's banded Toeplitz matrix, built once per call. Returns the history
-    terms sum_l T(l) X[r-l], shape (n, d, c): that product plus the
-    block-Toeplitz taps times the block's solved rows.
+    block's banded Toeplitz matrix, built once per call.
     """
     if not X.flags.c_contiguous:
         raise ValueError("lag_solve fills a C-contiguous state in place")
     _, d, c = X.shape
     n = len(drive)
     if n == 0:
-        return np.zeros((0, d, c))
+        return
     L = slab.shape[1] // d - 1
     B = min(SOLVE_BLOCK, n)
     # Tb[(i, a), (j, b)] = T(i-1-j)[a, b]: the taps from solved row j of a
@@ -274,7 +273,6 @@ def lag_solve(slab: np.ndarray, X: np.ndarray, start: int, drive: np.ndarray,
     Z[first - base:start + 1 - base] = X[first:start + 1]
     flat = Z.reshape(-1, c)
     row, col = flat.strides
-    hist = np.empty((n, d, c))
     prev = X[start]
     for k0 in range(0, n, B):
         nb = min(B, n - k0)
@@ -291,11 +289,8 @@ def lag_solve(slab: np.ndarray, X: np.ndarray, start: int, drive: np.ndarray,
                                lower=True, unit_diagonal=True,
                                check_finite=False)
         Z[a + 1 - base:a + 1 + nb - base] = sol.reshape(nb, d, c)
-        hist[k0:k0 + nb] = known + (Tb[:nb * d, :nb * d] @ sol).reshape(
-            nb, d, c)
         prev = Z[a + nb - base]
     X[start + 1:start + n + 1] = Z[start + 1 - base:]
-    return hist
 
 
 class CompiledMeasure:
@@ -334,14 +329,14 @@ class CompiledMeasure:
             np.add.at(taps, self.dens_lags, dens.at(s[keep]) * h)
         self.slab = lag_slab(taps)
 
-    def _first_rows(self, rows, start: int):
-        """First history row the full taps read at state rows `rows`."""
+    def _first_rows(self, row: int, start: int) -> int:
+        """First history row the full taps read at state row `row`."""
         if self.negative_support:
-            if np.min(rows) < self.max_lag:
+            if row < self.max_lag:
                 raise HistoryUnderflow(f"lag {self.max_lag} reaches before "
                                        "the stored history")
-            return rows - self.max_lag
-        return np.maximum(rows - self.max_lag, start + 1)
+            return row - self.max_lag
+        return max(row - self.max_lag, start + 1)
 
     def _window(self, flat: np.ndarray, row: int, first: int) -> np.ndarray:
         """Full taps times rows first..row of the (rows d, c) state."""
@@ -351,38 +346,33 @@ class CompiledMeasure:
 
     def convolve(self, path: np.ndarray, t_index: int, history_offset: int = 0) -> np.ndarray:
         """Quadrature of the past-weighted integral at step t_index, the
-        one-step view of `euler`. path[i], shape (d,) or (d, c), is the state
-        at grid index i - history_offset; a delay kernel reaching before it
-        raises HistoryUnderflow."""
+        one-step view of `euler` with its own window code. path[i], shape
+        (d,) or (d, c), is the state at grid index i - history_offset; a
+        delay kernel reaching before it raises HistoryUnderflow."""
         path = np.asarray(path, float)
         X = path.reshape(len(path), self.measure.dim, -1)
         row = t_index + history_offset
         out = self._window(X.reshape(-1, X.shape[2]), row,
-                           int(self._first_rows(row, history_offset)))
+                           self._first_rows(row, history_offset))
         if self.origin_taps is not None and t_index <= self.max_lag:
             out = out + self.origin_taps[t_index] @ X[history_offset]
         return out.reshape(path.shape[1:])
 
-    def euler(self, X: np.ndarray, start: int, forcing: np.ndarray,
-              noise: np.ndarray) -> np.ndarray:
-        """Step X[start+k+1] = X[start+k] + (forcing[k] + conv_k) h + noise[k]
-        for k < n = len(forcing) in place, through `lag_solve`.
+    def euler(self, X: np.ndarray, start: int, drive: np.ndarray) -> None:
+        """Step X[start+k+1] = X[start+k] + conv_k h + drive[k] for
+        k < n = len(drive) in place, through `lag_solve`; conv_k is the
+        drift quadrature `convolve` gives at step k.
 
         X is C-contiguous (rows, d, c) with rows 0..start filled; c = 1 for
-        a path, d for a resolvent. forcing and noise broadcast to (n, d, c).
-        Returns the convolution terms conv, shape (n, d, c): the solver's
-        history terms plus the origin taps on X(0).
+        a path, d for a resolvent. drive is the caller's (n, d, c) array of
+        forcing * h + noise; the origin taps on X(start) are added into it
+        in place.
         """
         h = self.grid.step_h
-        drive = np.empty((len(forcing),) + X.shape[1:])
-        np.add(forcing * h, noise, out=drive)
-        origin = np.zeros((0,) + X.shape[1:]) if self.origin_taps is None \
-            else self.origin_taps[:len(drive)] @ X[start]
-        drive[:len(origin)] += origin * h
-        conv = lag_solve(self.slab, X, start, drive, h,
-                         int(self._first_rows(start, start)))
-        conv[:len(origin)] += origin
-        return conv
+        if self.origin_taps is not None:
+            origin = self.origin_taps[:len(drive)] @ X[start]
+            drive[:len(origin)] += origin * h
+        lag_solve(self.slab, X, start, drive, h, self._first_rows(start, start))
 
 
 def total_variation(m: SignedMeasureRepr) -> np.ndarray:
@@ -481,12 +471,12 @@ class ScalarLaw:
         return None
 
     def mass_on(self, intervals) -> float:
-        return self._integrate(intervals, lambda x: 1.0, np.ones_like)
+        return self._integrate(intervals, lambda x: 1.0)
 
     def truncated_mean_on(self, intervals) -> float:
-        return self._integrate(intervals, lambda x: x, lambda x: x)
+        return self._integrate(intervals, lambda x: x)
 
-    def _integrate(self, intervals, weight_scalar, weight_array) -> float:
+    def _integrate(self, intervals, weight_scalar) -> float:
         total = 0.0
         for x, p in self.atom_list():
             if any(lo <= x <= hi for lo, hi in intervals):

@@ -116,15 +116,12 @@ def simulate_direct(sys: DiscreteSystem, noise: Optional[np.ndarray] = None,
     (master_seed, path_index) stream supplies them.
     """
     N, d = sys.horizon, sys.dim
-    if noise is None or (initial is None and not isinstance(sys.initial, np.ndarray)):
-        rng = rng_stream(master_seed, path_index)
-        drawn0, drawn_xi = draw_noise(sys, rng)
+    if noise is None or initial is None:
+        drawn0, drawn_xi = draw_noise(sys, rng_stream(master_seed, path_index))
         if initial is None:
             initial = drawn0
         if noise is None:
             noise = drawn_xi
-    if initial is None:
-        initial = sys.draw_initial(rng_stream(master_seed, path_index))
     noise = np.asarray(noise, float)
     if noise.shape != (N, sys.noise.dim):
         raise ValueError(f"noise shape {noise.shape} != ({N}, {sys.noise.dim})")

@@ -628,6 +628,56 @@ def test_differential_resolvent_of_delay_kernel_is_config_error(tmp_path,
             "[0, inf)") in capsys.readouterr().err
 
 
+def _resolvent_cfg(kernel):
+    return {"schema_version": 1, "kind": "discrete", "horizon": 8,
+            "kernel": kernel}
+
+
+def _density_cfg(**over):
+    cfg = _sve_cfg()
+    cfg["kernel"]["density"].update(over)
+    return cfg
+
+
+@pytest.mark.parametrize("command,cfg,message", [
+    # the parent truncated or coerced these with int() and exited 0
+    ("resolvent", _resolvent_cfg({"entries": [[0.7, -0.5]]}),
+     "bad type for kernel.entries[0] lag: expected int, got float"),
+    ("resolvent", _resolvent_cfg({"entries": [[0, -0.5], ["1", 0.1]]}),
+     "bad type for kernel.entries[1] lag: expected int, got str"),
+    ("resolvent", _resolvent_cfg({"entries": [[True, -0.5]]}),
+     "bad type for kernel.entries[0] lag: expected int, got bool"),
+    ("simulate-discrete", discrete_cfg(kernel={"entries": [[2.0, -0.5]]}),
+     "bad type for kernel.entries[0] lag: expected int, got float"),
+    ("resolvent", _resolvent_cfg({"entries": [[0, -0.5]], "tail": {
+        "start": 1.9, "coeff": 0.1, "ratio": 0.5}}),
+     "bad type for kernel.tail.start: expected int, got float"),
+    ("simulate-sve", _density_cfg(count=2.5),
+     "bad type for kernel.density.count: expected int, got float"),
+    ("simulate-sfde", {**_sfde_cfg(), "kernel": {"density": {
+        "name": "const(c=1.0)", "start": -1.0, "step": 0.02, "count": True}}},
+     "bad type for kernel.density.count: expected int, got bool"),
+    # the dotted-path messages of the tables
+    ("resolvent", _resolvent_cfg({"entries": [[0, -0.5]], "tail": {
+        "start": 1, "coeff": 0.1, "ratio": 0.5, "rate": 1}}),
+     "unknown key: kernel.tail.rate"),
+    ("resolvent", _resolvent_cfg({"entries": [[0, -0.5]], "tail": {
+        "start": 1, "coeff": 0.1}}), "missing key: kernel.tail.ratio"),
+    ("resolvent", _resolvent_cfg({"tail": None}),
+     "missing key: kernel.entries"),
+    ("simulate-sve", _density_cfg(cells=4),
+     "unknown key: kernel.density.cells"),
+    ("simulate-sve", _density_cfg(step=None),
+     "missing key: kernel.density.step"),
+])
+def test_kernel_lags_and_counts_must_be_integers(tmp_path, capsys, command,
+                                                 cfg, message):
+    path = write_config(tmp_path, "k.json", cfg)
+    assert main([command, "--config", path,
+                 "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert f"config error: {message}" in capsys.readouterr().err
+
+
 def test_off_grid_keep_time_is_config_error(tmp_path, capsys):
     cfg = write_config(tmp_path, "s.json", {
         "schema_version": 1,
@@ -663,9 +713,26 @@ def _cond_f_cfg(**over):
      "cond-sigma-high is for p >= 2"),
     ({"condition": "lemma-p-lt-1", "p": 1.5, "horizon": 4},
      "p must lie in (0, 1)"),
+    # the parent rounded 1 / step: 0.7 ran at step 1, 3.0 gave NaN windows
+    # or a ZeroDivisionError
+    ({"condition": "cond-sigma-low", "sigma": "exp_decay(rate=1.0)",
+      "window_step": 0.7}, "window_step must divide 1"),
+    ({"condition": "cond-sigma-low", "sigma": "exp_decay(rate=1.0)",
+      "window_step": 3.0}, "window_step must divide 1"),
+    ({"condition": "s-epsilon", "sigma": "const(c=1.0)", "window_step": 0.7},
+     "window_step must divide 1"),
+    ({"condition": "lemma-p-lt-1", "p": 0.5, "horizon": 4, "step_h": 3.0},
+     "step_h must divide 1"),
+    ({"condition": "lemma-p-lt-1", "p": 0.5, "horizon": 4, "step_h": 0.7},
+     "step_h must divide 1"),
 ])
-def test_check_argument_errors_are_config_errors(tmp_path, capsys, over,
-                                                 message):
+def test_check_argument_errors_are_config_errors(tmp_path, capsys,
+                                                 monkeypatch, over, message):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work began before the config was checked")
+
+    for name in ("window_profiles", "unit_windows", "exp_filter_equivalence"):
+        monkeypatch.setattr(conditions, name, no_work)
     cfg = write_config(tmp_path, "c.json", _cond_f_cfg(**over))
     assert main(["check", "--config", cfg,
                  "--out", str(tmp_path / "o")]) == EXIT_CONFIG

@@ -34,7 +34,7 @@ from svlab.continuous import (
     sve_ensemble_lp_tail,
     trailing_window_average,
 )
-from svlab import continuous, corpus
+from svlab import continuous, core, corpus
 
 
 # ---------------------------------------------------------------------------
@@ -183,13 +183,10 @@ def test_block_stepper_matches_per_lag_reference(case, d, c, n):
     noise = 0.1 * rng.standard_normal((n, d, c))
     X = np.empty((n_hist + n + 1, d, c))
     X[:n_hist + 1] = head
-    conv = cm.euler(X, n_hist, forcing, noise)
+    assert cm.euler(X, n_hist, forcing * g.step_h + noise) is None
     ref = _reference_euler(nu, g, head, forcing, noise)
     scale = np.abs(ref).max()
     assert np.abs(X - ref).max() <= 1e-13 * scale
-    # conv is the drift that the reference's steps took
-    ref_conv = (np.diff(ref[n_hist:], axis=0) - noise) / g.step_h - forcing
-    assert np.abs(conv - ref_conv).max() <= 1e-9 * scale
 
 
 def test_convolve_is_one_step_of_the_stepper():
@@ -304,6 +301,23 @@ def test_coupled_paths_identity_and_residual():
     # Z solves a forced kernel equation; the reported per-step defect comes
     # from mixing the Euler and exponential steppers and shrinks like h
     assert cp.max_step_residual < 5 * g.step_h
+
+
+def test_solver_fault_moves_coupled_residual(monkeypatch):
+    """The residual reads its drift through `convolve`, not through the
+    solver: a block solve that drops the farthest tap must show."""
+    solve = core.lag_solve
+
+    def short(slab, X, *args):
+        return solve(slab[:, X.shape[1]:], X, *args)
+
+    monkeypatch.setattr(core, "lag_solve", short)
+    g = GridSpec(1e-3, 3.0)
+    nu = SignedMeasureRepr(1, atoms=((0.0, [[-2.0]]), (0.005, [[0.5]])))
+    sys_ = ContinuousSystem(nu, g, forcing=corpus.ConstFamily(1.0),
+                            diffusion=corpus.ExpDecayFamily(1.0))
+    cp = coupled_paths(sys_, master_seed=3, path_index=1)
+    assert cp.max_step_residual > 5 * g.step_h
 
 
 def test_simulation_reproducible_by_seed():
