@@ -6,6 +6,15 @@ unknown keys rejected so typos surface), materializes all defaults, digests
 the result into a manifest, and writes CSV/JSON outputs whose bytes depend
 only on the manifest.
 
+Every config leaf declares its domain once, in SCHEMAS: an integer >= k, a
+positive, nonnegative or finite number, an open interval, one of a set of
+names, or a list of elements in one of these. Validation checks them all,
+plus what each resolvent kind and check id needs (_VARIANTS), before any
+work; the handlers read typed values (integers as int, other numbers as
+float). Rules that need more than one leaf (the checkpoint rule, divisors,
+grid snapping, the delay and spacing rules) are the library's and run
+while a run is built, also before any evaluation.
+
 Exit codes: 0 success, 1 reproduce-table failure, 2 config error, 3 numeric
 error. Evidence verdicts are data, never an exit code.
 """
@@ -15,21 +24,23 @@ import argparse
 import copy
 import csv
 import json
+import math
 import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from . import conditions, continuous, corpus, discrete
-from .core import (DEFAULT_NORM, CompiledMeasure, DensitySample,
+from .core import (DEFAULT_NORM, NORMS, CompiledMeasure, DensitySample,
                    GeometricTail, GridSpec, MatrixKernelSeq, NoiseSpec,
                    RunManifest, SignedMeasureRepr, config_digest,
                    neg_identity_point_mass, rng_stream, run_paths)
 from .evidence import (INCONCLUSIVE, EvidenceReport, TailThresholds,
-                       checkpoint_indices, time_checkpoints)
+                       checkpoint_indices, default_checkpoint_times,
+                       default_checkpoints, time_checkpoints)
 
 EXIT_OK = 0
 EXIT_TABLE_FAIL = 1
@@ -51,40 +62,154 @@ class NumericFailure(RuntimeError):
 # config schema: nested dicts of Leaf descriptors, validated hand-rolled so
 # error messages carry the dotted path of the offending key
 
+def _bad_type(dotted: str, expected: str, value) -> ConfigError:
+    return ConfigError(f"bad type for {dotted}: expected {expected}, "
+                       f"got {type(value).__name__}")
+
+
+def _finite(value) -> Optional[float]:
+    try:
+        x = float(value)
+    except OverflowError:
+        return None
+    return x if math.isfinite(x) else None
+
+
+@dataclass(frozen=True)
+class Number:
+    """A JSON number, never a bool, that passes `test`: an int when
+    `integer`, else a finite number read as float. `message` replaces the
+    default complaint."""
+
+    text: str
+    test: Callable = lambda x: True
+    integer: bool = False
+    message: Optional[str] = None
+    kinds = NUM
+
+    def check(self, value, dotted: str):
+        if isinstance(value, bool) or \
+                not isinstance(value, int if self.integer else NUM):
+            raise _bad_type(dotted, "int" if self.integer else "int/float",
+                            value)
+        x = value if self.integer else _finite(value)
+        if x is None or not self.test(x):
+            raise ConfigError(self.message or
+                              f"{dotted} must be {self.text}, got {value!r}")
+        return x
+
+
+def integer(k: int) -> Number:
+    return Number(f"an integer >= {k}", lambda n: n >= k, integer=True)
+
+
+def at_least(lo: float, message: Optional[str] = None) -> Number:
+    return Number(f"a finite number >= {lo:g}", lambda x: x >= lo,
+                  message=message)
+
+
+FINITE = Number("a finite number")
+POSITIVE = Number("a finite number > 0", lambda x: x > 0)
+NONNEGATIVE = at_least(0)
+
+
+@dataclass(frozen=True)
+class OneOf:
+    """A string from `names`."""
+
+    names: tuple
+    message: str = "unknown {dotted} '{value}'; known: {known}"
+    kinds = (str,)
+
+    def check(self, value, dotted: str):
+        if value not in self.names:
+            raise ConfigError(self.message.format(
+                dotted=dotted, value=value, known=", ".join(self.names)))
+        return value
+
+
+@dataclass(frozen=True)
+class ListOf:
+    """A list whose every element lies in `item`."""
+
+    item: object
+    kinds = (list,)
+
+    def check(self, value, dotted: str):
+        if not isinstance(value, list):
+            raise _bad_type(dotted, "list", value)
+        return [self.item.check(v, f"{dotted}[{i}]")
+                for i, v in enumerate(value)]
+
+
+@dataclass(frozen=True)
+class Pair:
+    """[first, second], e.g. [lag, weight]; `names` name the two."""
+
+    names: tuple
+    first: object
+    second: object
+    kinds = (list,)
+
+    def check(self, value, dotted: str):
+        if not (isinstance(value, list) and len(value) == 2):
+            raise ConfigError(f"{dotted} must be [{', '.join(self.names)}]")
+        return [dom.check(v, f"{dotted} {name}") for dom, name, v in
+                zip((self.first, self.second), self.names, value)]
+
+
+class Weight:
+    """A finite number or a nested list of them: a kernel weight, whose
+    shape the builder checks against dim."""
+
+    kinds = NUM + (list,)
+
+    def check(self, value, dotted: str):
+        if isinstance(value, list):
+            return [self.check(v, dotted) for v in value]
+        return FINITE.check(value, dotted)
+
+
+@dataclass(frozen=True)
+class Ruled:
+    """A leaf whose domain the named rule checks while the run is built,
+    so the messages stay that rule's."""
+
+    rule: str
+    kinds = ()
+
+
 @dataclass(frozen=True)
 class Leaf:
     kinds: tuple
     required: bool = False
     default: object = None
+    domain: object = None
 
 
-def leaf(*kinds, required=False, default=None) -> Leaf:
-    return Leaf(kinds, required, default)
+def leaf(*kinds, required=False, default=None, domain=None) -> Leaf:
+    return Leaf(kinds, required, default, domain)
 
 
 def _check_type(value, spec: Leaf, dotted: str):
-    if isinstance(value, bool) and bool not in spec.kinds:
-        raise ConfigError(f"bad type for {dotted}: expected "
-                          f"{_kind_names(spec)}, got bool")
-    if not isinstance(value, spec.kinds):
-        raise ConfigError(f"bad type for {dotted}: expected "
-                          f"{_kind_names(spec)}, got {type(value).__name__}")
+    if not isinstance(value, spec.kinds) or \
+            (isinstance(value, bool) and bool not in spec.kinds):
+        raise _bad_type(dotted, "/".join(
+            k.__name__ for k in spec.kinds if k is not type(None)), value)
 
 
-def _kind_names(spec: Leaf) -> str:
-    return "/".join(k.__name__ for k in spec.kinds if k is not type(None))
-
-
-def validate_config(cfg: dict, schema: dict, path: str = "") -> dict:
+def validate_config(cfg: dict, schema: dict, path: str = "") -> tuple:
     """Strict validation: unknown keys rejected, required keys enforced,
-    defaults materialized. Returns the fully materialized tree."""
+    defaults materialized, every leaf checked against its domain. Returns
+    the tree twice: with the values as given, which the manifest digests,
+    and with the values as their domains read them."""
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path or 'config'} must be an object")
-    out = {}
     for k in cfg:
         if k not in schema or k == "__optional__":
             dotted = f"{path}.{k}" if path else k
             raise ConfigError(f"unknown key: {dotted}")
+    given, typed = {}, {}
     for k, spec in schema.items():
         if k == "__optional__":
             continue
@@ -93,22 +218,24 @@ def validate_config(cfg: dict, schema: dict, path: str = "") -> dict:
             sub = cfg.get(k)
             if sub is None:
                 if spec.get("__optional__"):
-                    out[k] = None
+                    given[k] = typed[k] = None
                     continue
                 sub = {}
-            out[k] = validate_config(sub, spec, dotted)
+            given[k], typed[k] = validate_config(sub, spec, dotted)
+        # an explicit null stays null where the leaf admits it; a missing
+        # key takes the default
+        elif k not in cfg or (cfg[k] is None and
+                              type(None) not in spec.kinds):
+            if spec.required:
+                raise ConfigError(f"missing key: {dotted}")
+            given[k] = typed[k] = spec.default
         else:
-            # an explicit null stays null where the leaf admits it; a
-            # missing key takes the default
-            if k not in cfg or (cfg[k] is None and
-                                type(None) not in spec.kinds):
-                if spec.required:
-                    raise ConfigError(f"missing key: {dotted}")
-                out[k] = spec.default
-            else:
-                _check_type(cfg[k], spec, dotted)
-                out[k] = cfg[k]
-    return out
+            value = given[k] = typed[k] = cfg[k]
+            _check_type(value, spec, dotted)
+            if spec.domain is not None and \
+                    isinstance(value, spec.domain.kinds):
+                typed[k] = spec.domain.check(value, dotted)
+    return given, typed
 
 
 def _require_version(cfg: dict):
@@ -117,134 +244,190 @@ def _require_version(cfg: dict):
                           f"{cfg.get('schema_version')!r}; this build reads 1")
 
 
-_GRID = {"step_h": leaf(*NUM, required=True),
-         "horizon_T": leaf(*NUM, required=True)}
+CHECK_IDS = ("cond-f", "cond-sigma-high", "cond-sigma-low", "s-epsilon",
+             "fading", "lemma-p-lt-1", "irregular-windows")
+
+_P_AT_LEAST_1 = at_least(1, "exponent p must be >= 1")
+# what each resolvent kind and check id needs beyond its command's schema:
+# every key listed must be set, and lie in the domain given (None: no
+# further domain). The domains are the range of p each check id is stated
+# for, and a nonnegative forcing for the exponential-filter lemma (a named
+# forcing is checked once it is sampled).
+_VARIANTS = {
+    "discrete": {"horizon": None},
+    "differential": {"grid": None},
+    "functional": {"grid": None, "tau": None},
+    "cond-f": {"p": _P_AT_LEAST_1, "function": None, "grid": None},
+    "cond-sigma-high": {"p": at_least(
+        2, "cond-sigma-high is for p >= 2; use cond-sigma-low"),
+        "sigma": None, "grid": None},
+    "cond-sigma-low": {"p": _P_AT_LEAST_1, "sigma": None},
+    "s-epsilon": {"sigma": None},
+    "fading": {"function": None},
+    "lemma-p-lt-1": {"p": Number("a number in (0, 1)", lambda x: 0 < x < 1,
+                                 message="p must lie in (0, 1)"),
+                     "function": NONNEGATIVE},
+    "irregular-windows": {"p": _P_AT_LEAST_1, "function": None,
+                          "breakpoints": None, "spacing_min": None,
+                          "spacing_max": None},
+}
+
+_SEED = leaf(int, default=0, domain=integer(0))
+_VERSION = leaf(int, required=True,
+                domain=Ruled("_require_version: schema_version 1"))
+_DIM = leaf(int, default=1, domain=integer(1))
+_NOISE_DIM = leaf(int, type(None), default=None, domain=integer(1))
+_NORM = leaf(str, default=DEFAULT_NORM, domain=OneOf(NORMS))
+_REALS = leaf(list, type(None), default=None, domain=ListOf(FINITE))
+_CHECKPOINTS = leaf(list, type(None), default=None,
+                    domain=Ruled("evidence.checkpoint_indices"))
+_N_PATHS = leaf(int, default=1, domain=integer(1))
+_WEIGHT = Weight()
+
+# positivity of step_h is GridSpec's rule
+_GRID = {"step_h": leaf(*NUM, required=True, domain=FINITE),
+         "horizon_T": leaf(*NUM, required=True, domain=POSITIVE)}
 
 _THRESHOLDS = {"__optional__": True,
-               "eps_tail": leaf(*NUM, default=1e-2),
-               "eps_abs": leaf(*NUM, default=1e-8),
-               "ratio_div": leaf(*NUM, default=1.5)}
+               "eps_tail": leaf(*NUM, default=1e-2, domain=NONNEGATIVE),
+               "eps_abs": leaf(*NUM, default=1e-8, domain=NONNEGATIVE),
+               "ratio_div": leaf(*NUM, default=1.5, domain=POSITIVE)}
 
-_NOISE = {"family": leaf(str, default="gaussian-iid"),
-          "x1": leaf(*NUM, default=1.0),
-          "x2": leaf(*NUM, default=2.0),
-          "p1": leaf(*NUM, default=0.5),
-          "lo": leaf(*NUM, default=0.0),
-          "hi": leaf(*NUM, default=1.0)}
+# the two-point p1 range and lo < hi are NoiseSpec's rules
+_NOISE = {"family": leaf(str, default="gaussian-iid", domain=OneOf(
+              ("gaussian-iid", "two-point", "uniform"))),
+          "x1": leaf(*NUM, default=1.0, domain=FINITE),
+          "x2": leaf(*NUM, default=2.0, domain=FINITE),
+          "p1": leaf(*NUM, default=0.5, domain=FINITE),
+          "lo": leaf(*NUM, default=0.0, domain=FINITE),
+          "hi": leaf(*NUM, default=1.0, domain=FINITE)}
 
-_SIGNAL = leaf(str, *NUM, type(None), default=None)
+# a corpus name, a constant or nothing
+_SIGNAL = leaf(str, *NUM, type(None), default=None, domain=FINITE)
 
-_KERNEL_SEQ = {"entries": leaf(list, required=True),
-               "tail": leaf(dict, type(None), default=None)}
+# 0 < |ratio| < 1 is GeometricTail's rule
+_TAIL = {"start": leaf(int, required=True, domain=integer(0)),
+         "coeff": leaf(*NUM, list, required=True, domain=_WEIGHT),
+         "ratio": leaf(*NUM, required=True, domain=FINITE)}
 
-_TAIL = {"start": leaf(int, required=True),
-         "coeff": leaf(*NUM, list, required=True),
-         "ratio": leaf(*NUM, required=True)}
+_KERNEL_SEQ = {"entries": leaf(list, required=True, domain=ListOf(
+                   Pair(("lag", "weight"), integer(0), _WEIGHT))),
+               "tail": {"__optional__": True, **_TAIL}}
 
-_MEASURE = {"atoms": leaf(list, default=[]),
-            "density": leaf(dict, type(None), default=None)}
+_DENSITY = {"__optional__": True,
+            "name": leaf(str, *NUM, required=True, domain=FINITE),
+            "start": leaf(*NUM, required=True, domain=FINITE),
+            "step": leaf(*NUM, required=True, domain=POSITIVE),
+            "count": leaf(int, required=True, domain=integer(1)),
+            "scale": leaf(*NUM, default=1.0, domain=FINITE)}
 
-_DENSITY = {"name": leaf(str, *NUM, required=True),
-            "start": leaf(*NUM, required=True),
-            "step": leaf(*NUM, required=True),
-            "count": leaf(int, required=True),
-            "scale": leaf(*NUM, default=1.0)}
+_MEASURE = {"atoms": leaf(list, default=[], domain=ListOf(
+                Pair(("location", "weight"), FINITE, _WEIGHT))),
+            "density": _DENSITY}
+
+# a kernel table, read by the builder of its kind, or the shorthand of
+# the continuous kinds
+_KERNEL = leaf(str, dict, required=True, domain=OneOf(("neg-identity",)))
 
 SCHEMAS = {
     "simulate-discrete": {
-        "schema_version": leaf(int, required=True),
-        "master_seed": leaf(int, default=0),
-        "dim": leaf(int, default=1),
-        "horizon": leaf(int, required=True),
+        "schema_version": _VERSION,
+        "master_seed": _SEED,
+        "dim": _DIM,
+        "horizon": leaf(int, required=True, domain=integer(1)),
         "kernel": _KERNEL_SEQ,
         "forcing": _SIGNAL,
         "diffusion": _SIGNAL,
         "noise": _NOISE,
-        "initial": leaf(list, type(None), default=None),
-        "ensemble": {"n_paths": leaf(int, default=1),
+        "initial": _REALS,
+        "ensemble": {"n_paths": _N_PATHS,
                      "keep_paths": leaf(bool, default=True)},
-        "p": leaf(*NUM, type(None), default=2.0),
-        "checkpoints": leaf(list, type(None), default=None),
-        "norm": leaf(str, default=DEFAULT_NORM),
+        "p": leaf(*NUM, type(None), default=2.0, domain=POSITIVE),
+        "checkpoints": _CHECKPOINTS,
+        "norm": _NORM,
     },
     "simulate-sve": {
-        "schema_version": leaf(int, required=True),
-        "master_seed": leaf(int, default=0),
-        "dim": leaf(int, default=1),
+        "schema_version": _VERSION,
+        "master_seed": _SEED,
+        "dim": _DIM,
         "grid": _GRID,
-        "kernel": leaf(str, dict, required=True),
+        "kernel": _KERNEL,
         "forcing": _SIGNAL,
         "diffusion": _SIGNAL,
-        "initial": leaf(list, type(None), default=None),
-        "noise_dim": leaf(int, type(None), default=None),
-        "ensemble": {"n_paths": leaf(int, default=1),
+        "initial": _REALS,
+        "noise_dim": _NOISE_DIM,
+        "ensemble": {"n_paths": _N_PATHS,
                      "keep_paths": leaf(bool, default=True),
-                     "keep_times": leaf(list, type(None), default=None)},
-        "p": leaf(*NUM, type(None), default=None),
-        "checkpoint_times": leaf(list, type(None), default=None),
-        "norm": leaf(str, default=DEFAULT_NORM),
+                     "keep_times": _REALS},
+        "p": leaf(*NUM, type(None), default=None, domain=POSITIVE),
+        "checkpoint_times": _REALS,
+        "norm": _NORM,
         "thresholds": _THRESHOLDS,
     },
+    # tau > 0 is delay_steps' rule
     "simulate-sfde": {
-        "schema_version": leaf(int, required=True),
-        "master_seed": leaf(int, default=0),
-        "dim": leaf(int, default=1),
+        "schema_version": _VERSION,
+        "master_seed": _SEED,
+        "dim": _DIM,
         "grid": _GRID,
-        "tau": leaf(*NUM, required=True),
+        "tau": leaf(*NUM, required=True, domain=FINITE),
         "kernel": leaf(dict, required=True),
         "history": _SIGNAL,
         "forcing": _SIGNAL,
         "diffusion": _SIGNAL,
-        "noise_dim": leaf(int, type(None), default=None),
-        "ensemble": {"n_paths": leaf(int, default=1),
+        "noise_dim": _NOISE_DIM,
+        "ensemble": {"n_paths": _N_PATHS,
                      "keep_paths": leaf(bool, default=True)},
     },
     "resolvent": {
-        "schema_version": leaf(int, required=True),
-        "kind": leaf(str, required=True),
-        "dim": leaf(int, default=1),
-        "kernel": leaf(str, dict, required=True),
-        "horizon": leaf(int, type(None), default=None),
+        "schema_version": _VERSION,
+        "kind": leaf(str, required=True, domain=OneOf(
+            ("discrete", "differential", "functional"))),
+        "dim": _DIM,
+        "kernel": _KERNEL,
+        "horizon": leaf(int, type(None), default=None, domain=integer(0)),
         "grid": {"__optional__": True, **_GRID},
-        "tau": leaf(*NUM, type(None), default=None),
+        "tau": leaf(*NUM, type(None), default=None, domain=FINITE),
     },
     "check": {
-        "schema_version": leaf(int, required=True),
-        "master_seed": leaf(int, default=0),
-        "condition": leaf(str, required=True),
+        "schema_version": _VERSION,
+        "master_seed": _SEED,
+        "condition": leaf(str, required=True, domain=OneOf(
+            CHECK_IDS, "unknown condition id '{value}'; known: {known}")),
         "function": _SIGNAL,
         "sigma": _SIGNAL,
-        "p": leaf(*NUM, default=2.0),
+        "p": leaf(*NUM, default=2.0, domain=FINITE),
         "grid": {"__optional__": True, **_GRID},
-        "thetas": leaf(list, type(None), default=None),
-        "quad_step": leaf(*NUM, type(None), default=None),
-        "checkpoint_times": leaf(list, type(None), default=None),
-        "checkpoints": leaf(list, type(None), default=None),
-        "n_windows": leaf(int, default=512),
-        "window_step": leaf(*NUM, default=1e-3),
-        "eps": leaf(list, type(None), default=None),
-        "filter_rate": leaf(*NUM, default=1.0),
-        "horizon": leaf(int, default=64),
-        "step_h": leaf(*NUM, default=2e-4),
-        "breakpoints": leaf(list, type(None), default=None),
-        "spacing_min": leaf(*NUM, type(None), default=None),
-        "spacing_max": leaf(*NUM, type(None), default=None),
-        "segment_times": leaf(list, type(None), default=None),
-        "fading_step": leaf(*NUM, default=1e-5),
-        "tol": leaf(*NUM, default=1e-2),
+        "thetas": leaf(list, type(None), default=None,
+                       domain=ListOf(POSITIVE)),
+        "quad_step": leaf(*NUM, type(None), default=None, domain=POSITIVE),
+        "checkpoint_times": _REALS,
+        "checkpoints": _CHECKPOINTS,
+        "n_windows": leaf(int, default=512, domain=integer(1)),
+        "window_step": leaf(*NUM, default=1e-3, domain=POSITIVE),
+        "eps": leaf(list, type(None), default=None, domain=ListOf(POSITIVE)),
+        "filter_rate": leaf(*NUM, default=1.0, domain=POSITIVE),
+        "horizon": leaf(int, default=64, domain=integer(1)),
+        "step_h": leaf(*NUM, default=2e-4, domain=POSITIVE),
+        "breakpoints": _REALS,
+        "spacing_min": leaf(*NUM, type(None), default=None, domain=POSITIVE),
+        "spacing_max": leaf(*NUM, type(None), default=None, domain=POSITIVE),
+        "segment_times": _REALS,
+        "fading_step": leaf(*NUM, default=1e-5, domain=POSITIVE),
+        "tol": leaf(*NUM, default=1e-2, domain=POSITIVE),
         "thresholds": _THRESHOLDS,
     },
     "sweep": {
-        "schema_version": leaf(int, required=True),
-        "command": leaf(str, required=True),
+        "schema_version": _VERSION,
+        "command": leaf(str, required=True, domain=OneOf(
+            ("simulate-discrete", "simulate-sve", "simulate-sfde",
+             "resolvent", "check"))),
         "param": leaf(str, required=True),
-        "values": leaf(list, required=True),
+        "values": leaf(list, required=True,
+                       domain=Ruled("the schema of each run's config")),
         "base": leaf(dict, required=True),
     },
 }
-
-CHECK_IDS = ("cond-f", "cond-sigma-high", "cond-sigma-low", "s-epsilon",
-             "fading", "lemma-p-lt-1", "irregular-windows")
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +454,7 @@ def _signal(spec, what: str):
             return corpus.resolve(spec)
         except Exception as exc:
             raise ConfigError(f"bad {what} '{spec}': {exc}") from exc
-    return corpus.ConstFamily(float(spec))
+    return corpus.ConstFamily(spec)
 
 
 def _matrix(entry, d: int, what: str) -> np.ndarray:
@@ -288,68 +471,45 @@ def _matrix(entry, d: int, what: str) -> np.ndarray:
 def _discrete_kernel(spec, d: int) -> MatrixKernelSeq:
     # reached both through the validated simulate-discrete schema and the
     # resolvent command, whose kernel field is free-form; validate here too
-    if not isinstance(spec, dict):
-        raise ConfigError("kernel must be a table with 'entries'")
-    spec = validate_config(spec, _KERNEL_SEQ, "kernel")
+    spec = validate_config(spec, _KERNEL_SEQ, "kernel")[1]
     entries = {}
-    for i, item in enumerate(spec["entries"]):
-        if not (isinstance(item, (list, tuple)) and len(item) == 2):
-            raise ConfigError("kernel.entries items must be [lag, weight]")
-        lag, w = item
-        _check_type(lag, leaf(int), f"kernel.entries[{i}] lag")
+    for lag, w in spec["entries"]:
         entries[lag] = entries.get(lag, 0.0) + _matrix(w, d, "kernel.entries")
-    tail = None
-    if spec["tail"] is not None:
-        t = validate_config(spec["tail"], _TAIL, "kernel.tail")
-        tail = GeometricTail(t["start"],
-                             _matrix(t["coeff"], d, "kernel.tail.coeff"),
-                             float(t["ratio"]))
+    t = spec["tail"]
+    tail = None if t is None else GeometricTail(
+        t["start"], _matrix(t["coeff"], d, "kernel.tail.coeff"), t["ratio"])
     return MatrixKernelSeq(d, entries, tail)
 
 
 def _measure(spec, d: int, what: str = "kernel") -> SignedMeasureRepr:
     if spec == "neg-identity":
         return neg_identity_point_mass(d)
-    if not isinstance(spec, dict):
-        raise ConfigError(f"{what} must be 'neg-identity' or a table")
-    spec = validate_config(spec, _MEASURE, what)
-    atoms = []
-    for item in spec["atoms"]:
-        if not (isinstance(item, (list, tuple)) and len(item) == 2):
-            raise ConfigError(f"{what}.atoms items must be [location, weight]")
-        loc, w = item
-        atoms.append((float(loc), _matrix(w, d, f"{what}.atoms")))
+    spec = validate_config(spec, _MEASURE, what)[1]
+    atoms = tuple((loc, _matrix(w, d, f"{what}.atoms"))
+                  for loc, w in spec["atoms"])
     density = None
-    if spec["density"] is not None:
-        dspec = validate_config(spec["density"], _DENSITY, f"{what}.density")
+    dspec = spec["density"]
+    if dspec is not None:
         if d != 1:
             raise ConfigError(f"{what}.density supports dim = 1 only")
         fn = _signal(dspec["name"], f"{what}.density.name")
-        start, step = float(dspec["start"]), float(dspec["step"])
-        count = dspec["count"]
-        cells = float(dspec["scale"]) * np.asarray(
+        start, step, count = dspec["start"], dspec["step"], dspec["count"]
+        cells = dspec["scale"] * np.asarray(
             fn(start + step * np.arange(count)), float)
         density = DensitySample(start, step, cells.reshape(count, 1, 1))
-    return SignedMeasureRepr(d, tuple(atoms), density)
+    return SignedMeasureRepr(d, atoms, density)
 
 
 def _noise(spec: dict, m: int) -> NoiseSpec:
-    fam = spec["family"]
-    if fam == "gaussian-iid":
-        return NoiseSpec.gaussian(m)
-    if fam == "two-point":
-        return NoiseSpec.two_point(float(spec["x1"]), float(spec["x2"]),
-                                   float(spec["p1"]), m)
-    if fam == "uniform":
-        return NoiseSpec.uniform(float(spec["lo"]), float(spec["hi"]), m)
-    raise ConfigError(f"unknown noise family '{fam}'")
+    if spec["family"] == "two-point":
+        return NoiseSpec.two_point(spec["x1"], spec["x2"], spec["p1"], m)
+    if spec["family"] == "uniform":
+        return NoiseSpec.uniform(spec["lo"], spec["hi"], m)
+    return NoiseSpec.gaussian(m)
 
 
 def _thresholds(spec) -> TailThresholds:
-    if not spec:
-        return TailThresholds()
-    return TailThresholds(float(spec["eps_tail"]), float(spec["eps_abs"]),
-                          float(spec["ratio_div"]))
+    return TailThresholds(**spec) if spec else TailThresholds()
 
 
 # ---------------------------------------------------------------------------
@@ -384,16 +544,9 @@ def _write_csv(path: str, header, rows):
         w.writerows(rows)
 
 
-def _write_manifest(out_dir: str, master_seed: int, cfg: dict):
-    man = RunManifest(master_seed=int(master_seed),
-                      config_digest=config_digest(cfg))
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-        fh.write(man.to_json())
-
-
 def _write_json(path: str, obj):
     with open(path, "w") as fh:
-        if isinstance(obj, EvidenceReport):
+        if isinstance(obj, (EvidenceReport, RunManifest)):
             fh.write(obj.to_json())
         else:
             json.dump(obj, fh, sort_keys=True, indent=2)
@@ -406,13 +559,13 @@ def _ensure_finite(arr: np.ndarray, what: str):
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers (each takes the materialized config and the CLI args)
+# subcommand handlers: each takes the typed config, the output directory and
+# the thread count, and writes its outputs; _run writes the manifest once a
+# handler returns
 
-def cmd_simulate_discrete(cfg: dict, out_dir: str, threads: int) -> int:
-    d = int(cfg["dim"])
-    N = int(cfg["horizon"])
-    seed = int(cfg["master_seed"])
-    M = int(cfg["ensemble"]["n_paths"])
+def cmd_simulate_discrete(cfg: dict, out_dir: str, threads: int):
+    d, N, seed = cfg["dim"], cfg["horizon"], cfg["master_seed"]
+    M = cfg["ensemble"]["n_paths"]
     p = cfg["p"]
     cps = cfg["checkpoints"]
     short = []
@@ -433,10 +586,10 @@ def cmd_simulate_discrete(cfg: dict, out_dir: str, threads: int) -> int:
         if cps is not None:
             checkpoint_indices(cps, N, "checkpoints")
         elif p is not None:
-            cps = [N // 4, N // 2, N]
+            cps = default_checkpoints(N)
         if p is not None:
-            if M < 30:
-                short.append("fewer than 30 paths")
+            if M < discrete.MIN_TAIL_PATHS:
+                short.append(f"fewer than {discrete.MIN_TAIL_PATHS} paths")
             if len(cps) < 2:
                 short.append("fewer than 2 checkpoints")
             if not short:
@@ -447,7 +600,7 @@ def cmd_simulate_discrete(cfg: dict, out_dir: str, threads: int) -> int:
         x0, xi = discrete.draw_noise(sys_, rng_stream(seed, i))
         X = discrete.simulate_direct(sys_, xi, x0)
         _ensure_finite(X, f"path {i}")
-        S = None if p is None else discrete.lp_partial_sums(X, float(p), norm)
+        S = None if p is None else discrete.lp_partial_sums(X, p, norm)
         return X, S
 
     results = run_paths(M, one, threads)
@@ -472,18 +625,14 @@ def cmd_simulate_discrete(cfg: dict, out_dir: str, threads: int) -> int:
             report = discrete.tail_decision(
                 [S[:cps[-1] + 1] for _, S in results], half_index=cps[-2])
         _write_json(os.path.join(out_dir, "evidence.json"), report)
-    _write_manifest(out_dir, seed, cfg)
-    return EXIT_OK
 
 
-def cmd_simulate_sve(cfg: dict, out_dir: str, threads: int) -> int:
-    d = int(cfg["dim"])
-    p = cfg["p"]
+def cmd_simulate_sve(cfg: dict, out_dir: str, threads: int):
+    d, seed, p = cfg["dim"], cfg["master_seed"], cfg["p"]
     cps = cfg["checkpoint_times"]
     keep_times = cfg["ensemble"]["keep_times"]
     with _building():
-        grid = GridSpec(float(cfg["grid"]["step_h"]),
-                        float(cfg["grid"]["horizon_T"]))
+        grid = GridSpec(**cfg["grid"])
         nu = _measure(cfg["kernel"], d)
         sys_ = continuous.ContinuousSystem(
             nu, grid, _signal(cfg["forcing"], "forcing"),
@@ -492,12 +641,11 @@ def cmd_simulate_sve(cfg: dict, out_dir: str, threads: int) -> int:
             np.asarray(cfg["initial"], float),
             cfg["noise_dim"])
         if cps is None and p is not None:
-            cps = [grid.horizon_T / k for k in (4, 2, 1)]
+            cps = default_checkpoint_times(grid.horizon_T)
         cp_idx = None if p is None else continuous.tail_checkpoints(grid, cps)
         keep_idx = None if keep_times is None else \
-            [grid.index_at(float(t)) for t in keep_times]
-    seed = int(cfg["master_seed"])
-    M = int(cfg["ensemble"]["n_paths"])
+            [grid.index_at(t) for t in keep_times]
+    M = cfg["ensemble"]["n_paths"]
     norm = cfg["norm"]
 
     def reduce(i: int, X: np.ndarray):
@@ -505,7 +653,7 @@ def cmd_simulate_sve(cfg: dict, out_dir: str, threads: int) -> int:
         kept = X if keep_idx is None else X[keep_idx]
         S = None
         if p is not None:
-            cum = continuous.lp_time_integral(X, float(p), grid, norm)
+            cum = continuous.lp_time_integral(X, p, grid, norm)
             S = [float(cum[k]) for k in cp_idx]
         return kept, S
 
@@ -522,109 +670,73 @@ def cmd_simulate_sve(cfg: dict, out_dir: str, threads: int) -> int:
                      np.column_stack([np.tile(np.asarray(cps, float), M),
                                       np.ravel([S for _, S in results])]))
         report = continuous.ensemble_lp_tail_report(
-            np.array([S for _, S in results]), float(p), cps, seed, norm,
+            np.array([S for _, S in results]), p, cps, seed, norm,
             _thresholds(cfg["thresholds"]))
         _write_json(os.path.join(out_dir, "evidence.json"), report)
-    _write_manifest(out_dir, seed, cfg)
-    return EXIT_OK
 
 
-def cmd_simulate_sfde(cfg: dict, out_dir: str, threads: int) -> int:
-    d = int(cfg["dim"])
-    psi = cfg["history"]
+def cmd_simulate_sfde(cfg: dict, out_dir: str, threads: int):
+    d, psi = cfg["dim"], cfg["history"]
     with _building():
-        grid = GridSpec(float(cfg["grid"]["step_h"]),
-                        float(cfg["grid"]["horizon_T"]))
+        grid = GridSpec(**cfg["grid"])
         mu = _measure(cfg["kernel"], d)
         psi_arg = _signal(psi, "history") if isinstance(psi, str) else \
-            (0.0 if psi is None else float(psi))
-        sys_ = continuous.DelaySystem(mu, float(cfg["tau"]), psi_arg, grid,
+            (0.0 if psi is None else psi)
+        sys_ = continuous.DelaySystem(mu, cfg["tau"], psi_arg, grid,
                                       _signal(cfg["forcing"], "forcing"),
                                       _signal(cfg["diffusion"], "diffusion"),
                                       cfg["noise_dim"])
-    seed = int(cfg["master_seed"])
-    M = int(cfg["ensemble"]["n_paths"])
 
     def reduce(i: int, X: np.ndarray):
         _ensure_finite(X, f"path {i}")
         return X
 
-    results = continuous.ensemble(sys_, seed, M, reduce, threads)
+    results = continuous.ensemble(sys_, cfg["master_seed"],
+                                  cfg["ensemble"]["n_paths"], reduce, threads)
     if cfg["ensemble"]["keep_paths"]:
         _write_paths(out_dir, d, sys_.times(), results)
-    _write_manifest(out_dir, seed, cfg)
-    return EXIT_OK
 
 
-def cmd_resolvent(cfg: dict, out_dir: str) -> int:
-    kind = cfg["kind"]
-    d = int(cfg["dim"])
+def cmd_resolvent(cfg: dict, out_dir: str, threads: int):
+    kind, d = cfg["kind"], cfg["dim"]
     cols = [f"r_{i+1}{j+1}" for i in range(d) for j in range(d)]
     if kind == "discrete":
-        if cfg["horizon"] is None:
-            raise ConfigError("missing key: horizon")
         with _building():
             kernel = _discrete_kernel(cfg["kernel"], d)
-        R = discrete.resolvent_seq(kernel, int(cfg["horizon"]))
+        R = discrete.resolvent_seq(kernel, cfg["horizon"])
         _write_table(os.path.join(out_dir, "resolvent.csv"), ["n"] + cols,
                      [np.arange(len(R))], R.reshape(len(R), d * d))
-    elif kind in ("differential", "functional"):
-        if cfg["grid"] is None:
-            raise ConfigError("missing key: grid.step_h")
-        if kind == "functional" and cfg["tau"] is None:
-            raise ConfigError("missing key: tau")
-        with _building():
-            grid = GridSpec(float(cfg["grid"]["step_h"]),
-                            float(cfg["grid"]["horizon_T"]))
-            mu = _measure(cfg["kernel"], d)
-            if kind == "functional":
-                continuous.delay_steps(mu, float(cfg["tau"]), grid)
-            elif mu.negative_support:
-                raise ConfigError("differential resolvent takes a kernel "
-                                  "on [0, inf)")
-            # snaps the atoms: one off the grid is a config error
-            CompiledMeasure(mu, grid)
-        if kind == "differential":
-            r = continuous.differential_resolvent(mu, grid)
-        else:
-            r = continuous.functional_resolvent(mu, float(cfg["tau"]), grid)
-        _write_table(os.path.join(out_dir, "resolvent.csv"), ["t"] + cols, [],
-                     np.column_stack([grid.times(), r.reshape(len(r), d * d)]))
+        return
+    with _building():
+        grid = GridSpec(**cfg["grid"])
+        mu = _measure(cfg["kernel"], d)
+        if kind == "functional":
+            continuous.delay_steps(mu, cfg["tau"], grid)
+        elif mu.negative_support:
+            raise ConfigError("differential resolvent takes a kernel "
+                              "on [0, inf)")
+        # snaps the atoms: one off the grid is a config error
+        CompiledMeasure(mu, grid)
+    if kind == "differential":
+        r = continuous.differential_resolvent(mu, grid)
     else:
-        raise ConfigError(f"unknown resolvent kind '{kind}'")
-    _write_manifest(out_dir, 0, cfg)
-    return EXIT_OK
+        r = continuous.functional_resolvent(mu, cfg["tau"], grid)
+    _write_table(os.path.join(out_dir, "resolvent.csv"), ["t"] + cols, [],
+                 np.column_stack([grid.times(), r.reshape(len(r), d * d)]))
 
 
-def cmd_check(cfg: dict, out_dir: str) -> int:
+def cmd_check(cfg: dict, out_dir: str, threads: int):
     cond = cfg["condition"]
-    if cond not in CHECK_IDS:
-        raise ConfigError(f"unknown condition id '{cond}'; "
-                          f"known: {', '.join(CHECK_IDS)}")
     th = _thresholds(cfg["thresholds"])
     thetas = cfg["thetas"] if cfg["thetas"] is not None else \
         list(conditions.DEFAULT_THETAS)
-    p = float(cfg["p"])
-    # the exponent range each id is stated for; s-epsilon and fading read no p
-    if cond in ("cond-f", "cond-sigma-low", "irregular-windows") and not p >= 1:
-        raise ConfigError("exponent p must be >= 1")
-    if cond == "cond-sigma-high" and not p >= 2:
-        raise ConfigError("cond-sigma-high is for p >= 2; use cond-sigma-low")
-    if cond == "lemma-p-lt-1" and not 0 < p < 1:
-        raise ConfigError("p must lie in (0, 1)")
-
-    def need(key):
-        if cfg.get(key) is None:
-            raise ConfigError(f"missing key: {key}")
-        return cfg[key]
-
+    p = cfg["p"]
     key = "sigma" if "sigma" in cond or cond == "s-epsilon" else "function"
-    fn = _signal(need(key), key)
+    fn = _signal(cfg[key], key)
     if cond in ("cond-f", "cond-sigma-high"):
-        gspec = need("grid")
         cpt = cfg["checkpoint_times"]
         with _building():
-            grid = GridSpec(float(gspec["step_h"]), float(gspec["horizon_T"]))
+            grid = GridSpec(**cfg["grid"])
             conditions.window_widths(thetas, grid, cfg["quad_step"])
             if cpt is not None:
                 time_checkpoints(cpt, grid)
@@ -632,52 +744,45 @@ def cmd_check(cfg: dict, out_dir: str) -> int:
             else conditions.diffusion_window_evidence
         report = evidence(fn, p, grid, thetas, cfg["quad_step"], cpt, th)
     elif cond in ("cond-sigma-low", "s-epsilon"):
-        n_windows = int(cfg["n_windows"])
+        n_windows, step = cfg["n_windows"], cfg["window_step"]
         with _building():
             conditions.unit_window_checkpoints(n_windows, cfg["checkpoints"])
-            conditions.divisions(1.0, float(cfg["window_step"]),
-                                 "window_step must divide 1")
+            conditions.divisions(1.0, step, "window_step must divide 1")
         if cond == "cond-sigma-low":
             report = conditions.unit_window_evidence(
-                fn, p, n_windows, float(cfg["window_step"]),
-                cfg["checkpoints"], th)
+                fn, p, n_windows, step, cfg["checkpoints"], th)
         else:
-            eps = cfg["eps"] if cfg["eps"] is not None else [0.1, 1.0]
             report = conditions.gaussian_exceedance_series(
-                fn, [float(e) for e in eps], n_windows,
-                quad_step=float(cfg["window_step"]),
-                checkpoints=cfg["checkpoints"], thresholds=th)
+                fn, cfg["eps"] if cfg["eps"] is not None else [0.1, 1.0],
+                n_windows, quad_step=step, checkpoints=cfg["checkpoints"],
+                thresholds=th)
     elif cond == "fading":
         seg = cfg["segment_times"] if cfg["segment_times"] is not None else \
             (2.0, 6.0, 10.0, 14.0, 18.0, 20.0)
         with _building():
-            grid, _ = conditions.segment_grid(seg, float(cfg["fading_step"]))
+            grid, _ = conditions.segment_grid(seg, cfg["fading_step"])
             conditions.window_widths(thetas, grid)
         report = conditions.window_fading_evidence(
-            fn, thetas, seg, float(cfg["fading_step"]), float(cfg["tol"]), th)
+            fn, thetas, seg, cfg["fading_step"], cfg["tol"], th)
     elif cond == "lemma-p-lt-1":
         with _building():
-            conditions.divisions(1.0, float(cfg["step_h"]),
-                                 "step_h must divide 1")
+            conditions.divisions(1.0, cfg["step_h"], "step_h must divide 1")
         pair = conditions.exp_filter_equivalence(
-            fn, float(cfg["filter_rate"]), p, int(cfg["horizon"]),
-            float(cfg["step_h"]), th)
+            fn, cfg["filter_rate"], p, cfg["horizon"], cfg["step_h"], th)
         report = {"integral": pair.integral_report.to_dict(),
                   "windows": pair.window_report.to_dict(),
                   "agree": pair.agree}
     else:  # irregular-windows
-        bps = need("breakpoints")
+        bps, alpha, beta = (cfg[k] for k in
+                            ("breakpoints", "spacing_min", "spacing_max"))
+        with _building():
+            conditions.irregular_breakpoints(bps, alpha, beta)
         windows, sums = conditions.irregular_window_sums(
-            fn, [float(b) for b in bps], p,
-            alpha=float(need("spacing_min")), beta=float(need("spacing_max")),
-            quad_step=float(cfg["window_step"]))
+            fn, bps, p, alpha=alpha, beta=beta, quad_step=cfg["window_step"])
         report = {"condition_id": "irregular-windows",
-                  "windows": [float(w) for w in windows],
-                  "partial_sums": [float(s) for s in sums]}
+                  "windows": windows.tolist(), "partial_sums": sums.tolist()}
 
     _write_json(os.path.join(out_dir, "report.json"), report)
-    _write_manifest(out_dir, int(cfg["master_seed"]), cfg)
-    return EXIT_OK
 
 
 def cmd_reproduce(experiment: str, out_dir: str, list_only: bool) -> int:
@@ -702,48 +807,60 @@ def cmd_reproduce(experiment: str, out_dir: str, list_only: bool) -> int:
     return EXIT_OK if ok else EXIT_TABLE_FAIL
 
 
-def cmd_sweep(cfg: dict, out_dir: str, threads: int) -> int:
-    command = cfg["command"]
-    if command not in ("simulate-discrete", "simulate-sve", "simulate-sfde",
-                       "resolvent", "check"):
-        raise ConfigError(f"sweep cannot drive '{command}'")
+def cmd_sweep(cfg: dict, out_dir: str, threads: int):
+    # every member config is validated before the first run
     dotted = cfg["param"].split(".")
-    for idx, value in enumerate(cfg["values"]):
+    members = []
+    for value in cfg["values"]:
         sub = copy.deepcopy(cfg["base"])
         node = sub
         for part in dotted[:-1]:
             node = node.setdefault(part, {})
         node[dotted[-1]] = value
+        members.append(_prepare(cfg["command"], sub, None))
+    for idx, (sub, digest) in enumerate(members):
         sub_dir = os.path.join(out_dir, f"{idx:03d}")
         os.makedirs(sub_dir, exist_ok=True)
-        code = _dispatch_config(command, sub, sub_dir, threads, None)
-        if code != EXIT_OK:
-            return code
-    return EXIT_OK
+        _run(cfg["command"], sub, digest, sub_dir, threads)
 
 
 # ---------------------------------------------------------------------------
 # dispatch
 
-def _dispatch_config(command: str, raw_cfg: dict, out_dir: str, threads: int,
-                     seed_override: Optional[int]) -> int:
+_HANDLERS = {"simulate-discrete": cmd_simulate_discrete,
+             "simulate-sve": cmd_simulate_sve,
+             "simulate-sfde": cmd_simulate_sfde,
+             "resolvent": cmd_resolvent,
+             "check": cmd_check,
+             "sweep": cmd_sweep}
+
+
+def _prepare(command: str, raw_cfg: dict, seed_override: Optional[int]):
+    """(typed config, digest): the digest is of the config as given, with
+    its defaults and any --seed, and None for a sweep, whose top directory
+    gets no manifest."""
     _require_version(raw_cfg)
-    cfg = validate_config(raw_cfg, SCHEMAS[command])
-    if seed_override is not None and "master_seed" in cfg:
-        cfg["master_seed"] = int(seed_override)
-    if command == "simulate-discrete":
-        return cmd_simulate_discrete(cfg, out_dir, threads)
-    if command == "simulate-sve":
-        return cmd_simulate_sve(cfg, out_dir, threads)
-    if command == "simulate-sfde":
-        return cmd_simulate_sfde(cfg, out_dir, threads)
-    if command == "resolvent":
-        return cmd_resolvent(cfg, out_dir)
-    if command == "check":
-        return cmd_check(cfg, out_dir)
-    if command == "sweep":
-        return cmd_sweep(cfg, out_dir, threads)
-    raise ConfigError(f"unknown command '{command}'")
+    schema = SCHEMAS[command]
+    if seed_override is not None and "master_seed" in schema:
+        raw_cfg = {**raw_cfg, "master_seed": seed_override}
+    given, cfg = validate_config(raw_cfg, schema)
+    for key, domain in _VARIANTS.get(
+            cfg.get("kind") or cfg.get("condition"), {}).items():
+        if cfg[key] is None:
+            raise ConfigError(f"missing key: {key}")
+        if domain is not None and isinstance(cfg[key], domain.kinds):
+            domain.check(cfg[key], key)
+    with _building():  # a NaN where no domain looks is caught here
+        return cfg, None if command == "sweep" else config_digest(given)
+
+
+def _run(command: str, cfg: dict, digest: Optional[str], out_dir: str,
+         threads: int) -> int:
+    _HANDLERS[command](cfg, out_dir, threads)
+    if digest is not None:
+        _write_json(os.path.join(out_dir, "manifest.json"), RunManifest(
+            master_seed=cfg.get("master_seed", 0), config_digest=digest))
+    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -752,8 +869,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Simulators and admissibility checks for kernel-driven "
                     "stochastic systems.")
     sub = ap.add_subparsers(dest="command", required=True)
-    for name in ("simulate-discrete", "simulate-sve", "simulate-sfde",
-                 "resolvent", "check", "sweep"):
+    for name in SCHEMAS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--seed", type=int, default=None,
@@ -781,18 +897,13 @@ def main(argv=None) -> int:
             return cmd_reproduce(args.experiment, out_dir, args.list_only)
         with open(args.config) as fh:
             raw_cfg = json.load(fh)
-        return _dispatch_config(args.command, raw_cfg, out_dir, args.threads,
-                                args.seed)
-    except ConfigError as exc:
+        cfg, digest = _prepare(args.command, raw_cfg, args.seed)
+        return _run(args.command, cfg, digest, out_dir, args.threads)
+    except (ConfigError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (FileNotFoundError, json.JSONDecodeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (NumericFailure, FloatingPointError, np.linalg.LinAlgError) as exc:
-        print(f"numeric error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except (ValueError, RuntimeError, OverflowError) as exc:
+    except (ValueError, RuntimeError, FloatingPointError,
+            OverflowError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -25,7 +25,8 @@ from scipy.signal import lfilter
 from .core import GridSpec
 from .evidence import (DIVERGENT, INCONCLUSIVE, SATISFIED, SUMMABLE, VIOLATED,
                        EvidenceReport, TailThresholds, as_condition_verdict,
-                       checkpoint_indices, tail_verdict, time_checkpoints,
+                       checkpoint_indices, default_checkpoint_times,
+                       default_checkpoints, tail_verdict, time_checkpoints,
                        worst_verdict)
 from .quad import trapezoid_refined
 
@@ -129,6 +130,12 @@ def window_integral(f: Callable, theta: float, grid: GridSpec,
     return window_profiles(f, (theta,), grid, quad_step)[0]
 
 
+def _few(checkpoints) -> dict:
+    """The reason a report reads inconclusive below three checkpoints."""
+    return {} if len(checkpoints) >= 3 else \
+        {"reason": "fewer than 3 checkpoints"}
+
+
 def profile_lp_evidence(profile: WindowProfile, p: float,
                         checkpoint_times: Optional[Sequence[float]] = None,
                         thresholds: TailThresholds = TailThresholds()
@@ -142,7 +149,7 @@ def profile_lp_evidence(profile: WindowProfile, p: float,
         raise ValueError("exponent p must be >= 1")
     grid = profile.grid
     if checkpoint_times is None:
-        checkpoint_times = [grid.horizon_T / k for k in (4, 2, 1)]
+        checkpoint_times = default_checkpoint_times(grid.horizon_T)
     else:
         time_checkpoints(checkpoint_times, grid)
     cps = [float(t) for t in checkpoint_times]
@@ -153,8 +160,7 @@ def profile_lp_evidence(profile: WindowProfile, p: float,
     params = {"theta": profile.theta, "p": p, "quad_step": profile.quad_step}
     if len(cps) < 3:
         return EvidenceReport("window-lp-integral", params, tuple(cps),
-                              {"checkpoint_values": at,
-                               "reason": "fewer than 3 checkpoints"},
+                              {"checkpoint_values": at, **_few(cps)},
                               thresholds.as_dict(), INCONCLUSIVE)
     verdict = as_condition_verdict(tail_verdict(at[-2], at[-1], thresholds))
     diagnostics = {
@@ -264,7 +270,7 @@ def unit_window_evidence(sigma: Callable, p: float, n_windows: int,
         tuple(cps),
         {"checkpoint_values": at,
          "tail_increment": at[-1] - at[-2] if len(at) > 1 else None,
-         "first_windows": [float(x) for x in I[:8]]},
+         "first_windows": [float(x) for x in I[:8]], **_few(cps)},
         thresholds.as_dict(), verdict)
 
 
@@ -324,7 +330,7 @@ def gaussian_exceedance_series(sigma: Optional[Callable] = None,
         "exceedance-series",
         {"eps_list": [float(e) for e in eps_list], "n_windows": len(windows),
          "quad_step": quad_step},
-        tuple(cps), {"per_eps": per}, thresholds.as_dict(),
+        tuple(cps), {"per_eps": per, **_few(cps)}, thresholds.as_dict(),
         worst_verdict(e["verdict"] for e in per))
 
 
@@ -372,7 +378,7 @@ def exp_filter_equivalence(f: Callable, beta: float, p: float, horizon: int,
     windows = fv.reshape(horizon, k).sum(axis=1) * h
     wsums = np.concatenate([[0.0], np.cumsum(windows ** p)])
 
-    cps = [horizon // 4, horizon // 2, horizon]
+    cps = default_checkpoints(horizon)
     at_int = [float(cum[c * k]) for c in cps]
     at_win = [float(wsums[c]) for c in cps]
     v_int = tail_verdict(at_int[-2], at_int[-1], thresholds)
@@ -390,18 +396,11 @@ def exp_filter_equivalence(f: Callable, beta: float, p: float, horizon: int,
 # ---------------------------------------------------------------------------
 # irregular windows and fading windows
 
-def irregular_window_sums(f: Callable, breakpoints: Sequence[float],
-                          p: float = 1.0, *, alpha: float, beta: float,
-                          quad_step: float = 1e-3,
-                          refine_points: Sequence[float] = ()):
-    """Partial sums of (integral_{a_n}^{a_{n+1}} f)^p over a breakpoint
-    sequence with a_0 = 0 and spacings inside [alpha, beta].
-
-    Returns (windows, partial_sums); partial_sums[k] covers the first k
-    windows. Spacing violations name the offending index.
-    """
-    if p < 1:
-        raise ValueError("exponent p must be >= 1")
+def irregular_breakpoints(breakpoints: Sequence[float], alpha: float,
+                          beta: float) -> np.ndarray:
+    """The breakpoints as an array; raises ValueError, before any
+    evaluation, unless there are two or more, the first is 0 and every
+    spacing lies inside [alpha, beta], naming the offending index."""
     a = np.asarray(breakpoints, float)
     if a.size < 2:
         raise ValueError("need at least two breakpoints")
@@ -415,6 +414,22 @@ def irregular_window_sums(f: Callable, breakpoints: Sequence[float],
         raise ValueError(
             f"window spacing at index {i} is {gaps[i]:g}, "
             f"outside [{alpha:g}, {beta:g}]")
+    return a
+
+
+def irregular_window_sums(f: Callable, breakpoints: Sequence[float],
+                          p: float = 1.0, *, alpha: float, beta: float,
+                          quad_step: float = 1e-3,
+                          refine_points: Sequence[float] = ()):
+    """Partial sums of (integral_{a_n}^{a_{n+1}} f)^p over a breakpoint
+    sequence with a_0 = 0 and spacings inside [alpha, beta].
+
+    Returns (windows, partial_sums); partial_sums[k] covers the first k
+    windows. Spacing violations name the offending index.
+    """
+    if p < 1:
+        raise ValueError("exponent p must be >= 1")
+    a = irregular_breakpoints(breakpoints, alpha, beta)
     windows = np.array([
         trapezoid_refined(f, a[i], a[i + 1], quad_step, refine_points)
         for i in range(len(a) - 1)])
@@ -426,12 +441,15 @@ def segment_grid(segment_times: Sequence[float], step_h: float
                  ) -> tuple[GridSpec, list[int]]:
     """Grid of step step_h up to the last segment time, and the grid index
     of every segment time; raises ValueError unless the times are strictly
-    increasing grid nodes."""
+    increasing grid nodes, no two on the same node."""
     times = [float(x) for x in segment_times]
     if len(times) < 2 or any(b <= a for a, b in zip(times, times[1:])):
         raise ValueError("segment times must be strictly increasing")
     grid = GridSpec(step_h, times[-1])
-    return grid, [grid.index_at(x) for x in times]
+    idx = [grid.index_at(x) for x in times]
+    if any(b <= a for a, b in zip(idx, idx[1:])):
+        raise ValueError("segment times must fall on distinct grid nodes")
+    return grid, idx
 
 
 def window_fading_evidence(f: Callable, thetas: Sequence[float] = (0.5, 1.0, 2.0),

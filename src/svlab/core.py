@@ -44,6 +44,7 @@ from .quad import adaptive_simpson
 
 ARTIFACT_VERSION = "0.1.0"
 DEFAULT_NORM = "max"
+NORMS = ("max", "sum", "euclid")  # the kinds vector_norm takes
 SOLVE_BLOCK = 64
 
 

@@ -27,6 +27,9 @@ from .core import (DEFAULT_NORM, MatrixKernelSeq, NoiseSpec, ScalarLaw,
                    lag_slab, lag_solve, rng_stream, vector_norm)
 from .evidence import (EvidenceReport, TailThresholds, median_tail_verdict)
 
+# the fewest paths an ensemble tail verdict reads
+MIN_TAIL_PATHS = 30
+
 
 def resolvent_seq(kernel: MatrixKernelSeq, n_max: int) -> np.ndarray:
     """Resolvent R(0..n_max): R(0) = I, R(n+1) = R(n) + sum_j K(n-j) R(j)."""
@@ -202,7 +205,7 @@ def tail_span(full: int, half: Optional[int] = None) -> tuple[int, int]:
 def tail_decision(partial_sums: Sequence[np.ndarray],
                   thresholds: TailThresholds = TailThresholds(),
                   half_index: Optional[int] = None,
-                  min_paths: int = 30) -> EvidenceReport:
+                  min_paths: int = MIN_TAIL_PATHS) -> EvidenceReport:
     """Ensemble tail verdict from per-path partial-sum sequences.
 
     Summable evidence when the median tail increment S(N) - S(N/2) is below

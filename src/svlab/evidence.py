@@ -1,5 +1,6 @@
 """Three-valued evidence verdicts shared by every numeric check, the rule
-for well-formed checkpoints and the aggregate of per-width verdicts.
+for well-formed checkpoints, the default checkpoints and the aggregate of
+per-width verdicts.
 
 Partial sums (or integrals) are compared at their last two checkpoints. The
 tail rules are deliberately one-sided: they report evidence, never proof.
@@ -87,6 +88,16 @@ def checkpoint_indices(indices, hi: int, what: str, given=None) -> list:
     if any(b <= a for a, b in zip(indices, indices[1:])):
         raise ValueError(f"{what} must strictly increase, got {given}")
     return [int(c) for c in indices]
+
+
+def default_checkpoints(n: int) -> list:
+    """The checkpoints taken when none are given: n//4, n//2 and n."""
+    return [n // 4, n // 2, n]
+
+
+def default_checkpoint_times(horizon_T: float) -> list:
+    """The checkpoint times taken when none are given: T/4, T/2 and T."""
+    return [horizon_T / k for k in (4, 2, 1)]
 
 
 def time_checkpoints(times, grid) -> list:

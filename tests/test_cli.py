@@ -1,13 +1,14 @@
 """End-to-end runs of the batch driver: config validation, output files,
 determinism, and exit codes."""
 
+import copy
 import csv
 import json
 
 import numpy as np
 import pytest
 
-from svlab import cli, conditions, continuous
+from svlab import cli, conditions, continuous, discrete
 from svlab.cli import (EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_TABLE_FAIL,
                        main)
 from svlab.conditions import diffusion_window_evidence
@@ -476,6 +477,7 @@ def test_unit_window_checks_read_one_checkpoint_as_inconclusive(
                  "--out", str(tmp_path / "o")]) == EXIT_OK
     report = json.loads((tmp_path / "o" / "report.json").read_text())
     assert report["verdict"] == "inconclusive"
+    assert report["diagnostics"]["reason"] == "fewer than 3 checkpoints"
 
 
 def test_unknown_key_reports_dotted_path(tmp_path, capsys):
@@ -767,3 +769,235 @@ def test_exploding_path_exits_numeric(tmp_path, capsys):
 
 def test_table_fail_exit_code_is_distinct():
     assert {EXIT_OK, EXIT_TABLE_FAIL, EXIT_CONFIG, EXIT_NUMERIC} == {0, 1, 2, 3}
+
+
+# config domains -------------------------------------------------------------
+
+def _leaves(schema, where):
+    for key, spec in schema.items():
+        if key == "__optional__":
+            continue
+        if isinstance(spec, dict):
+            yield from _leaves(spec, f"{where}.{key}")
+        else:
+            yield f"{where}.{key}", spec
+
+
+def test_every_numeric_or_list_leaf_declares_a_domain():
+    tables = {f"SCHEMAS[{name!r}]": schema
+              for name, schema in cli.SCHEMAS.items()}
+    tables.update(_KERNEL_SEQ=cli._KERNEL_SEQ, _TAIL=cli._TAIL,
+                  _MEASURE=cli._MEASURE, _DENSITY=cli._DENSITY)
+    unchecked = [name for where, table in tables.items()
+                 for name, spec in _leaves(table, where)
+                 if set(spec.kinds) & {int, float, list}
+                 and spec.domain is None]
+    assert unchecked == []
+
+
+@pytest.mark.parametrize("command,cfg", [
+    ("check", {**_check_cfg("irregular-windows"), "p": 1.0,
+               "breakpoints": [0.0, 1.0, 2.0], "spacing_min": 1.0,
+               "spacing_max": 1.0, "window_step": 0}),
+    ("simulate-sve", {**_sve_cfg(), "kernel": {"atoms": [[True, -0.5]]}}),
+    ("check", _cond_f_cfg(thetas=[None])),
+    ("check", _cond_f_cfg(thetas=[-1.0])),
+    ("simulate-sve", {**_sve_cfg(), "norm": "bogus"}),
+    ("simulate-sve", {**_sve_cfg(), "ensemble": {"n_paths": 0}}),
+    ("simulate-discrete", discrete_cfg(p=-1)),
+    ("check", _cond_f_cfg(condition="lemma-p-lt-1", p=0.5, horizon=4,
+                          filter_rate=0)),
+])
+def test_out_of_domain_leaves_are_config_errors(tmp_path, capsys, monkeypatch,
+                                                command, cfg):
+    # each of these once exited 3, ran with a coerced value or ended in a
+    # traceback; now the schema rejects it before any work begins
+    def no_work(*args, **kwargs):
+        raise AssertionError("work began before the config was checked")
+
+    monkeypatch.setattr(cli, "run_paths", no_work)
+    monkeypatch.setattr(continuous, "ensemble", no_work)
+    for name in ("window_profiles", "exp_filter_equivalence",
+                 "trapezoid_refined"):
+        monkeypatch.setattr(conditions, name, no_work)
+    path = write_config(tmp_path, "c.json", cfg)
+    assert main([command, "--config", path,
+                 "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert "config error: " in capsys.readouterr().err
+
+
+def test_manifest_digests_the_config_as_given(tmp_path):
+    # the typed value 2.0 runs both configs; the digest keeps the 2 as given
+    outs = []
+    for horizon in (2, 2.0):
+        cfg = {**_sve_cfg(), "grid": {"step_h": 0.02, "horizon_T": horizon}}
+        out = tmp_path / f"o{horizon!r}"
+        assert main(["simulate-sve", "--config",
+                     write_config(tmp_path, "s.json", cfg),
+                     "--out", str(out)]) == EXIT_OK
+        outs.append(out)
+    for name in ("paths.csv", "partial_integrals.csv", "evidence.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    digests = [json.loads((o / "manifest.json").read_text())["config_digest"]
+               for o in outs]
+    assert digests[0] != digests[1]
+
+
+def test_seed_override_is_held_to_the_seed_domain(tmp_path, capsys):
+    cfg = write_config(tmp_path, "d.json", discrete_cfg())
+    assert main(["simulate-discrete", "--config", cfg, "--seed", "-1",
+                 "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert "master_seed must be an integer >= 0" in capsys.readouterr().err
+
+
+def test_sweep_checks_every_member_before_the_first_run(tmp_path, capsys):
+    cfg = write_config(tmp_path, "sweep.json", {
+        "schema_version": 1, "command": "resolvent", "param": "horizon",
+        "values": [4, -1],
+        "base": {"schema_version": 1, "kind": "discrete",
+                 "kernel": {"entries": [[0, -0.5]]}},
+    })
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert "horizon must be an integer >= 0, got -1" in capsys.readouterr().err
+    assert not (out / "000").exists()
+
+
+# the leaf-mutation table: small configs covering every command and check
+# id; each leaf, list items included, is replaced in turn by each mutant
+_TH = {"eps_tail": 0.01, "eps_abs": 1e-8, "ratio_div": 1.5}
+_SEQ = {"entries": [[0, -0.5], [2, 0.1]],
+        "tail": {"start": 3, "coeff": 0.05, "ratio": 0.5}}
+_MUTATION_BASES = [
+    ("simulate-discrete", {
+        "schema_version": 1, "master_seed": 3, "dim": 1, "horizon": 8,
+        "kernel": _SEQ, "forcing": 1.0, "diffusion": "exp_decay(rate=1.0)",
+        "noise": {"family": "two-point", "x1": -1.0, "x2": 1.0, "p1": 0.5,
+                  "lo": 0.0, "hi": 1.0},
+        "initial": [1.0], "ensemble": {"n_paths": 2, "keep_paths": True},
+        "p": 2.0, "checkpoints": [2, 4, 8], "norm": "max"}),
+    ("simulate-sve", {
+        "schema_version": 1, "master_seed": 3, "dim": 1,
+        "grid": {"step_h": 0.1, "horizon_T": 2.0},
+        "kernel": {"atoms": [[0.0, -1.0], [0.2, 0.3]], "density": {
+            "name": "exp_decay(rate=2.0)", "start": 0.0, "step": 0.1,
+            "count": 4, "scale": -0.5}},
+        "forcing": "osc(alpha=0.1,beta=0.5)", "diffusion": 0.4,
+        "initial": [0.5], "noise_dim": 1,
+        "ensemble": {"n_paths": 2, "keep_paths": True,
+                     "keep_times": [0.5, 1.0]},
+        "p": 2.0, "checkpoint_times": [0.5, 1.0, 2.0], "norm": "max",
+        "thresholds": _TH}),
+    ("simulate-sfde", {
+        "schema_version": 1, "master_seed": 3, "dim": 1,
+        "grid": {"step_h": 0.1, "horizon_T": 2.0}, "tau": 1.0,
+        "kernel": {"atoms": [[-1.0, -0.5], [0.0, -0.2]], "density": {
+            "name": "const(c=1.0)", "start": -1.0, "step": 0.1, "count": 10,
+            "scale": 0.1}},
+        "history": 1.0, "forcing": 0.5, "diffusion": 0.3, "noise_dim": 1,
+        "ensemble": {"n_paths": 2, "keep_paths": True}}),
+    ("resolvent", {"schema_version": 1, "kind": "discrete", "dim": 1,
+                   "kernel": _SEQ, "horizon": 8}),
+    ("resolvent", {"schema_version": 1, "kind": "differential", "dim": 1,
+                   "kernel": {"atoms": [[0.1, -0.5]]},
+                   "grid": {"step_h": 0.1, "horizon_T": 1.0}}),
+    ("resolvent", {"schema_version": 1, "kind": "functional", "dim": 1,
+                   "kernel": {"atoms": [[-1.0, -0.5]]}, "tau": 1.0,
+                   "grid": {"step_h": 0.1, "horizon_T": 2.0}}),
+    ("check", {"schema_version": 1, "master_seed": 3, "condition": "cond-f",
+               "function": "exp_decay(rate=1.0)", "p": 2.0,
+               "grid": {"step_h": 0.5, "horizon_T": 8.0},
+               "thetas": [0.5, 1.0], "quad_step": 0.1,
+               "checkpoint_times": [2.0, 4.0, 8.0], "thresholds": _TH}),
+    ("check", {"schema_version": 1, "condition": "cond-sigma-high",
+               "sigma": "exp_decay(rate=1.0)", "p": 4.0,
+               "grid": {"step_h": 0.5, "horizon_T": 8.0},
+               "thetas": [0.5, 1.0], "quad_step": 0.1,
+               "checkpoint_times": [2.0, 4.0, 8.0]}),
+    ("check", {"schema_version": 1, "condition": "cond-sigma-low",
+               "sigma": "exp_decay(rate=1.0)", "p": 1.5, "n_windows": 16,
+               "window_step": 0.1, "checkpoints": [4, 8, 16]}),
+    ("check", {"schema_version": 1, "condition": "s-epsilon",
+               "sigma": "exp_decay(rate=1.0)", "n_windows": 16,
+               "window_step": 0.1, "eps": [0.1, 1.0],
+               "checkpoints": [4, 8, 16]}),
+    ("check", {"schema_version": 1, "condition": "fading",
+               "function": "exp_decay(rate=1.0)", "thetas": [0.5, 1.0],
+               "segment_times": [1.0, 2.0, 3.0], "fading_step": 0.01,
+               "tol": 0.01}),
+    ("check", {"schema_version": 1, "condition": "lemma-p-lt-1",
+               "function": "exp_decay(rate=1.0)", "p": 0.5,
+               "filter_rate": 1.0, "horizon": 8, "step_h": 0.1}),
+    ("check", {"schema_version": 1, "condition": "irregular-windows",
+               "function": "const(c=1.0)", "p": 1.0,
+               "breakpoints": [0.0, 1.0, 2.5, 3.5], "spacing_min": 0.5,
+               "spacing_max": 2.0, "window_step": 0.01}),
+    ("sweep", {"schema_version": 1, "command": "resolvent",
+               "param": "horizon", "values": [2, 4],
+               "base": {"schema_version": 1, "kind": "discrete",
+                        "kernel": {"entries": [[0, -0.5]]}, "horizon": 1}}),
+]
+_MUTANTS = (0, -1, 0.7, 2.5, True, "1", None, [], -0.5)
+
+
+def _mutation_sites(node, prefix=()):
+    for key, value in (node.items() if isinstance(node, dict)
+                       else enumerate(node)):
+        if prefix + (key,) != ("schema_version",):
+            yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _mutation_sites(value, prefix + (key,))
+
+
+def _mutated(cfg, site, value):
+    out = copy.deepcopy(cfg)
+    node = out
+    for key in site[:-1]:
+        node = node[key]
+    node[site[-1]] = value
+    return out
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_leaf_mutations_exit_0_or_2_and_2_only_before_evaluation(
+        tmp_path, capsys, monkeypatch):
+    evaluated = []
+
+    def recording(fn):
+        def run(*args, **kwargs):
+            evaluated.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return run
+
+    for module, name in [(cli, "run_paths"), (continuous, "ensemble"),
+                         (discrete, "resolvent_seq"),
+                         (continuous, "differential_resolvent"),
+                         (continuous, "functional_resolvent"),
+                         (conditions, "window_profiles"),
+                         (conditions, "unit_windows"),
+                         (conditions, "exp_filter_equivalence"),
+                         (conditions, "trapezoid_refined")]:
+        monkeypatch.setattr(module, name, recording(getattr(module, name)))
+    path, out = tmp_path / "c.json", str(tmp_path / "o")
+    faults, runs = [], 0
+    for command, base in _MUTATION_BASES:
+        for site in _mutation_sites(base):
+            for value in _MUTANTS:
+                path.write_text(json.dumps(_mutated(base, site, value)))
+                evaluated.clear()
+                what = f"{command} {base.get('condition', base.get('kind'))} " \
+                       f"{'.'.join(map(str, site))}={json.dumps(value)}"
+                try:
+                    code = main([command, "--config", str(path), "--out", out])
+                except Exception as exc:
+                    code = f"traceback {type(exc).__name__}: {exc}"
+                err = capsys.readouterr().err
+                runs += 1
+                if code == EXIT_CONFIG and evaluated:
+                    faults.append(f"{what}: exit 2 after {evaluated[0]}")
+                elif code == EXIT_NUMERIC and "non-finite values" in err:
+                    continue
+                elif code not in (EXIT_OK, EXIT_CONFIG):
+                    faults.append(f"{what}: {code} {err.strip()}")
+    assert runs > 1500
+    assert faults == []

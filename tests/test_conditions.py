@@ -426,6 +426,13 @@ def test_fading_rejects_unordered_segments():
         window_fading_evidence(corpus.zero_f, segment_times=(4.0, 4.0, 8.0))
 
 
+def test_fading_rejects_segments_that_snap_to_one_node():
+    # at step 2.5, times 1 and 2 both snap to node 0: the first segment
+    # would be empty
+    with pytest.raises(ValueError, match="distinct grid nodes"):
+        conditions.segment_grid((1.0, 2.0, 3.0), 2.5)
+
+
 def test_report_json_round_trip():
     rep = unit_window_evidence(corpus.ConstFamily(1.0), 1.0, 64)
     back = json.loads(rep.to_json())
