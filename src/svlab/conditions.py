@@ -22,6 +22,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.signal import lfilter
 
+from . import corpus
 from .core import GridSpec
 from .evidence import (DIVERGENT, INCONCLUSIVE, SATISFIED, SUMMABLE, VIOLATED,
                        EvidenceReport, TailThresholds, as_condition_verdict,
@@ -51,18 +52,59 @@ class WindowProfile:
     exponent: Optional[float] = None
 
 
+def _support_indices(support, first: int, n: int, step: float) -> np.ndarray:
+    """The indices j in [0, n), increasing, of the samples first + j within
+    two points of a support interval (lo, hi), the sample times being about
+    step apart."""
+    iv = np.asarray(support, float).reshape(-1, 2)
+    i0 = np.clip(np.floor(iv[:, 0] / step).astype(np.int64) - 2 - first, 0, n)
+    i1 = np.clip(np.ceil(iv[:, 1] / step).astype(np.int64) + 3 - first, 0, n)
+    spans = []
+    for a, b in sorted(zip(i0.tolist(), i1.tolist())):
+        if spans and a <= spans[-1][1]:
+            spans[-1][1] = max(spans[-1][1], b)
+        elif a < b:
+            spans.append([a, b])
+    return np.concatenate([np.arange(a, b) for a, b in spans]
+                          + [np.empty(0, np.int64)])
+
+
+def _sample(f: Callable, out: np.ndarray, first: int, step: float,
+            times: Callable) -> None:
+    """out[j] = f(times(first + j)), where times maps integer sample
+    indices to increasing times about step apart.
+
+    f is evaluated on at most LATTICE_SLICE points a call, so it must be
+    pointwise, f(t)[i] a function of t[i] alone. Where f declares a support
+    (corpus.support_of), out is zero-filled and f is evaluated only on the
+    samples within two points of it, so out gets the same bits.
+    """
+    n = out.size
+    t0, t1 = times(np.array([first, first + n]))
+    support = corpus.support_of(f, t0, t1)
+    if support is None:
+        for lo in range(0, n, LATTICE_SLICE):
+            hi = min(lo + LATTICE_SLICE, n)
+            out[lo:hi] = f(times(first + np.arange(lo, hi)))
+        return
+    out.fill(0.0)
+    idx = _support_indices(support, first, n, step)
+    for lo in range(0, idx.size, LATTICE_SLICE):
+        j = idx[lo:lo + LATTICE_SLICE]
+        out[j] = f(times(first + j))
+
+
 def _cumulative_on_lattice(f: Callable, n_cells: int, h: float,
                            refine: int) -> np.ndarray:
     """F[j] = left-Riemann integral of f over [0, j*h] at step h/refine.
 
     The lattice runs in chunks of at most LATTICE_CHUNK points (the chunk
-    boundaries fix the bits), so long horizons stay in memory. Inside a
-    chunk, f is evaluated on slices of LATTICE_SLICE points into one buffer
-    allocated once per call, which is then summed in place. f must be
-    pointwise, f(t)[i] a function of t[i] alone, so that slicing does not
-    change its values.
+    boundaries fix the bits), so long horizons stay in memory. Each chunk
+    is sampled by _sample into one buffer allocated once per call, which
+    is then summed in place.
     """
     step = h / refine
+    times = lambda i: i * step
     F = np.empty(n_cells + 1)
     F[0] = 0.0
     block = max(1, LATTICE_CHUNK // refine)
@@ -72,9 +114,7 @@ def _cumulative_on_lattice(f: Callable, n_cells: int, h: float,
     while pos < n_cells:
         nb = min(block, n_cells - pos)
         cs = buf[:nb * refine]
-        for lo in range(0, cs.size, LATTICE_SLICE):
-            hi = min(lo + LATTICE_SLICE, cs.size)
-            cs[lo:hi] = f((pos * refine + np.arange(lo, hi)) * step)
+        _sample(f, cs, pos * refine, step, times)
         np.cumsum(cs, out=cs)
         cs *= step
         F[pos + 1: pos + nb + 1] = run + cs[refine - 1::refine]
@@ -215,8 +255,7 @@ def diffusion_window_evidence(sigma: Callable, p: float, grid: GridSpec,
     L^{p/2}, one scalar component at a time."""
     if p < 2:
         raise ValueError("this check is for p >= 2; use unit_window_evidence")
-    return _multi_theta_report("diffusion-window-lp",
-                               lambda t: np.asarray(sigma(t), float) ** 2,
+    return _multi_theta_report("diffusion-window-lp", corpus.Square(sigma),
                                p / 2.0, grid, thetas, quad_step,
                                checkpoint_times, thresholds, {"p": p})
 
@@ -228,8 +267,8 @@ def unit_windows(sigma_sq: Callable, n_windows: int,
                  quad_step: float = 1e-3) -> np.ndarray:
     """I_n = integral_n^{n+1} sigma^2, n = 0..n_windows-1, left-Riemann."""
     k = divisions(1.0, quad_step, "quad_step must divide 1")
-    t = np.arange(n_windows * k) / k
-    vals = np.asarray(sigma_sq(t), float)
+    vals = np.empty(n_windows * k)
+    _sample(sigma_sq, vals, 0, 1.0 / k, lambda i: i / k)
     return vals.reshape(n_windows, k).sum(axis=1) / k
 
 
@@ -257,8 +296,7 @@ def unit_window_evidence(sigma: Callable, p: float, n_windows: int,
     if p < 1:
         raise ValueError("exponent p must be >= 1")
     cps = unit_window_checkpoints(n_windows, checkpoints)
-    I = unit_windows(lambda t: np.asarray(sigma(t), float) ** 2,
-                     n_windows, quad_step)
+    I = unit_windows(corpus.Square(sigma), n_windows, quad_step)
     terms = I ** (p / 2.0)
     S = np.concatenate([[0.0], np.cumsum(terms)])
     at = [float(S[c]) for c in cps]
@@ -316,8 +354,7 @@ def gaussian_exceedance_series(sigma: Optional[Callable] = None,
     cps = unit_window_checkpoints(
         n_windows if windows is None else len(windows), checkpoints)
     if windows is None:
-        windows = unit_windows(lambda t: np.asarray(sigma(t), float) ** 2,
-                               n_windows, quad_step)
+        windows = unit_windows(corpus.Square(sigma), n_windows, quad_step)
     windows = np.asarray(windows, float)
     per = []
     for eps in eps_list:
@@ -362,11 +399,11 @@ def exp_filter_equivalence(f: Callable, beta: float, p: float, horizon: int,
     k = divisions(1.0, step_h, "step_h must divide 1")
     h = 1.0 / k
     n = horizon * k
-    t = np.arange(n) * h
-    fv = np.asarray(f(t), float)
+    fv = np.empty(n)
+    _sample(f, fv, 0, h, lambda i: i * h)
     if np.any(fv < 0):
         bad = int(np.argmax(fv < 0))
-        raise ValueError(f"negative forcing sample at t = {t[bad]:g}")
+        raise ValueError(f"negative forcing sample at t = {bad * h:g}")
 
     decay = np.exp(-beta * h)
     v = np.concatenate([[0.0],

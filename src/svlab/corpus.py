@@ -4,6 +4,16 @@ The two stars are the spike train (tall thin triangles with unit-window mass
 exactly 1/n) and the chirped oscillation e^{alpha t} sin(e^{beta t}). Both
 come with companion quadrature routines that are independent enough of the
 closed forms to act as cross-checks.
+
+A family may declare where it can be nonzero with a method
+``support(t0, t1)``: it returns an (m, 2) array of intervals (lo, hi) in
+increasing order, those of its support that meet [t0, t1). The declared
+support is a superset of where f may be nonzero, and f is exactly 0.0 at
+every t off the open intervals. The window samplers in ``conditions``
+zero-fill their buffers and evaluate f only on these intervals, each widened
+by two sample points, so the samples (and every sum of them) have the same
+bits as evaluating f everywhere. ``support_of`` reads the support of any
+callable; one without a ``support`` method is "anywhere" (None).
 """
 from __future__ import annotations
 
@@ -56,6 +66,17 @@ class SpikeFamily:
         if out.shape == ():
             return float(out)
         return out
+
+    def support(self, t0: float, t1: float) -> np.ndarray:
+        """The intervals (n + a_n, n + 1 - a_n), n >= 2, that meet [t0, t1),
+        each end pushed out by one ulp so that the spike is exactly 0.0 at
+        every t off them whatever the rounding of n + a_n."""
+        n = np.arange(max(2, int(np.floor(t0))), max(2, int(np.ceil(t1))))
+        a_n = self.a(n)
+        lo = np.nextafter(n + a_n, -np.inf)
+        hi = np.nextafter(n + (1.0 - a_n), np.inf)
+        keep = (lo < t1) & (hi > t0)
+        return np.column_stack([lo[keep], hi[keep]])
 
     def breakpoints(self, n: int):
         """Slope-break abscissae of the spike on [n, n+1]."""
@@ -169,12 +190,35 @@ class ExpDecayFamily:
         return np.exp(-self.rate * np.asarray(t, float))
 
 
+def support_of(f, t0: float, t1: float):
+    """The support f declares on [t0, t1) (see the module docstring), or
+    None, "anywhere", for a callable without a ``support`` method."""
+    support = getattr(f, "support", None)
+    return None if support is None else support(t0, t1)
+
+
 @dataclass(frozen=True)
 class SqrtOf:
     inner: object
 
     def __call__(self, t):
         return np.sqrt(np.asarray(self.inner(t), float))
+
+    def support(self, t0: float, t1: float):
+        return support_of(self.inner, t0, t1)
+
+
+@dataclass(frozen=True)
+class Square:
+    """t -> f(t)^2, the sigma^2 of the diffusion checks; zero where f is."""
+
+    inner: object
+
+    def __call__(self, t):
+        return np.asarray(self.inner(t), float) ** 2
+
+    def support(self, t0: float, t1: float):
+        return support_of(self.inner, t0, t1)
 
 
 _CALL_RE = re.compile(r"^([a-z_]+)\((.*)\)$")

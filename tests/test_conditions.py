@@ -79,18 +79,10 @@ def test_window_profiles_match_standalone_bytes(h, T, quad_step):
         assert prof.values.tobytes() == alone.values.tobytes()
 
 
-@pytest.mark.parametrize("name", ["osc(alpha=0.1,beta=0.5)",
-                                  "sqrt(spike(beta=0.32))"])
-def test_lattice_slices_keep_one_shot_chunk_bits(name):
-    """Evaluating the integrand slice by slice into a reused buffer gives
-    the bytes of one evaluation and one cumsum per chunk. The lattice spans
-    two full chunks and a short third; every chunk ends in a partial
-    slice."""
-    f = corpus.resolve(name)
-    h, refine = 0.01, 100
+def _one_shot_lattice(f, n_cells, h, refine):
+    """The lattice as one evaluation of f at every point and one cumsum per
+    chunk: the reference of the sliced, support-aware lattice."""
     block = conditions.LATTICE_CHUNK // refine
-    n_cells = 2 * block + 123
-    assert conditions.LATTICE_CHUNK % conditions.LATTICE_SLICE != 0
     step = h / refine
     ref = np.empty(n_cells + 1)
     ref[0] = 0.0
@@ -101,8 +93,63 @@ def test_lattice_slices_keep_one_shot_chunk_bits(name):
         cs = np.cumsum(np.asarray(f(t), float)) * step
         ref[pos + 1: pos + nb + 1] = ref[pos] + cs[refine - 1::refine]
         pos += nb
+    return ref
+
+
+@pytest.mark.parametrize("name", ["osc(alpha=0.1,beta=0.5)",
+                                  "sqrt(spike(beta=0.32))"])
+def test_lattice_slices_keep_one_shot_chunk_bits(name):
+    """Evaluating the integrand slice by slice into a reused buffer gives
+    the bytes of one evaluation and one cumsum per chunk. The lattice spans
+    two full chunks and a short third; every chunk ends in a partial
+    slice."""
+    f = corpus.resolve(name)
+    h, refine = 0.01, 100
+    n_cells = 2 * (conditions.LATTICE_CHUNK // refine) + 123
+    assert conditions.LATTICE_CHUNK % conditions.LATTICE_SLICE != 0
     got = conditions._cumulative_on_lattice(f, n_cells, h, refine)
-    assert got.tobytes() == ref.tobytes()
+    assert got.tobytes() == _one_shot_lattice(f, n_cells, h, refine).tobytes()
+
+
+@pytest.mark.parametrize("beta", [0.25, 0.4])
+def test_support_lattice_keeps_dense_bits(beta):
+    """sqrt(spike) evaluated only on its declared support, widened by two
+    points, gives the bytes of evaluating it everywhere. Chunks of 350
+    cells of 0.01 put a chunk edge at t = 3.5, the peak of spike 3, and
+    slices of 2^16 points (0.057 time units) end inside every spike; the
+    lattice spans two full chunks and a short third."""
+    f = corpus.resolve(f"sqrt(spike(beta={beta}))")
+    h, refine = 0.01, 11400
+    block = conditions.LATTICE_CHUNK // refine
+    n_cells = 2 * block + 123
+    step = h / refine
+    spikes = f.support(0.0, n_cells * h)
+    chunk_edges = [block * h, 2 * block * h]
+    per_chunk = block * refine // conditions.LATTICE_SLICE
+    slice_edges = [(c * block * refine + k * conditions.LATTICE_SLICE) * step
+                   for c in range(3) for k in range(1, per_chunk + 1)]
+    assert any(lo < e < hi for e in chunk_edges for lo, hi in spikes)
+    assert any(lo < e < hi for e in slice_edges for lo, hi in spikes)
+    got = conditions._cumulative_on_lattice(f, n_cells, h, refine)
+    assert got.tobytes() == _one_shot_lattice(f, n_cells, h, refine).tobytes()
+
+
+@pytest.mark.parametrize("beta", [0.25, 0.4])
+def test_support_sampling_keeps_unit_window_and_filter_bits(beta):
+    """unit_windows and exp_filter_equivalence read spike only on its
+    support, with the bits of evaluating it everywhere. k = 26214 points
+    per unit put the first slice edge at t = 2.50004, inside spike 2."""
+    k = 26214
+    sig = corpus.resolve(f"sqrt(spike(beta={beta}))")
+    edge = conditions.LATTICE_SLICE / k
+    assert any(lo < edge < hi for lo, hi in sig.support(0.0, 8.0))
+    sq = corpus.Square(sig)
+    dense = np.asarray(sq(np.arange(8 * k) / k)).reshape(8, k).sum(axis=1) / k
+    assert unit_windows(sq, 8, 1.0 / k).tobytes() == dense.tobytes()
+    spike = corpus.SpikeFamily(beta)
+    pair = exp_filter_equivalence(spike, 1.0, 0.5, 8, 1.0 / k)
+    assert pair == exp_filter_equivalence(lambda t: spike(t), 1.0, 0.5, 8,
+                                          1.0 / k)
 
 
 def test_window_profiles_rejects_empty_widths():
@@ -134,6 +181,26 @@ def test_multi_width_checks_evaluate_one_lattice():
     window_fading_evidence(sig, thetas=(0.5, 1.0, 2.0), step_h=1e-3)
     n, max_m = GridSpec(1e-3, 20.0).n_steps, 2000
     assert sig.points == n + max_m
+
+
+class CountingSupportedSignal(CountingSignal):
+    """A CountingSignal that declares the support of the signal it wraps."""
+
+    def support(self, t0, t1):
+        return corpus.support_of(self.f, t0, t1)
+
+
+def test_sigma_high_check_evaluates_only_the_support():
+    """The criterion 05 cond-sigma-high check reads sqrt(spike) on its
+    support alone: under 2 % of the dense lattice."""
+    sig = CountingSupportedSignal(corpus.resolve("sqrt(spike(beta=0.32))"))
+    g = GridSpec(0.01, 512.0)
+    rep = diffusion_window_evidence(sig, 4.0, g, quad_step=2e-5,
+                                    checkpoint_times=(128.0, 256.0, 512.0))
+    assert rep.verdict == SATISFIED
+    dense = (g.n_steps + g.snap(4.0)) * 500
+    assert sig.points == 233_228
+    assert sig.points < 0.02 * dense
 
 
 # L^p evidence on a profile --------------------------------------------------

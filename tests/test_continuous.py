@@ -639,6 +639,39 @@ def test_root_scan_roots_are_pinned():
     ]
 
 
+def test_root_scan_minima_read_libm_hypot(monkeypatch):
+    """On this kernel two neighbouring grid cells have |det| within an ulp:
+    np.hypot (libm, like abs(complex)) keeps one of them as a minimum and
+    np.abs on the complex grid keeps both, so the Newton polish starts from
+    another set of cells and the second root moves by one ulp. The kernel
+    came from a seeded search that bisects b to where a grid minimum moves
+    to the next cell."""
+    a, b, tau = 1.2937664319530429, -0.23002966396407643, 1.4931066925650778
+    mu = SignedMeasureRepr(1, ((0.0, [[b]]), (-tau, [[-a]])))
+    res = np.linspace(-3.0, 3.0, 41)
+    ims = np.linspace(0.0, 10.0, 31)
+    starts = []
+
+    def recording(mu, tau, lam):
+        if np.shape(lam) == (3,):
+            z = complex(lam[2])
+            row = np.flatnonzero(ims == z.imag)
+            col = np.flatnonzero(res == z.real)
+            if row.size and col.size:
+                starts.append((int(row[0]), int(col[0])))
+        return characteristic_det(mu, tau, lam)
+
+    monkeypatch.setattr(continuous, "characteristic_det", recording)
+    scan = continuous.characteristic_root_scan(mu, tau, n_re=41, n_im=31)
+    assert sorted(set(starts)) == [(4, 20), (16, 14), (28, 11)]
+    assert scan.verdict == "unstable"
+    assert [(z.real.hex(), z.imag.hex()) for z in scan.roots] == [
+        ("-0x1.5502f8032fd8bp+0", "0x1.2c7b3e48f6717p+3"),
+        ("-0x1.de27c6d1b8b16p-1", "0x1.4ad98bb622d5ap+2"),
+        ("0x1.222af63959021p-5", "0x1.32b46da6843cfp+0"),
+    ]
+
+
 def test_root_scan_evaluates_each_grid_in_one_call(monkeypatch):
     shapes = []
 

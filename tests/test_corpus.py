@@ -3,8 +3,45 @@
 import numpy as np
 import pytest
 
+from svlab import corpus
 from svlab.corpus import (ConstFamily, ExpDecayFamily, GeometricWindowFamily,
-                          OscFamily, SpikeFamily, SqrtOf, resolve, zero_f)
+                          OscFamily, SpikeFamily, SqrtOf, Square, resolve,
+                          support_of, zero_f)
+
+
+# declared supports -----------------------------------------------------------
+
+def test_support_declarers_are_the_tested_ones():
+    declare = {name for name, obj in vars(corpus).items()
+               if isinstance(obj, type) and hasattr(obj, "support")}
+    assert declare == {"SpikeFamily", "SqrtOf", "Square"}
+
+
+@pytest.mark.parametrize("f", [
+    SpikeFamily(0.25), SpikeFamily(0.4), resolve("sqrt(spike(beta=0.32))"),
+    Square(resolve("sqrt(spike(beta=0.32))"))], ids=repr)
+@pytest.mark.parametrize("t0,t1", [(0.0, 64.0), (499.5, 501.5)])
+def test_declared_support_is_exactly_zero_off_it(f, t0, t1):
+    """On a dense sample (step 1e-5) f is exactly 0.0 off the open
+    intervals its support declares, and positive somewhere in each."""
+    t = t0 + 1e-5 * np.arange(int(round((t1 - t0) / 1e-5)))
+    iv = f.support(t0, t1)
+    assert iv.shape[1] == 2 and len(iv) > 0
+    assert np.all(iv[:, 0] < iv[:, 1]) and np.all(iv[1:, 0] > iv[:-1, 1])
+    assert iv[0, 1] > t0 and iv[-1, 0] < t1
+    k = np.searchsorted(iv[:, 0], t) - 1
+    inside = (k >= 0) & (t < iv[np.maximum(k, 0), 1])
+    vals = np.asarray(f(t))
+    assert np.all(vals[~inside] == 0.0)
+    assert set(k[inside & (vals > 0)].tolist()) == set(range(len(iv)))
+
+
+def test_families_without_support_read_as_anywhere():
+    for f in (OscFamily(), ConstFamily(0.0), GeometricWindowFamily(),
+              ExpDecayFamily(), zero_f, lambda t: t,
+              SqrtOf(ConstFamily(1.0)), Square(OscFamily())):
+        assert support_of(f, 0.0, 8.0) is None
+    assert support_of(SpikeFamily(), 0.0, 2.0).shape == (0, 2)
 
 
 # spike train ----------------------------------------------------------------
