@@ -13,7 +13,8 @@ plus what each resolvent kind and check id needs (_VARIANTS), before any
 work; the handlers read typed values (integers as int, other numbers as
 float). Rules that need more than one leaf (the checkpoint rule, divisors,
 grid snapping, the delay and spacing rules) are the library's and run
-while a run is built, also before any evaluation.
+while a run is built. Every run is built before it evaluates or writes
+anything, --out included, and a sweep builds all members first.
 
 Exit codes: 0 success, 1 reproduce-table failure, 2 config error, 3 numeric
 error. Evidence verdicts are data, never an exit code.
@@ -27,8 +28,8 @@ import json
 import math
 import os
 import sys
-from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -433,18 +434,6 @@ SCHEMAS = {
 # ---------------------------------------------------------------------------
 # builders
 
-@contextmanager
-def _building():
-    """Values the library rejects while a run is built from a validated
-    config are config errors; once the run starts, they are numeric ones."""
-    try:
-        yield
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def _signal(spec, what: str):
     """Name, constant or None -> callable on time arrays (or None)."""
     if spec is None:
@@ -558,42 +547,51 @@ def _ensure_finite(arr: np.ndarray, what: str):
         raise NumericFailure(f"non-finite values in {what}")
 
 
-# ---------------------------------------------------------------------------
-# subcommand handlers: each takes the typed config, the output directory and
-# the thread count, and writes its outputs; _run writes the manifest once a
-# handler returns
+def _make_dir(path: str) -> str:
+    """Makes the output directory `path`: one it cannot make is a config
+    error."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory: {exc}") from exc
+    return path
 
-def cmd_simulate_discrete(cfg: dict, out_dir: str, threads: int):
+
+# ---------------------------------------------------------------------------
+# subcommand handlers: each takes the typed config, builds the run (where
+# every config error is raised) and returns run(out_dir, threads), which
+# evaluates and writes the outputs; _prepare wraps the manifest around it
+
+def cmd_simulate_discrete(cfg: dict):
     d, N, seed = cfg["dim"], cfg["horizon"], cfg["master_seed"]
     M = cfg["ensemble"]["n_paths"]
     p = cfg["p"]
     cps = cfg["checkpoints"]
     short = []
-    with _building():
-        kernel = _discrete_kernel(cfg["kernel"], d)
-        f_fn = _signal(cfg["forcing"], "forcing")
-        s_fn = _signal(cfg["diffusion"], "diffusion")
-        steps = np.arange(N, dtype=float)
-        f_vals = np.zeros((N, d)) if f_fn is None else \
-            np.tile(np.asarray(f_fn(steps), float)[:, None], (1, d))
-        diag = np.zeros(N) if s_fn is None else np.asarray(s_fn(steps), float)
-        sig_vals = diag[:, None, None] * np.eye(d)[None]
-        noise = _noise(cfg["noise"], d)
-        initial = None if cfg["initial"] is None else \
-            np.asarray(cfg["initial"], float)
-        sys_ = discrete.DiscreteSystem(kernel, N, f_vals, sig_vals, noise,
-                                       initial)
-        if cps is not None:
-            checkpoint_indices(cps, N, "checkpoints")
-        elif p is not None:
-            cps = default_checkpoints(N)
-        if p is not None:
-            if M < discrete.MIN_TAIL_PATHS:
-                short.append(f"fewer than {discrete.MIN_TAIL_PATHS} paths")
-            if len(cps) < 2:
-                short.append("fewer than 2 checkpoints")
-            if not short:
-                discrete.tail_span(cps[-1], cps[-2])
+    kernel = _discrete_kernel(cfg["kernel"], d)
+    f_fn = _signal(cfg["forcing"], "forcing")
+    s_fn = _signal(cfg["diffusion"], "diffusion")
+    steps = np.arange(N, dtype=float)
+    f_vals = np.zeros((N, d)) if f_fn is None else \
+        np.tile(np.asarray(f_fn(steps), float)[:, None], (1, d))
+    diag = np.zeros(N) if s_fn is None else np.asarray(s_fn(steps), float)
+    sig_vals = diag[:, None, None] * np.eye(d)[None]
+    noise = _noise(cfg["noise"], d)
+    initial = None if cfg["initial"] is None else \
+        np.asarray(cfg["initial"], float)
+    sys_ = discrete.DiscreteSystem(kernel, N, f_vals, sig_vals, noise,
+                                   initial)
+    if cps is not None:
+        checkpoint_indices(cps, N, "checkpoints")
+    elif p is not None:
+        cps = default_checkpoints(N)
+    if p is not None:
+        if M < discrete.MIN_TAIL_PATHS:
+            short.append(f"fewer than {discrete.MIN_TAIL_PATHS} paths")
+        if len(cps) < 2:
+            short.append("fewer than 2 checkpoints")
+        if not short:
+            discrete.tail_span(cps[-1], cps[-2])
     norm = cfg["norm"]
 
     def one(i: int):
@@ -603,15 +601,16 @@ def cmd_simulate_discrete(cfg: dict, out_dir: str, threads: int):
         S = None if p is None else discrete.lp_partial_sums(X, p, norm)
         return X, S
 
-    results = run_paths(M, one, threads)
-
-    if cfg["ensemble"]["keep_paths"]:
-        _write_table(os.path.join(out_dir, "paths.csv"),
-                     ["path_index", "n"] + [f"X_{j+1}" for j in range(d)],
-                     [np.repeat(np.arange(M), N + 1),
-                      np.tile(np.arange(N + 1), M)],
-                     np.asarray([X for X, _ in results]).reshape(-1, d))
-    if p is not None:
+    def run(out_dir: str, threads: int):
+        results = run_paths(M, one, threads)
+        if cfg["ensemble"]["keep_paths"]:
+            _write_table(os.path.join(out_dir, "paths.csv"),
+                         ["path_index", "n"] + [f"X_{j+1}" for j in range(d)],
+                         [np.repeat(np.arange(M), N + 1),
+                          np.tile(np.arange(N + 1), M)],
+                         np.asarray([X for X, _ in results]).reshape(-1, d))
+        if p is None:
+            return
         _write_table(os.path.join(out_dir, "partial_sums.csv"),
                      ["path_index", "N", "S"],
                      [np.repeat(np.arange(M), len(cps)), np.tile(cps, M)],
@@ -625,26 +624,25 @@ def cmd_simulate_discrete(cfg: dict, out_dir: str, threads: int):
             report = discrete.tail_decision(
                 [S[:cps[-1] + 1] for _, S in results], half_index=cps[-2])
         _write_json(os.path.join(out_dir, "evidence.json"), report)
+    return run
 
 
-def cmd_simulate_sve(cfg: dict, out_dir: str, threads: int):
+def cmd_simulate_sve(cfg: dict):
     d, seed, p = cfg["dim"], cfg["master_seed"], cfg["p"]
     cps = cfg["checkpoint_times"]
     keep_times = cfg["ensemble"]["keep_times"]
-    with _building():
-        grid = GridSpec(**cfg["grid"])
-        nu = _measure(cfg["kernel"], d)
-        sys_ = continuous.ContinuousSystem(
-            nu, grid, _signal(cfg["forcing"], "forcing"),
-            _signal(cfg["diffusion"], "diffusion"),
-            None if cfg["initial"] is None else
-            np.asarray(cfg["initial"], float),
-            cfg["noise_dim"])
-        if cps is None and p is not None:
-            cps = default_checkpoint_times(grid.horizon_T)
-        cp_idx = None if p is None else continuous.tail_checkpoints(grid, cps)
-        keep_idx = None if keep_times is None else \
-            [grid.index_at(t) for t in keep_times]
+    grid = GridSpec(**cfg["grid"])
+    nu = _measure(cfg["kernel"], d)
+    sys_ = continuous.ContinuousSystem(
+        nu, grid, _signal(cfg["forcing"], "forcing"),
+        _signal(cfg["diffusion"], "diffusion"),
+        None if cfg["initial"] is None else np.asarray(cfg["initial"], float),
+        cfg["noise_dim"])
+    if cps is None and p is not None:
+        cps = default_checkpoint_times(grid.horizon_T)
+    cp_idx = None if p is None else continuous.tail_checkpoints(grid, cps)
+    keep_idx = None if keep_times is None else \
+        [grid.index_at(t) for t in keep_times]
     M = cfg["ensemble"]["n_paths"]
     norm = cfg["norm"]
 
@@ -657,13 +655,14 @@ def cmd_simulate_sve(cfg: dict, out_dir: str, threads: int):
             S = [float(cum[k]) for k in cp_idx]
         return kept, S
 
-    results = continuous.ensemble(sys_, seed, M, reduce, threads)
-    times = grid.times()
-    kept_times = times if keep_idx is None else times[keep_idx]
-
-    if cfg["ensemble"]["keep_paths"]:
-        _write_paths(out_dir, d, kept_times, [X for X, _ in results])
-    if p is not None:
+    def run(out_dir: str, threads: int):
+        results = continuous.ensemble(sys_, seed, M, reduce, threads)
+        times = grid.times()
+        kept_times = times if keep_idx is None else times[keep_idx]
+        if cfg["ensemble"]["keep_paths"]:
+            _write_paths(out_dir, d, kept_times, [X for X, _ in results])
+        if p is None:
+            return
         _write_table(os.path.join(out_dir, "partial_integrals.csv"),
                      ["path_index", "T", "S"],
                      [np.repeat(np.arange(M), len(cps))],
@@ -673,41 +672,38 @@ def cmd_simulate_sve(cfg: dict, out_dir: str, threads: int):
             np.array([S for _, S in results]), p, cps, seed, norm,
             _thresholds(cfg["thresholds"]))
         _write_json(os.path.join(out_dir, "evidence.json"), report)
+    return run
 
 
-def cmd_simulate_sfde(cfg: dict, out_dir: str, threads: int):
-    d, psi = cfg["dim"], cfg["history"]
-    with _building():
-        grid = GridSpec(**cfg["grid"])
-        mu = _measure(cfg["kernel"], d)
-        psi_arg = _signal(psi, "history") if isinstance(psi, str) else \
-            (0.0 if psi is None else psi)
-        sys_ = continuous.DelaySystem(mu, cfg["tau"], psi_arg, grid,
-                                      _signal(cfg["forcing"], "forcing"),
-                                      _signal(cfg["diffusion"], "diffusion"),
-                                      cfg["noise_dim"])
+def cmd_simulate_sfde(cfg: dict):
+    d, psi, seed = cfg["dim"], cfg["history"], cfg["master_seed"]
+    grid = GridSpec(**cfg["grid"])
+    mu = _measure(cfg["kernel"], d)
+    psi_arg = _signal(psi, "history") if isinstance(psi, str) else \
+        (0.0 if psi is None else psi)
+    sys_ = continuous.DelaySystem(mu, cfg["tau"], psi_arg, grid,
+                                  _signal(cfg["forcing"], "forcing"),
+                                  _signal(cfg["diffusion"], "diffusion"),
+                                  cfg["noise_dim"])
 
     def reduce(i: int, X: np.ndarray):
         _ensure_finite(X, f"path {i}")
         return X
 
-    results = continuous.ensemble(sys_, cfg["master_seed"],
-                                  cfg["ensemble"]["n_paths"], reduce, threads)
-    if cfg["ensemble"]["keep_paths"]:
-        _write_paths(out_dir, d, sys_.times(), results)
+    def run(out_dir: str, threads: int):
+        results = continuous.ensemble(sys_, seed, cfg["ensemble"]["n_paths"],
+                                      reduce, threads)
+        if cfg["ensemble"]["keep_paths"]:
+            _write_paths(out_dir, d, sys_.times(), results)
+    return run
 
 
-def cmd_resolvent(cfg: dict, out_dir: str, threads: int):
+def cmd_resolvent(cfg: dict):
     kind, d = cfg["kind"], cfg["dim"]
     cols = [f"r_{i+1}{j+1}" for i in range(d) for j in range(d)]
     if kind == "discrete":
-        with _building():
-            kernel = _discrete_kernel(cfg["kernel"], d)
-        R = discrete.resolvent_seq(kernel, cfg["horizon"])
-        _write_table(os.path.join(out_dir, "resolvent.csv"), ["n"] + cols,
-                     [np.arange(len(R))], R.reshape(len(R), d * d))
-        return
-    with _building():
+        kernel = _discrete_kernel(cfg["kernel"], d)
+    else:
         grid = GridSpec(**cfg["grid"])
         mu = _measure(cfg["kernel"], d)
         if kind == "functional":
@@ -717,72 +713,84 @@ def cmd_resolvent(cfg: dict, out_dir: str, threads: int):
                               "on [0, inf)")
         # snaps the atoms: one off the grid is a config error
         CompiledMeasure(mu, grid)
-    if kind == "differential":
-        r = continuous.differential_resolvent(mu, grid)
-    else:
-        r = continuous.functional_resolvent(mu, cfg["tau"], grid)
-    _write_table(os.path.join(out_dir, "resolvent.csv"), ["t"] + cols, [],
-                 np.column_stack([grid.times(), r.reshape(len(r), d * d)]))
+
+    def run(out_dir: str, threads: int):
+        path = os.path.join(out_dir, "resolvent.csv")
+        if kind == "discrete":
+            R = discrete.resolvent_seq(kernel, cfg["horizon"])
+            _write_table(path, ["n"] + cols, [np.arange(len(R))],
+                         R.reshape(len(R), d * d))
+            return
+        r = continuous.differential_resolvent(mu, grid) \
+            if kind == "differential" else \
+            continuous.functional_resolvent(mu, cfg["tau"], grid)
+        _write_table(path, ["t"] + cols, [],
+                     np.column_stack([grid.times(), r.reshape(len(r), d * d)]))
+    return run
 
 
-def cmd_check(cfg: dict, out_dir: str, threads: int):
+def cmd_check(cfg: dict):
     cond = cfg["condition"]
     th = _thresholds(cfg["thresholds"])
     thetas = cfg["thetas"] if cfg["thetas"] is not None else \
         list(conditions.DEFAULT_THETAS)
     p = cfg["p"]
-    key = "sigma" if "sigma" in cond or cond == "s-epsilon" else "function"
+    key = "sigma" if "sigma" in _VARIANTS[cond] else "function"
     fn = _signal(cfg[key], key)
     if cond in ("cond-f", "cond-sigma-high"):
         cpt = cfg["checkpoint_times"]
-        with _building():
-            grid = GridSpec(**cfg["grid"])
-            conditions.window_widths(thetas, grid, cfg["quad_step"])
-            if cpt is not None:
-                time_checkpoints(cpt, grid)
+        grid = GridSpec(**cfg["grid"])
+        conditions.window_widths(thetas, grid, cfg["quad_step"])
+        if cpt is not None:
+            time_checkpoints(cpt, grid)
         evidence = conditions.forcing_window_evidence if cond == "cond-f" \
             else conditions.diffusion_window_evidence
-        report = evidence(fn, p, grid, thetas, cfg["quad_step"], cpt, th)
+        report = partial(evidence, fn, p, grid, thetas, cfg["quad_step"],
+                         cpt, th)
     elif cond in ("cond-sigma-low", "s-epsilon"):
         n_windows, step = cfg["n_windows"], cfg["window_step"]
-        with _building():
-            conditions.unit_window_checkpoints(n_windows, cfg["checkpoints"])
-            conditions.divisions(1.0, step, "window_step must divide 1")
+        conditions.unit_window_checkpoints(n_windows, cfg["checkpoints"])
+        conditions.divisions(1.0, step, "window_step must divide 1")
         if cond == "cond-sigma-low":
-            report = conditions.unit_window_evidence(
-                fn, p, n_windows, step, cfg["checkpoints"], th)
+            report = partial(conditions.unit_window_evidence, fn, p,
+                             n_windows, step, cfg["checkpoints"], th)
         else:
-            report = conditions.gaussian_exceedance_series(
-                fn, cfg["eps"] if cfg["eps"] is not None else [0.1, 1.0],
+            report = partial(
+                conditions.gaussian_exceedance_series, fn,
+                cfg["eps"] if cfg["eps"] is not None else [0.1, 1.0],
                 n_windows, quad_step=step, checkpoints=cfg["checkpoints"],
                 thresholds=th)
     elif cond == "fading":
         seg = cfg["segment_times"] if cfg["segment_times"] is not None else \
             (2.0, 6.0, 10.0, 14.0, 18.0, 20.0)
-        with _building():
-            grid, _ = conditions.segment_grid(seg, cfg["fading_step"])
-            conditions.window_widths(thetas, grid)
-        report = conditions.window_fading_evidence(
-            fn, thetas, seg, cfg["fading_step"], cfg["tol"], th)
+        grid, _ = conditions.segment_grid(seg, cfg["fading_step"])
+        conditions.window_widths(thetas, grid)
+        report = partial(conditions.window_fading_evidence, fn, thetas, seg,
+                         cfg["fading_step"], cfg["tol"], th)
     elif cond == "lemma-p-lt-1":
-        with _building():
-            conditions.divisions(1.0, cfg["step_h"], "step_h must divide 1")
-        pair = conditions.exp_filter_equivalence(
-            fn, cfg["filter_rate"], p, cfg["horizon"], cfg["step_h"], th)
-        report = {"integral": pair.integral_report.to_dict(),
-                  "windows": pair.window_report.to_dict(),
-                  "agree": pair.agree}
+        conditions.divisions(1.0, cfg["step_h"], "step_h must divide 1")
+
+        def report():
+            pair = conditions.exp_filter_equivalence(
+                fn, cfg["filter_rate"], p, cfg["horizon"], cfg["step_h"], th)
+            return {"integral": pair.integral_report.to_dict(),
+                    "windows": pair.window_report.to_dict(),
+                    "agree": pair.agree}
     else:  # irregular-windows
         bps, alpha, beta = (cfg[k] for k in
                             ("breakpoints", "spacing_min", "spacing_max"))
-        with _building():
-            conditions.irregular_breakpoints(bps, alpha, beta)
-        windows, sums = conditions.irregular_window_sums(
-            fn, bps, p, alpha=alpha, beta=beta, quad_step=cfg["window_step"])
-        report = {"condition_id": "irregular-windows",
-                  "windows": windows.tolist(), "partial_sums": sums.tolist()}
+        conditions.irregular_breakpoints(bps, alpha, beta)
 
-    _write_json(os.path.join(out_dir, "report.json"), report)
+        def report():
+            windows, sums = conditions.irregular_window_sums(
+                fn, bps, p, alpha=alpha, beta=beta,
+                quad_step=cfg["window_step"])
+            return {"condition_id": "irregular-windows",
+                    "windows": windows.tolist(), "partial_sums": sums.tolist()}
+
+    def run(out_dir: str, threads: int):
+        _write_json(os.path.join(out_dir, "report.json"), report())
+    return run
 
 
 def cmd_reproduce(experiment: str, out_dir: str, list_only: bool) -> int:
@@ -795,6 +803,7 @@ def cmd_reproduce(experiment: str, out_dir: str, list_only: bool) -> int:
         print(f"config error: unknown experiment '{experiment}'; "
               f"known: {', '.join(rep.REGISTRY)}", file=sys.stderr)
         return EXIT_CONFIG
+    _make_dir(out_dir)
     rows = rep.run_experiment(experiment)
     widths = [max(len(str(r[i])) for r in rows + [rep.HEADER])
               for i in range(len(rep.HEADER))]
@@ -807,8 +816,9 @@ def cmd_reproduce(experiment: str, out_dir: str, list_only: bool) -> int:
     return EXIT_OK if ok else EXIT_TABLE_FAIL
 
 
-def cmd_sweep(cfg: dict, out_dir: str, threads: int):
-    # every member config is validated before the first run
+def cmd_sweep(cfg: dict):
+    # every member is built under every rule, and every member directory
+    # made, before the first member runs
     dotted = cfg["param"].split(".")
     members = []
     for value in cfg["values"]:
@@ -818,10 +828,13 @@ def cmd_sweep(cfg: dict, out_dir: str, threads: int):
             node = node.setdefault(part, {})
         node[dotted[-1]] = value
         members.append(_prepare(cfg["command"], sub, None))
-    for idx, (sub, digest) in enumerate(members):
-        sub_dir = os.path.join(out_dir, f"{idx:03d}")
-        os.makedirs(sub_dir, exist_ok=True)
-        _run(cfg["command"], sub, digest, sub_dir, threads)
+
+    def run(out_dir: str, threads: int):
+        sub_dirs = [_make_dir(os.path.join(out_dir, f"{idx:03d}"))
+                    for idx in range(len(members))]
+        for member, sub_dir in zip(members, sub_dirs):
+            member(sub_dir, threads)
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -836,9 +849,10 @@ _HANDLERS = {"simulate-discrete": cmd_simulate_discrete,
 
 
 def _prepare(command: str, raw_cfg: dict, seed_override: Optional[int]):
-    """(typed config, digest): the digest is of the config as given, with
-    its defaults and any --seed, and None for a sweep, whose top directory
-    gets no manifest."""
+    """Builds a run, raising every config error, and returns run(out_dir,
+    threads): it makes out_dir, runs, and writes the manifest, the digest
+    of the config as given with its defaults and any --seed (a sweep's top
+    directory gets none)."""
     _require_version(raw_cfg)
     schema = SCHEMAS[command]
     if seed_override is not None and "master_seed" in schema:
@@ -850,17 +864,19 @@ def _prepare(command: str, raw_cfg: dict, seed_override: Optional[int]):
             raise ConfigError(f"missing key: {key}")
         if domain is not None and isinstance(cfg[key], domain.kinds):
             domain.check(cfg[key], key)
-    with _building():  # a NaN where no domain looks is caught here
-        return cfg, None if command == "sweep" else config_digest(given)
+    try:
+        # a NaN where no domain looks fails the digest
+        digest = None if command == "sweep" else config_digest(given)
+        handler = _HANDLERS[command](cfg)
+    except ValueError as exc:  # ConfigError included, message kept
+        raise ConfigError(str(exc)) from exc
 
-
-def _run(command: str, cfg: dict, digest: Optional[str], out_dir: str,
-         threads: int) -> int:
-    _HANDLERS[command](cfg, out_dir, threads)
-    if digest is not None:
-        _write_json(os.path.join(out_dir, "manifest.json"), RunManifest(
-            master_seed=cfg.get("master_seed", 0), config_digest=digest))
-    return EXIT_OK
+    def run(out_dir: str, threads: int):
+        handler(_make_dir(out_dir), threads)
+        if digest is not None:
+            _write_json(os.path.join(out_dir, "manifest.json"), RunManifest(
+                master_seed=cfg.get("master_seed", 0), config_digest=digest))
+    return run
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -886,19 +902,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    out_dir = args.out
     try:
-        os.makedirs(out_dir, exist_ok=True)
         if args.command == "reproduce":
             if args.experiment is None and not args.list_only:
                 print("config error: reproduce needs an experiment id "
                       "(or --list)", file=sys.stderr)
                 return EXIT_CONFIG
-            return cmd_reproduce(args.experiment, out_dir, args.list_only)
+            return cmd_reproduce(args.experiment, args.out, args.list_only)
         with open(args.config) as fh:
             raw_cfg = json.load(fh)
-        cfg, digest = _prepare(args.command, raw_cfg, args.seed)
-        return _run(args.command, cfg, digest, out_dir, args.threads)
+        _prepare(args.command, raw_cfg, args.seed)(args.out, args.threads)
+        return EXIT_OK
     except (ConfigError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -8,7 +8,7 @@ import json
 import numpy as np
 import pytest
 
-from svlab import cli, conditions, continuous, discrete
+from svlab import cli, conditions, continuous, discrete, reproduce
 from svlab.cli import (EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_TABLE_FAIL,
                        main)
 from svlab.conditions import diffusion_window_evidence
@@ -850,17 +850,103 @@ def test_seed_override_is_held_to_the_seed_domain(tmp_path, capsys):
     assert "master_seed must be an integer >= 0" in capsys.readouterr().err
 
 
-def test_sweep_checks_every_member_before_the_first_run(tmp_path, capsys):
+# a sweep builds every member, under every rule, before the first one runs:
+# its second member breaks a domain, the checkpoint rule or the delay rule
+@pytest.mark.parametrize("command, param, values, base, message", [
+    pytest.param("resolvent", "horizon", [4, -1],
+                 {"schema_version": 1, "kind": "discrete",
+                  "kernel": {"entries": [[0, -0.5]]}},
+                 "horizon must be an integer >= 0, got -1",
+                 id="resolvent-horizon"),
+    pytest.param("simulate-discrete", "checkpoints", [[2, 4, 8], [8, 4, 2]],
+                 discrete_cfg(horizon=8),
+                 "checkpoints must strictly increase, got [8, 4, 2]",
+                 id="simulate-discrete-checkpoints"),
+    pytest.param("check", "checkpoint_times",
+                 [[2.0, 4.0, 8.0], [8.0, 4.0, 2.0]],
+                 {"schema_version": 1, "condition": "cond-f",
+                  "function": "exp_decay(rate=1.0)",
+                  "grid": {"step_h": 0.5, "horizon_T": 8.0}},
+                 "checkpoint_times must strictly increase, "
+                 "got [8.0, 4.0, 2.0]",
+                 id="check-cond-f-checkpoint_times"),
+    pytest.param("resolvent", "tau", [1.0, 0.0],
+                 {"schema_version": 1, "kind": "functional",
+                  "kernel": {"atoms": [[-1.0, -0.5]]},
+                  "grid": {"step_h": 0.1, "horizon_T": 2.0}},
+                 "delay tau must be positive", id="resolvent-functional-tau"),
+])
+def test_sweep_checks_every_member_before_the_first_run(
+        tmp_path, capsys, command, param, values, base, message):
     cfg = write_config(tmp_path, "sweep.json", {
-        "schema_version": 1, "command": "resolvent", "param": "horizon",
-        "values": [4, -1],
-        "base": {"schema_version": 1, "kind": "discrete",
-                 "kernel": {"entries": [[0, -0.5]]}},
-    })
+        "schema_version": 1, "command": command, "param": param,
+        "values": values, "base": base})
     out = tmp_path / "out"
     assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
-    assert "horizon must be an integer >= 0, got -1" in capsys.readouterr().err
-    assert not (out / "000").exists()
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# a run that exits 2 writes nothing, not even --out
+@pytest.mark.parametrize("argv, code", [
+    (["resolvent", "--config", "{config}"], EXIT_CONFIG),
+    (["reproduce", "nope"], EXIT_CONFIG),
+    (["reproduce"], EXIT_CONFIG),
+    (["reproduce", "--list"], EXIT_OK),
+], ids=["resolvent-no-kernel", "reproduce-unknown", "reproduce-no-id",
+        "reproduce-list"])
+def test_runs_without_outputs_create_no_out_dir(tmp_path, capsys, argv,
+                                                code):
+    # the resolvent config lacks its required kernel
+    cfg = write_config(tmp_path, "r.json",
+                       {"schema_version": 1, "kind": "discrete", "horizon": 4})
+    out = tmp_path / "out"
+    argv = [a.format(config=cfg) for a in argv] + ["--out", str(out)]
+    assert main(argv) == code
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate-discrete", "--config", "{config}"],
+    ["sweep", "--config", "{sweep}"],
+    ["reproduce", "certificates"],
+], ids=["simulate-discrete", "sweep", "reproduce"])
+@pytest.mark.parametrize("out", ["afile", "afile/sub"])
+def test_out_that_cannot_be_created_is_config_error(tmp_path, capsys,
+                                                    monkeypatch, argv, out):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work began before --out was made")
+
+    monkeypatch.setattr(cli, "run_paths", no_work)
+    monkeypatch.setattr(reproduce, "run_experiment", no_work)
+    (tmp_path / "afile").write_text("")
+    config = write_config(tmp_path, "d.json", discrete_cfg())
+    sweep = write_config(tmp_path, "s.json", {
+        "schema_version": 1, "command": "simulate-discrete",
+        "param": "horizon", "values": [8, 16], "base": discrete_cfg()})
+    argv = [a.format(config=config, sweep=sweep) for a in argv]
+    assert main(argv + ["--out", str(tmp_path / out)]) == EXIT_CONFIG
+    assert "config error: cannot create output directory" in \
+        capsys.readouterr().err
+    assert (tmp_path / "afile").read_text() == ""
+
+
+def test_sweep_member_dir_that_cannot_be_created_stops_before_any_run(
+        tmp_path, capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a member ran before every member dir was made")
+
+    monkeypatch.setattr(cli, "run_paths", no_work)
+    sweep = write_config(tmp_path, "s.json", {
+        "schema_version": 1, "command": "simulate-discrete",
+        "param": "horizon", "values": [8, 16], "base": discrete_cfg()})
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "001").write_text("")
+    assert main(["sweep", "--config", sweep, "--out", str(out)]) == \
+        EXIT_CONFIG
+    assert "config error: cannot create output directory" in \
+        capsys.readouterr().err
 
 
 # the leaf-mutation table: small configs covering every command and check
