@@ -40,7 +40,7 @@ from .core import (DEFAULT_NORM, NORMS, CompiledMeasure, DensitySample,
                    RunManifest, SignedMeasureRepr, config_digest,
                    neg_identity_point_mass, rng_stream, run_paths)
 from .evidence import (INCONCLUSIVE, EvidenceReport, TailThresholds,
-                       checkpoint_indices, default_checkpoint_times,
+                       _jsonable, checkpoint_indices, default_checkpoint_times,
                        default_checkpoints, time_checkpoints)
 
 EXIT_OK = 0
@@ -239,7 +239,23 @@ def validate_config(cfg: dict, schema: dict, path: str = "") -> tuple:
     return given, typed
 
 
+def _read_config(path: str):
+    """The JSON in the config file at path: a file that cannot be opened,
+    decoded or parsed is a config error."""
+    try:
+        with open(path, "rb") as fh:
+            return json.loads(fh.read())
+    # ValueError includes the decode and JSON errors; RecursionError is JSON
+    # nested too deep
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ConfigError(f"cannot read config: {exc}") from exc
+
+
 def _require_version(cfg: dict):
+    # ahead of validate_config, so that a config of another schema version
+    # is told so before its keys are checked
+    if not isinstance(cfg, dict):
+        raise ConfigError("config must be an object")
     if cfg.get("schema_version") != 1:
         raise ConfigError("unsupported schema_version "
                           f"{cfg.get('schema_version')!r}; this build reads 1")
@@ -547,6 +563,16 @@ def _ensure_finite(arr: np.ndarray, what: str):
         raise NumericFailure(f"non-finite values in {what}")
 
 
+def _ensure_finite_json(obj, what: str):
+    """A NaN or an infinity anywhere in obj, written as JSON, is a numeric
+    failure."""
+    tree = obj.to_dict() if isinstance(obj, EvidenceReport) else obj
+    try:
+        json.dumps(tree, allow_nan=False, default=_jsonable)
+    except ValueError:
+        raise NumericFailure(f"non-finite values in {what}") from None
+
+
 def _make_dir(path: str) -> str:
     """Makes the output directory `path`: one it cannot make is a config
     error."""
@@ -789,7 +815,9 @@ def cmd_check(cfg: dict):
                     "windows": windows.tolist(), "partial_sums": sums.tolist()}
 
     def run(out_dir: str, threads: int):
-        _write_json(os.path.join(out_dir, "report.json"), report())
+        result = report()
+        _ensure_finite_json(result, "report")
+        _write_json(os.path.join(out_dir, "report.json"), result)
     return run
 
 
@@ -826,6 +854,9 @@ def cmd_sweep(cfg: dict):
         node = sub
         for part in dotted[:-1]:
             node = node.setdefault(part, {})
+            if not isinstance(node, dict):
+                raise ConfigError(f"param {cfg['param']}: {part} in base "
+                                  "is not an object")
         node[dotted[-1]] = value
         members.append(_prepare(cfg["command"], sub, None))
 
@@ -909,11 +940,10 @@ def main(argv=None) -> int:
                       "(or --list)", file=sys.stderr)
                 return EXIT_CONFIG
             return cmd_reproduce(args.experiment, args.out, args.list_only)
-        with open(args.config) as fh:
-            raw_cfg = json.load(fh)
-        _prepare(args.command, raw_cfg, args.seed)(args.out, args.threads)
+        _prepare(args.command, _read_config(args.config), args.seed)(
+            args.out, args.threads)
         return EXIT_OK
-    except (ConfigError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (ValueError, RuntimeError, FloatingPointError,

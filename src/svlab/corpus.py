@@ -18,8 +18,8 @@ callable; one without a ``support`` method is "anywhere" (None).
 from __future__ import annotations
 
 import ast
-import re
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -221,54 +221,50 @@ class Square:
         return support_of(self.inner, t0, t1)
 
 
-_CALL_RE = re.compile(r"^([a-z_]+)\((.*)\)$")
+_FAMILIES = {"spike": SpikeFamily, "osc": OscFamily, "const": ConstFamily,
+             "geomwin": GeometricWindowFamily, "exp_decay": ExpDecayFamily}
 
 
-def _parse_kwargs(argstr: str) -> dict:
-    kwargs = {}
-    depth = 0
-    parts, buf = [], []
-    for ch in argstr:
-        if ch == "," and depth == 0:
-            parts.append("".join(buf))
-            buf = []
-        else:
-            depth += ch == "("
-            depth -= ch == ")"
-            buf.append(ch)
-    if buf:
-        parts.append("".join(buf))
-    for part in parts:
-        part = part.strip()
-        if not part:
-            continue
-        if "=" not in part:
-            raise ValueError(f"corpus arguments must be key=value, got {part!r}")
-        key, val = part.split("=", 1)
-        kwargs[key.strip()] = ast.literal_eval(val.strip())
-    return kwargs
+def _number(family: str, kw: ast.keyword):
+    """The value of one family argument: an int or a float, finite."""
+    try:
+        value = ast.literal_eval(kw.value)
+        ok = type(value) in (int, float) and math.isfinite(value)
+    except (ValueError, TypeError, OverflowError):
+        ok = False
+    if not ok:
+        raise ValueError(f"{family} argument {kw.arg} must be a finite "
+                         f"number, got {ast.unparse(kw.value)}")
+    return value
+
+
+def _build(node):
+    if isinstance(node, ast.Name) and node.id == "zero":
+        return zero_f
+    call = isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    head = node.func.id if call else ast.unparse(node)
+    if call and head == "sqrt":
+        if len(node.args) != 1 or node.keywords:
+            raise ValueError("sqrt takes one corpus expression")
+        return SqrtOf(_build(node.args[0]))
+    if not call or head not in _FAMILIES:
+        raise ValueError(f"unknown corpus function {head!r}")
+    keys = [field.name for field in fields(_FAMILIES[head])]
+    if node.args or any(kw.arg not in keys for kw in node.keywords):
+        raise ValueError(f"{head} takes key=value arguments only, with keys "
+                         f"among {', '.join(keys)}")
+    return _FAMILIES[head](**{kw.arg: _number(head, kw)
+                              for kw in node.keywords})
 
 
 def resolve(name: str):
-    """Parse a corpus expression like ``spike(beta=0.32)`` or
-    ``sqrt(spike(beta=0.32))`` into a vectorized callable."""
-    name = name.strip()
-    if name == "zero":
-        return zero_f
-    m = _CALL_RE.match(name)
-    if m is None:
-        raise ValueError(f"unknown corpus function {name!r}")
-    head, inner = m.group(1), m.group(2)
-    if head == "sqrt":
-        return SqrtOf(resolve(inner))
-    kwargs = _parse_kwargs(inner)
-    families = {
-        "spike": SpikeFamily,
-        "osc": OscFamily,
-        "const": ConstFamily,
-        "geomwin": GeometricWindowFamily,
-        "exp_decay": ExpDecayFamily,
-    }
-    if head not in families:
-        raise ValueError(f"unknown corpus function {head!r}")
-    return families[head](**kwargs)
+    """Parse a corpus expression into a vectorized callable. An expression
+    is ``zero``, ``sqrt(<expression>)`` or a family called with keyword
+    arguments only, each a finite int or float, as in
+    ``sqrt(spike(beta=0.32))``; anything else raises ValueError."""
+    try:
+        tree = ast.parse(name.strip(), mode="eval")
+    except SyntaxError as exc:
+        raise ValueError(f"cannot parse corpus expression {name!r}: "
+                         f"{exc.msg}") from None
+    return _build(tree.body)

@@ -72,6 +72,39 @@ def test_simulate_discrete_short_ensemble_reports_inconclusive(tmp_path, over,
     assert report["diagnostics"]["reason"] == reason
 
 
+# 30 paths and checkpoints [16, 32, 64]: the tail rule compares 32 and 64
+@pytest.mark.parametrize("over, verdict", [
+    ({"initial": [1.0]}, "summable-evidence"),
+    ({"diffusion": 0.5}, "divergent-evidence"),
+    ({"diffusion": 0.5, "noise": {"family": "uniform"}},
+     "divergent-evidence"),
+], ids=["halving", "gaussian-noise", "uniform-noise"])
+def test_simulate_discrete_tail_verdict(tmp_path, over, verdict):
+    cfg = write_config(tmp_path, "d.json", {
+        "schema_version": 1, "horizon": 64,
+        "kernel": {"entries": [[0, -0.5]]},
+        "ensemble": {"n_paths": 30}, **over})
+    out = tmp_path / "out"
+    assert main(["simulate-discrete", "--config", cfg,
+                 "--out", str(out)]) == EXIT_OK
+    report = json.loads((out / "evidence.json").read_text())
+    assert report["verdict"] == verdict
+    assert report["checkpoints"] == [32, 64]
+    assert report["params"] == {"half_index": 32, "full_index": 64}
+    assert report["diagnostics"]["n_paths"] == 30
+    rows = read_csv(out / "paths.csv")[1:]
+    x1 = [float(r[2]) for r in rows if r[1] == "1"]
+    if "initial" in over:
+        # X(n) = 2^-n on every path, so S(N) = sum 4^-n up to N
+        assert report["diagnostics"]["median_s_full"] == \
+            pytest.approx(4 / 3, rel=1e-15)
+    elif "noise" in over:
+        # X(1) = 0.5 xi(0) with xi uniform on [0, 1)
+        assert all(0.0 <= x < 0.5 for x in x1)
+    else:
+        assert min(x1) < 0.0
+
+
 def test_simulate_discrete_rerun_is_byte_identical(tmp_path):
     cfg = write_config(tmp_path, "d.json", discrete_cfg())
     a, b = tmp_path / "a", tmp_path / "b"
@@ -525,6 +558,31 @@ def test_invalid_json(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seed", [[], ["--seed", "3"]],
+                         ids=["no-seed", "seed"])
+@pytest.mark.parametrize("config", ["list", "dir", "latin-1", "deep"])
+def test_bad_config_file_is_config_error(tmp_path, capsys, config, seed):
+    path = tmp_path / config
+    if config == "list":
+        path.write_text("[1, 2]")
+    elif config == "dir":
+        path.mkdir()
+    elif config == "deep":
+        path.write_text("[" * 100000 + "]" * 100000)
+    else:
+        # bytes that are not UTF-8
+        path.write_bytes(json.dumps(discrete_cfg(forcing="z\xe9ro"),
+                                    ensure_ascii=False).encode("latin-1"))
+    out = tmp_path / "o"
+    assert main(["simulate-discrete", "--config", str(path), "--out",
+                 str(out)] + seed) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert ("config must be an object" if config == "list"
+            else "cannot read config") in err
+    assert not out.exists()
+
+
 def test_unknown_condition_lists_known_ids(tmp_path, capsys):
     cfg = write_config(tmp_path, "c.json", {
         "schema_version": 1,
@@ -727,6 +785,25 @@ def _cond_f_cfg(**over):
      "step_h must divide 1"),
     ({"condition": "lemma-p-lt-1", "p": 0.5, "horizon": 4, "step_h": 0.7},
      "step_h must divide 1"),
+    # every corpus argument is a finite int or float; the last three break
+    # the grammar
+    ({"function": "const(c=None)"}, "bad function 'const(c=None)': const "
+     "argument c must be a finite number, got None"),
+    ({"function": "const(c=True)"}, "bad function 'const(c=True)': const "
+     "argument c must be a finite number, got True"),
+    ({"function": "const(c=1j)"}, "bad function 'const(c=1j)': const "
+     "argument c must be a finite number, got 1j"),
+    ({"function": 'exp_decay(rate="x")'}, "bad function "
+     "'exp_decay(rate=\"x\")': exp_decay argument rate must be a finite "
+     "number, got 'x'"),
+    ({"function": "exp_decay(rate=1e999)"}, "bad function "
+     "'exp_decay(rate=1e999)': exp_decay argument rate must be a finite"),
+    ({"function": "spike(0.32)"}, "bad function 'spike(0.32)': spike takes "
+     "key=value arguments only"),
+    ({"function": "nope(x=1)"}, "bad function 'nope(x=1)': unknown corpus "
+     "function 'nope'"),
+    ({"function": "spike(beta=0.32"}, "bad function 'spike(beta=0.32': "
+     "cannot parse corpus expression"),
 ])
 def test_check_argument_errors_are_config_errors(tmp_path, capsys,
                                                  monkeypatch, over, message):
@@ -739,9 +816,23 @@ def test_check_argument_errors_are_config_errors(tmp_path, capsys,
     assert main(["check", "--config", cfg,
                  "--out", str(tmp_path / "o")]) == EXIT_CONFIG
     assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 # numeric failures -----------------------------------------------------------
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_check_report_with_non_finite_values_exits_numeric(tmp_path, capsys):
+    # valid arguments whose values overflow: e^{1000 t} is inf past t = 0.71
+    cfg = write_config(tmp_path, "c.json",
+                       _cond_f_cfg(function="exp_decay(rate=-1000.0)"))
+    out = tmp_path / "o"
+    assert main(["check", "--config", cfg, "--out", str(out)]) == EXIT_NUMERIC
+    assert "numeric error: non-finite values in report" in \
+        capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
 
 def test_check_failure_after_evaluation_exits_numeric(tmp_path, capsys):
     cfg = write_config(tmp_path, "c.json", {
@@ -875,6 +966,11 @@ def test_seed_override_is_held_to_the_seed_domain(tmp_path, capsys):
                   "kernel": {"atoms": [[-1.0, -0.5]]},
                   "grid": {"step_h": 0.1, "horizon_T": 2.0}},
                  "delay tau must be positive", id="resolvent-functional-tau"),
+    pytest.param("resolvent", "grid.step_h", [0.1, 0.2],
+                 {"schema_version": 1, "kind": "differential",
+                  "kernel": {"atoms": [[0.0, -0.5]]}, "grid": 5},
+                 "param grid.step_h: grid in base is not an object",
+                 id="resolvent-param-through-a-number"),
 ])
 def test_sweep_checks_every_member_before_the_first_run(
         tmp_path, capsys, command, param, values, base, message):

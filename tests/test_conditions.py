@@ -134,15 +134,24 @@ def test_support_lattice_keeps_dense_bits(beta):
     assert got.tobytes() == _one_shot_lattice(f, n_cells, h, refine).tobytes()
 
 
-@pytest.mark.parametrize("beta", [0.25, 0.4])
-def test_support_sampling_keeps_unit_window_and_filter_bits(beta):
+@pytest.mark.parametrize("beta, k", [
+    pytest.param(0.25, 26214, id="0.25"), pytest.param(0.4, 26214, id="0.4"),
+    pytest.param(0.25, 10, id="0.25-step0.1"),
+    pytest.param(0.4, 10, id="0.4-step0.1")])
+def test_support_sampling_keeps_unit_window_and_filter_bits(beta, k):
     """unit_windows and exp_filter_equivalence read spike only on its
     support, with the bits of evaluating it everywhere. k = 26214 points
-    per unit put the first slice edge at t = 2.50004, inside spike 2."""
-    k = 26214
+    per unit put the first slice edge at t = 2.50004, inside spike 2; at
+    k = 10 the sample spans of spikes 2 and 3, each widened by two points,
+    overlap and are merged."""
     sig = corpus.resolve(f"sqrt(spike(beta={beta}))")
-    edge = conditions.LATTICE_SLICE / k
-    assert any(lo < edge < hi for lo, hi in sig.support(0.0, 8.0))
+    support = sig.support(0.0, 8.0)
+    if k == 10:
+        assert np.floor(support[1, 0] * k) - 2 <= \
+            np.ceil(support[0, 1] * k) + 3
+    else:
+        edge = conditions.LATTICE_SLICE / k
+        assert any(lo < edge < hi for lo, hi in support)
     sq = corpus.Square(sig)
     dense = np.asarray(sq(np.arange(8 * k) / k)).reshape(8, k).sum(axis=1) / k
     assert unit_windows(sq, 8, 1.0 / k).tobytes() == dense.tobytes()

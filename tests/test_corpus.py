@@ -230,3 +230,39 @@ def test_resolve_unknown_name():
 def test_resolve_requires_keyword_arguments():
     with pytest.raises(ValueError, match="key=value"):
         resolve("const(2.0)")
+
+
+def test_resolve_keeps_ints_and_reads_the_grammar_not_the_spelling():
+    assert type(resolve("spike(beta=1)").beta) is int
+    assert type(resolve("const(c=-2)").c) is int
+    assert resolve("spike (beta=0.32)") == SpikeFamily(0.32)
+    assert resolve("sqrt( sqrt(zero) )") == SqrtOf(SqrtOf(zero_f))
+    assert resolve("osc(beta=0.6, alpha=0.2,)") == OscFamily(0.2, 0.6)
+
+
+@pytest.mark.parametrize("name, message", [
+    ("const(c=None)", "const argument c must be a finite number, got None"),
+    ("const(c=True)", "const argument c must be a finite number, got True"),
+    ("const(c=1j)", "const argument c must be a finite number, got 1j"),
+    ("const(c=[1.0])", "const argument c must be a finite number"),
+    ("const(c=nan)", "const argument c must be a finite number, got nan"),
+    ("const(c=2 * 3)", "const argument c must be a finite number"),
+    ("const(c=1" + "0" * 400 + ")", "const argument c must be a finite"),
+    ("exp_decay(rate='x')", "exp_decay argument rate must be a finite"),
+    ("exp_decay(rate=1e999)", "exp_decay argument rate must be a finite"),
+    ("exp_decay(rate=-1e999)", "exp_decay argument rate must be a finite"),
+    ("spike(gamma=1.0)", "spike takes key=value arguments only, with keys "
+                         "among beta"),
+    ("spike(**{'beta': 1.0})", "spike takes key=value arguments only"),
+    ("sqrt(zero, zero)", "sqrt takes one corpus expression"),
+    ("sqrt(x=zero)", "sqrt takes one corpus expression"),
+    ("sqrt(1.0)", "unknown corpus function '1.0'"),
+    ("spike.x(beta=1)", "unknown corpus function 'spike.x"),
+    ("zero()", "unknown corpus function 'zero'"),
+    ("spike(beta=0.32", "cannot parse corpus expression"),
+    ("", "cannot parse corpus expression"),
+])
+def test_resolve_rejects_what_is_not_the_grammar(name, message):
+    with pytest.raises(ValueError) as info:
+        resolve(name)
+    assert message in str(info.value)
