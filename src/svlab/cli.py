@@ -38,7 +38,7 @@ from . import conditions, continuous, corpus, discrete
 from .core import (DEFAULT_NORM, NORMS, CompiledMeasure, DensitySample,
                    GeometricTail, GridSpec, MatrixKernelSeq, NoiseSpec,
                    RunManifest, SignedMeasureRepr, config_digest,
-                   neg_identity_point_mass, rng_stream, run_paths)
+                   neg_identity_point_mass, run_paths)
 from .evidence import (INCONCLUSIVE, EvidenceReport, TailThresholds,
                        _jsonable, checkpoint_indices, default_checkpoint_times,
                        default_checkpoints, time_checkpoints)
@@ -621,8 +621,7 @@ def cmd_simulate_discrete(cfg: dict):
     norm = cfg["norm"]
 
     def one(i: int):
-        x0, xi = discrete.draw_noise(sys_, rng_stream(seed, i))
-        X = discrete.simulate_direct(sys_, xi, x0)
+        X = discrete.simulate_direct(sys_, master_seed=seed, path_index=i)
         _ensure_finite(X, f"path {i}")
         S = None if p is None else discrete.lp_partial_sums(X, p, norm)
         return X, S
@@ -702,12 +701,11 @@ def cmd_simulate_sve(cfg: dict):
 
 
 def cmd_simulate_sfde(cfg: dict):
-    d, psi, seed = cfg["dim"], cfg["history"], cfg["master_seed"]
+    d, seed = cfg["dim"], cfg["master_seed"]
     grid = GridSpec(**cfg["grid"])
     mu = _measure(cfg["kernel"], d)
-    psi_arg = _signal(psi, "history") if isinstance(psi, str) else \
-        (0.0 if psi is None else psi)
-    sys_ = continuous.DelaySystem(mu, cfg["tau"], psi_arg, grid,
+    sys_ = continuous.DelaySystem(mu, cfg["tau"],
+                                  _signal(cfg["history"], "history"), grid,
                                   _signal(cfg["forcing"], "forcing"),
                                   _signal(cfg["diffusion"], "diffusion"),
                                   cfg["noise_dim"])
@@ -906,7 +904,8 @@ def _prepare(command: str, raw_cfg: dict, seed_override: Optional[int]):
         handler(_make_dir(out_dir), threads)
         if digest is not None:
             _write_json(os.path.join(out_dir, "manifest.json"), RunManifest(
-                master_seed=cfg.get("master_seed", 0), config_digest=digest))
+                master_seed=cfg.get("master_seed", 0), config_digest=digest,
+                norm=cfg.get("norm", DEFAULT_NORM)))
     return run
 
 

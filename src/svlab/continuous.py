@@ -25,6 +25,17 @@ zero increments. `simulate_sve` and `simulate_sfde` step one path in its
 column of such a block, so path i has the same bytes alone, in an ensemble
 of any size and under any `--threads`.
 
+Forcing f, diffusion sigma and the initial segment psi of a delay system
+are signals, sampled by one rule (`_on_grid`): f and sigma at the left
+endpoints t_0..t_{n-1}, psi at the grid times of [-tau, 0], with per-time
+shapes (d,), (d, m) and (d,). A signal is None, which is zero, a value,
+or a callable, which is evaluated on the times array and read as a value.
+A number or an array of the per-time shape is held constant over time; an
+array with one row per time is taken as it is, and a 1-D one only when
+the per-time shape is all ones. Any other shape is a ValueError naming the
+signal. Both systems bind their samples and their compiled kernel in one
+place (`_bind`).
+
 The kernel that is exactly the negative identity point mass at zero is
 routed through the same exponential-integrator scan as `simulate_ou`, so
 those two simulators are bit-identical on shared streams (same equation,
@@ -50,47 +61,22 @@ PATH_BLOCK = 8
 
 
 # ---------------------------------------------------------------------------
-# materialization helpers
+# signals on the grid and the shared exponential-integrator scan
 
-def drift_values(f, grid: GridSpec, d: int) -> np.ndarray:
-    """Forcing sampled at the left endpoints t_0..t_{n-1}, shape (n, d)."""
-    n = grid.n_steps
-    if f is None:
-        return np.zeros((n, d))
-    if callable(f):
-        v = np.asarray(f(grid.times()[:-1]), float)
-    else:
-        v = np.asarray(f, float)
-        if v.ndim == 0:
-            v = np.full(n, float(v))
-    if v.ndim == 1:
-        if d != 1:
-            raise ValueError("scalar forcing needs d = 1")
-        v = v[:, None]
-    if v.shape != (n, d):
-        raise ValueError(f"forcing shape {v.shape} != ({n}, {d})")
-    return v
-
-
-def diffusion_values(sigma, grid: GridSpec, d: int, m: int) -> np.ndarray:
-    """Diffusion sampled at left endpoints, shape (n, d, m)."""
-    n = grid.n_steps
-    if sigma is None:
-        return np.zeros((n, d, m))
-    if callable(sigma):
-        v = np.asarray(sigma(grid.times()[:-1]), float)
-    else:
-        v = np.asarray(sigma, float)
-        if v.ndim == 0:
-            v = np.full(n, float(v))
-        elif v.shape == (d, m):
-            v = np.broadcast_to(v, (n, d, m)).copy()
-    if v.ndim == 1:
-        if (d, m) != (1, 1):
-            raise ValueError("scalar diffusion needs d = m = 1")
-        v = v[:, None, None]
-    if v.shape != (n, d, m):
-        raise ValueError(f"diffusion shape {v.shape} != ({n}, {d}, {m})")
+def _on_grid(value, times: np.ndarray, shape: tuple, what: str) -> np.ndarray:
+    """The signal `value` at `times`, shape (len(times),) + shape, by the
+    signal rule of the module docstring; ValueError naming `what` for any
+    other shape."""
+    full = (len(times),) + shape
+    if value is None:
+        return np.zeros(full)
+    v = np.asarray(value(times) if callable(value) else value, float)
+    if v.shape != full and (v.ndim == 0 or v.shape == shape):
+        v = np.repeat(v[None], len(times), axis=0)
+    if v.shape == full[:1] and all(k == 1 for k in shape):
+        v = v.reshape(full)
+    if v.shape != full:
+        raise ValueError(f"{what} shape {v.shape} != {full}")
     return v
 
 
@@ -100,7 +86,7 @@ def brownian_increments(grid: GridSpec, m: int, rng: np.random.Generator) -> np.
 
 
 def _increments(grid: GridSpec, m: int, master_seed: int, path_index: int,
-                dB: Optional[np.ndarray]) -> np.ndarray:
+                dB: Optional[np.ndarray] = None) -> np.ndarray:
     """The supplied increments, shape-checked, or the path's own draws."""
     if dB is None:
         return brownian_increments(grid, m, rng_stream(master_seed, path_index))
@@ -111,22 +97,17 @@ def _increments(grid: GridSpec, m: int, master_seed: int, path_index: int,
     return dB
 
 
-# ---------------------------------------------------------------------------
-# the shared exponential-integrator scan
-
-def _exp_scan(x0: np.ndarray, drive: np.ndarray, decay: float) -> np.ndarray:
-    """out[0] = x0, out[k+1] = decay * out[k] + drive[k]; run in C."""
-    n, d = drive.shape
-    out = np.empty((n + 1, d))
+def _ou_path(x0: np.ndarray, f_vals: np.ndarray, sig_vals: np.ndarray,
+             dB: np.ndarray, h: float) -> np.ndarray:
+    """Y_0 = x0, Y_{k+1} = e^{-h} Y_k + (1 - e^{-h}) f_k + sigma_k dB_k,
+    scanned in C."""
+    decay = np.exp(-h)
+    drive = (1.0 - decay) * f_vals + np.einsum("kdm,km->kd", sig_vals, dB)
+    out = np.empty((len(drive) + 1, len(x0)))
     out[0] = x0
     out[1:] = lfilter([1.0], [1.0, -decay], drive, axis=0,
                       zi=decay * x0[None])[0]
     return out
-
-
-def _ou_drive(f_vals: np.ndarray, sig_vals: np.ndarray, dB: np.ndarray,
-              decay: float) -> np.ndarray:
-    return (1.0 - decay) * f_vals + np.einsum("kdm,km->kd", sig_vals, dB)
 
 
 def simulate_ou(f, sigma, grid: GridSpec, *, d: int = 1, m: Optional[int] = None,
@@ -135,19 +116,35 @@ def simulate_ou(f, sigma, grid: GridSpec, *, d: int = 1, m: Optional[int] = None
     """Mean-reverting unit-rate path from zero:
     Y_{k+1} = e^{-h} Y_k + (1 - e^{-h}) f(t_k) + sigma(t_k) dB_k, Y_0 = 0."""
     m = d if m is None else m
-    f_vals = drift_values(f, grid, d)
-    sig_vals = diffusion_values(sigma, grid, d, m)
-    dB = _increments(grid, m, master_seed, path_index, dB)
-    decay = np.exp(-grid.step_h)
-    return _exp_scan(np.zeros(d), _ou_drive(f_vals, sig_vals, dB, decay), decay)
+    times = grid.times()[:-1]
+    return _ou_path(np.zeros(d), _on_grid(f, times, (d,), "forcing"),
+                    _on_grid(sigma, times, (d, m), "diffusion"),
+                    _increments(grid, m, master_seed, path_index, dB),
+                    grid.step_h)
 
 
 # ---------------------------------------------------------------------------
 # systems
 
+def _bind(sys, measure: SignedMeasureRepr, head: np.ndarray) -> None:
+    """Set what the paths of `sys` step from: noise_dim (default d), the
+    head rows, forcing and diffusion at the left endpoints t_0..t_{n-1}
+    (shapes (n, d) and (n, d, m)) and the compiled kernel."""
+    d = measure.dim
+    m = d if sys.noise_dim is None else int(sys.noise_dim)
+    times = sys.grid.times()[:-1]
+    for name, value in (
+            ("noise_dim", m), ("head", head),
+            ("f_vals", _on_grid(sys.forcing, times, (d,), "forcing")),
+            ("sig_vals", _on_grid(sys.diffusion, times, (d, m), "diffusion")),
+            ("compiled", CompiledMeasure(measure, sys.grid))):
+        object.__setattr__(sys, name, value)
+
+
 @dataclass(frozen=True)
 class ContinuousSystem:
-    """Kernel measure on [0, inf), forcing, diffusion and initial vector."""
+    """Kernel measure on [0, inf), forcing, diffusion and initial vector.
+    Its paths start from head = X(0), shape (1, d)."""
 
     nu: SignedMeasureRepr
     grid: GridSpec
@@ -160,26 +157,16 @@ class ContinuousSystem:
         if self.nu.negative_support:
             raise ValueError("convolution kernel must be supported in [0, inf)")
         d = self.nu.dim
-        m = d if self.noise_dim is None else int(self.noise_dim)
-        object.__setattr__(self, "noise_dim", m)
         init = (np.zeros(d) if self.initial is None
                 else np.asarray(self.initial, float))
         if init.shape != (d,):
             raise ValueError(f"initial vector must have shape ({d},)")
         object.__setattr__(self, "initial", init)
-        object.__setattr__(self, "f_vals", drift_values(self.forcing, self.grid, d))
-        object.__setattr__(self, "sig_vals",
-                           diffusion_values(self.diffusion, self.grid, d, m))
-        object.__setattr__(self, "compiled", CompiledMeasure(self.nu, self.grid))
+        _bind(self, self.nu, init[None])
 
     @property
     def dim(self) -> int:
         return self.nu.dim
-
-    @property
-    def head(self) -> np.ndarray:
-        """The stored rows a path starts from: X(0), shape (1, d)."""
-        return self.initial[None]
 
 
 def simulate_sve(sys: ContinuousSystem, *, master_seed: int = 0,
@@ -188,14 +175,13 @@ def simulate_sve(sys: ContinuousSystem, *, master_seed: int = 0,
 
     Generic kernels step X_{k+1} = X_k + [f_k + (nu * X)_k] h + sigma_k dB_k
     in column path_index % PATH_BLOCK of a block, drawn or supplied dB alike;
-    the exact negative-identity point mass delegates to the exponential scan
-    shared with `simulate_ou` (bit-identical there when initial = 0).
+    the exact negative-identity point mass runs the exponential scan of
+    `simulate_ou` (bit-identical there when initial = 0).
     """
     dB = _increments(sys.grid, sys.noise_dim, master_seed, path_index, dB)
     if is_neg_identity_point_mass(sys.nu):
-        decay = np.exp(-sys.grid.step_h)
-        drive = _ou_drive(sys.f_vals, sys.sig_vals, dB, decay)
-        return _exp_scan(sys.initial, drive, decay)
+        return _ou_path(sys.initial, sys.f_vals, sys.sig_vals, dB,
+                        sys.grid.step_h)
     return _one_path(sys, path_index, dB)
 
 
@@ -244,8 +230,7 @@ def ensemble(sys: Union[ContinuousSystem, DelaySystem], master_seed: int,
         paths = range(b * PATH_BLOCK, min((b + 1) * PATH_BLOCK, n_paths))
         dB = np.zeros((sys.grid.n_steps, m, PATH_BLOCK))
         for i in paths:
-            dB[:, :, i % PATH_BLOCK] = brownian_increments(
-                sys.grid, m, rng_stream(master_seed, i))
+            dB[:, :, i % PATH_BLOCK] = _increments(sys.grid, m, master_seed, i)
         X = _block(sys, dB)
         return [reduce(i, X[:, :, i % PATH_BLOCK].copy()) for i in paths]
 
@@ -282,13 +267,11 @@ def coupled_paths(sys: ContinuousSystem, *, master_seed: int = 0,
     drift nu * X of each step comes from `CompiledMeasure.convolve`, the
     one-step route with its own window code, not from the solver."""
     grid = sys.grid
-    dB = brownian_increments(grid, sys.noise_dim,
-                             rng_stream(master_seed, path_index))
+    dB = _increments(grid, sys.noise_dim, master_seed, path_index)
     X = simulate_sve(sys, path_index=path_index, dB=dB)
     conv_x = np.array([sys.compiled.convolve(X, k)
                        for k in range(grid.n_steps)])
-    Y = simulate_ou(sys.forcing, sys.diffusion, grid, d=sys.dim,
-                    m=sys.noise_dim, dB=dB)
+    Y = _ou_path(np.zeros(sys.dim), sys.f_vals, sys.sig_vals, dB, grid.step_h)
     Z = X - Y
     h = grid.step_h
     resid = Z[1:] - Z[:-1] - h * (conv_x + Y[:-1])
@@ -378,11 +361,13 @@ def delay_steps(mu: SignedMeasureRepr, tau: float,
 @dataclass(frozen=True)
 class DelaySystem:
     """Finite-delay dynamics: kernel measure mu on [-tau, 0], initial
-    segment psi on [-tau, 0], forcing and diffusion on [0, T]."""
+    segment psi on [-tau, 0], forcing and diffusion on [0, T]. Its paths
+    start from head = psi at the n_hist + 1 grid times of [-tau, 0], shape
+    (n_hist + 1, d), which must be finite."""
 
     mu: SignedMeasureRepr
     tau: float
-    psi: Union[Callable, np.ndarray, float]
+    psi: Union[Callable, np.ndarray, float, None]
     grid: GridSpec
     forcing: Union[Callable, np.ndarray, float, None] = None
     diffusion: Union[Callable, np.ndarray, float, None] = None
@@ -390,40 +375,16 @@ class DelaySystem:
 
     def __post_init__(self):
         n_hist = delay_steps(self.mu, self.tau, self.grid)
-        d = self.mu.dim
-        m = d if self.noise_dim is None else int(self.noise_dim)
-        object.__setattr__(self, "noise_dim", m)
         object.__setattr__(self, "n_hist", n_hist)
-        hist_times = (np.arange(n_hist + 1) - n_hist) * self.grid.step_h
-        psi = self.psi
-        if callable(psi):
-            seg = np.asarray(psi(hist_times), float)
-        else:
-            seg = np.asarray(psi, float)
-            if seg.ndim == 0:
-                seg = np.full(n_hist + 1, float(seg))
-        if seg.ndim == 1:
-            if d != 1:
-                raise ValueError("scalar initial segment needs d = 1")
-            seg = seg[:, None]
-        if seg.shape != (n_hist + 1, d):
-            raise ValueError(f"initial segment shape {seg.shape} != ({n_hist + 1}, {d})")
-        if not np.all(np.isfinite(seg)):
+        head = _on_grid(self.psi, self.times()[:n_hist + 1], (self.mu.dim,),
+                        "initial segment")
+        if not np.all(np.isfinite(head)):
             raise ValueError("initial segment must be finite")
-        object.__setattr__(self, "psi_vals", seg)
-        object.__setattr__(self, "f_vals", drift_values(self.forcing, self.grid, d))
-        object.__setattr__(self, "sig_vals",
-                           diffusion_values(self.diffusion, self.grid, d, m))
-        object.__setattr__(self, "compiled", CompiledMeasure(self.mu, self.grid))
+        _bind(self, self.mu, head)
 
     @property
     def dim(self) -> int:
         return self.mu.dim
-
-    @property
-    def head(self) -> np.ndarray:
-        """The stored rows a path starts from: the initial segment."""
-        return self.psi_vals
 
     def times(self) -> np.ndarray:
         return (np.arange(self.n_hist + self.grid.n_steps + 1) - self.n_hist) \

@@ -253,6 +253,10 @@ def _build(node):
     if node.args or any(kw.arg not in keys for kw in node.keywords):
         raise ValueError(f"{head} takes key=value arguments only, with keys "
                          f"among {', '.join(keys)}")
+    given = [kw.arg for kw in node.keywords]
+    for key in given:
+        if given.count(key) > 1:
+            raise ValueError(f"{head} argument {key} is given more than once")
     return _FAMILIES[head](**{kw.arg: _number(head, kw)
                               for kw in node.keywords})
 
@@ -260,8 +264,9 @@ def _build(node):
 def resolve(name: str):
     """Parse a corpus expression into a vectorized callable. An expression
     is ``zero``, ``sqrt(<expression>)`` or a family called with keyword
-    arguments only, each a finite int or float, as in
-    ``sqrt(spike(beta=0.32))``; anything else raises ValueError."""
+    arguments only, each key at most once and each value a finite int or
+    float, as in ``sqrt(spike(beta=0.32))``; anything else raises
+    ValueError."""
     try:
         tree = ast.parse(name.strip(), mode="eval")
     except SyntaxError as exc:

@@ -204,8 +204,7 @@ def tail_span(full: int, half: Optional[int] = None) -> tuple[int, int]:
 
 def tail_decision(partial_sums: Sequence[np.ndarray],
                   thresholds: TailThresholds = TailThresholds(),
-                  half_index: Optional[int] = None,
-                  min_paths: int = MIN_TAIL_PATHS) -> EvidenceReport:
+                  half_index: Optional[int] = None) -> EvidenceReport:
     """Ensemble tail verdict from per-path partial-sum sequences.
 
     Summable evidence when the median tail increment S(N) - S(N/2) is below
@@ -213,8 +212,9 @@ def tail_decision(partial_sums: Sequence[np.ndarray],
     ratio_div; inconclusive otherwise.
     """
     seqs = [np.asarray(s, float) for s in partial_sums]
-    if len(seqs) < min_paths:
-        raise ValueError(f"need at least {min_paths} paths, got {len(seqs)}")
+    if len(seqs) < MIN_TAIL_PATHS:
+        raise ValueError(f"need at least {MIN_TAIL_PATHS} paths, "
+                         f"got {len(seqs)}")
     length = len(seqs[0])
     if any(len(s) != length for s in seqs):
         raise ValueError("partial-sum sequences must share a horizon")

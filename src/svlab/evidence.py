@@ -29,21 +29,39 @@ class TailThresholds:
         return asdict(self)
 
 
+def _tail_ratios(s_half, s_full) -> np.ndarray:
+    """full/half per sequence; inf where only the full sum is positive and
+    1 where neither is."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(s_half > 0, s_full / s_half,
+                        np.where(s_full > 0, np.inf, 1.0))
+
+
+def _tail_rule(s_half: float, increment: float, ratio: float,
+               thresholds: TailThresholds) -> tuple[str, float]:
+    """The three-way tail rule and its bar eps_tail * s_half + eps_abs:
+    summable below the bar, else divergent above ratio_div, else
+    inconclusive."""
+    bar = thresholds.eps_tail * s_half + thresholds.eps_abs
+    if increment < bar:
+        return SUMMABLE, bar
+    if ratio > thresholds.ratio_div:
+        return DIVERGENT, bar
+    return INCONCLUSIVE, bar
+
+
 def tail_verdict(s_half: float, s_full: float,
                  thresholds: TailThresholds = TailThresholds()) -> str:
     """Verdict for one sequence from its half-horizon and full-horizon sums."""
-    increment = s_full - s_half
-    if increment < thresholds.eps_tail * s_half + thresholds.eps_abs:
-        return SUMMABLE
-    ratio = np.inf if s_half == 0 else s_full / s_half
-    if ratio > thresholds.ratio_div:
-        return DIVERGENT
-    return INCONCLUSIVE
+    return _tail_rule(s_half, s_full - s_half,
+                      float(_tail_ratios(np.float64(s_half), s_full)),
+                      thresholds)[0]
 
 
 def median_tail_verdict(s_half, s_full,
                         thresholds: TailThresholds = TailThresholds()):
-    """Ensemble verdict from per-path sums: medians of increment and ratio.
+    """Ensemble verdict from per-path sums: the tail rule of `tail_verdict`
+    on the medians of half sum, increment and ratio.
 
     The diagnostics carry the verdict's margins: tail_bar = eps_tail *
     median_s_half + eps_abs, tail_margin = median_increment - tail_bar
@@ -52,17 +70,8 @@ def median_tail_verdict(s_half, s_full,
     s_full = np.asarray(s_full, float)
     med_half = float(np.median(s_half))
     med_incr = float(np.median(s_full - s_half))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(s_half > 0, s_full / s_half,
-                          np.where(s_full > 0, np.inf, 1.0))
-    med_ratio = float(np.median(ratios))
-    tail_bar = thresholds.eps_tail * med_half + thresholds.eps_abs
-    if med_incr < tail_bar:
-        verdict = SUMMABLE
-    elif med_ratio > thresholds.ratio_div:
-        verdict = DIVERGENT
-    else:
-        verdict = INCONCLUSIVE
+    med_ratio = float(np.median(_tail_ratios(s_half, s_full)))
+    verdict, tail_bar = _tail_rule(med_half, med_incr, med_ratio, thresholds)
     diagnostics = {
         "median_s_half": med_half,
         "median_s_full": float(np.median(s_full)),

@@ -270,6 +270,24 @@ def test_simulate_sfde_method_of_steps(tmp_path):
     assert vals["-1"] == 1.0  # history segment replayed verbatim
 
 
+def test_simulate_sfde_history_is_a_signal_like_forcing(tmp_path):
+    # a number, the same constant as a corpus expression, and null (zero)
+    base = {"schema_version": 1, "grid": {"step_h": 0.05, "horizon_T": 1.0},
+            "tau": 0.5, "kernel": {"atoms": [[-0.5, -0.5]]},
+            "diffusion": 0.2, "ensemble": {"n_paths": 2}}
+    paths = {}
+    for history in (0.75, "const(c=0.75)", None, 0.0):
+        out = tmp_path / f"o-{history}"
+        assert main(["simulate-sfde", "--config",
+                     write_config(tmp_path, "f.json",
+                                  {**base, "history": history}),
+                     "--out", str(out)]) == EXIT_OK
+        paths[history] = (out / "paths.csv").read_bytes()
+    assert paths[0.75] == paths["const(c=0.75)"]
+    assert paths[None] == paths[0.0]
+    assert paths[None] != paths[0.75]
+
+
 def test_resolvent_discrete_halving(tmp_path):
     cfg = write_config(tmp_path, "r.json", {
         "schema_version": 1,
@@ -785,8 +803,8 @@ def _cond_f_cfg(**over):
      "step_h must divide 1"),
     ({"condition": "lemma-p-lt-1", "p": 0.5, "horizon": 4, "step_h": 0.7},
      "step_h must divide 1"),
-    # every corpus argument is a finite int or float; the last three break
-    # the grammar
+    # every corpus argument is a finite int or float; spike(0.32), nope(x=1)
+    # and spike(beta=0.32 break the grammar
     ({"function": "const(c=None)"}, "bad function 'const(c=None)': const "
      "argument c must be a finite number, got None"),
     ({"function": "const(c=True)"}, "bad function 'const(c=True)': const "
@@ -804,6 +822,10 @@ def _cond_f_cfg(**over):
      "function 'nope'"),
     ({"function": "spike(beta=0.32"}, "bad function 'spike(beta=0.32': "
      "cannot parse corpus expression"),
+    # a key given twice
+    ({"function": "exp_decay(rate=1.0, rate=-1000.0)"}, "bad function "
+     "'exp_decay(rate=1.0, rate=-1000.0)': exp_decay argument rate is given "
+     "more than once"),
 ])
 def test_check_argument_errors_are_config_errors(tmp_path, capsys,
                                                  monkeypatch, over, message):
@@ -932,6 +954,22 @@ def test_manifest_digests_the_config_as_given(tmp_path):
     digests = [json.loads((o / "manifest.json").read_text())["config_digest"]
                for o in outs]
     assert digests[0] != digests[1]
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("simulate-discrete", discrete_cfg()),
+    ("simulate-sve", {**_sve_cfg(), "grid": {"step_h": 0.02, "horizon_T": 2}}),
+])
+def test_manifest_records_the_norm_of_the_run(tmp_path, command, cfg):
+    norms = []
+    for norm in (None, "max", "euclid"):
+        run_cfg = cfg if norm is None else {**cfg, "norm": norm}
+        out = tmp_path / f"o-{norm}"
+        assert main([command, "--config",
+                     write_config(tmp_path, "c.json", run_cfg),
+                     "--out", str(out)]) == EXIT_OK
+        norms.append(json.loads((out / "manifest.json").read_text())["norm"])
+    assert norms == ["max", "max", "euclid"]
 
 
 def test_seed_override_is_held_to_the_seed_domain(tmp_path, capsys):

@@ -224,6 +224,94 @@ def test_simulators_check_supplied_increments(simulator, shape):
 
 
 # ---------------------------------------------------------------------------
+# signals on the grid: one rule for forcing, diffusion and history
+
+_G = GridSpec(0.1, 1.0)  # 10 steps; a 0.5 delay has 6 history rows
+
+
+def _delay(psi, d=1, **kw):
+    return DelaySystem(point_mass(-0.5 * np.eye(d), location=-0.5), 0.5, psi,
+                       _G, **kw)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: ContinuousSystem(point_mass(-np.eye(2)), _G, forcing=1.0),
+     "forcing shape (10,) != (10, 2)"),
+    (lambda: simulate_ou(1.0, None, _G, d=2),
+     "forcing shape (10,) != (10, 2)"),
+    (lambda: ContinuousSystem(point_mass([[-1.0]]), _G, diffusion=0.5,
+                              noise_dim=2),
+     "diffusion shape (10,) != (10, 1, 2)"),
+    (lambda: ContinuousSystem(point_mass([[-1.0]]), _G,
+                              forcing=np.ones(3)),
+     "forcing shape (3,) != (10, 1)"),
+    (lambda: ContinuousSystem(point_mass([[-1.0]]), _G,
+                              diffusion=lambda t: np.ones((len(t), 2))),
+     "diffusion shape (10, 2) != (10, 1, 1)"),
+    (lambda: _delay(np.ones((6, 2))), "initial segment shape (6, 2) != (6, 1)"),
+    (lambda: _delay(2.0, d=2), "initial segment shape (6,) != (6, 2)"),
+    (lambda: _delay(lambda t: np.where(t < -0.25, np.nan, 1.0)),
+     "initial segment must be finite"),
+    (lambda: _delay(np.inf), "initial segment must be finite"),
+])
+def test_signal_rule_rejects_and_names_the_signal(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert message in str(info.value)
+
+
+def test_constant_forcing_vector_is_held_over_time():
+    mu = point_mass([[-1.0, 0.2], [0.0, -2.0]])
+    sys_ = ContinuousSystem(mu, _G, forcing=np.array([1.0, -2.0]),
+                            diffusion=0.3 * np.eye(2))
+    np.testing.assert_array_equal(sys_.f_vals, np.tile([1.0, -2.0], (10, 1)))
+    per_time = ContinuousSystem(
+        mu, _G, forcing=lambda t: np.tile([1.0, -2.0], (len(t), 1)),
+        diffusion=0.3 * np.eye(2))
+    assert np.array_equal(simulate_sve(sys_, master_seed=2),
+                          simulate_sve(per_time, master_seed=2))
+
+
+def test_constant_history_vector_is_held_over_time():
+    sys_ = _delay(np.array([1.0, 2.0]), d=2, diffusion=0.2 * np.eye(2))
+    np.testing.assert_array_equal(sys_.head, np.tile([1.0, 2.0], (6, 1)))
+    per_time = _delay(lambda t: np.tile([1.0, 2.0], (len(t), 1)), d=2,
+                      diffusion=0.2 * np.eye(2))
+    assert np.array_equal(simulate_sfde(sys_, master_seed=4),
+                          simulate_sfde(per_time, master_seed=4))
+
+
+def test_callable_returning_a_number_is_held_over_time():
+    mu = point_mass([[-1.0]])
+    sys_ = ContinuousSystem(mu, _G, forcing=lambda t: 0.7,
+                            diffusion=lambda t: 0.3)
+    np.testing.assert_array_equal(sys_.f_vals, np.full((10, 1), 0.7))
+    np.testing.assert_array_equal(sys_.sig_vals, np.full((10, 1, 1), 0.3))
+    same = ContinuousSystem(mu, _G, forcing=0.7, diffusion=0.3)
+    assert np.array_equal(simulate_sve(sys_, master_seed=1),
+                          simulate_sve(same, master_seed=1))
+    assert np.array_equal(simulate_ou(lambda t: 0.7, lambda t: 0.3, _G),
+                          simulate_ou(0.7, 0.3, _G))
+
+
+def test_none_history_is_zero():
+    sys_ = _delay(None, diffusion=0.5)
+    np.testing.assert_array_equal(sys_.head, np.zeros((6, 1)))
+    assert np.array_equal(simulate_sfde(sys_, master_seed=3),
+                          simulate_sfde(_delay(0.0, diffusion=0.5),
+                                        master_seed=3))
+
+
+def test_both_systems_store_the_rows_their_paths_start_from():
+    sys_ = ContinuousSystem(point_mass([[-1.0]]), _G, initial=[2.5])
+    np.testing.assert_array_equal(sys_.head, [[2.5]])
+    X = simulate_sve(sys_)
+    np.testing.assert_array_equal(X[:1], sys_.head)
+    delay = _delay(lambda t: 1.0 + t)
+    np.testing.assert_array_equal(simulate_sfde(delay)[:6], delay.head)
+
+
+# ---------------------------------------------------------------------------
 # SVE / OU simulation
 
 def test_sve_deterministic_decay():

@@ -254,6 +254,10 @@ def test_resolve_keeps_ints_and_reads_the_grammar_not_the_spelling():
     ("spike(gamma=1.0)", "spike takes key=value arguments only, with keys "
                          "among beta"),
     ("spike(**{'beta': 1.0})", "spike takes key=value arguments only"),
+    ("exp_decay(rate=1.0, rate=-1000.0)",
+     "exp_decay argument rate is given more than once"),
+    ("osc(alpha=0.2, beta=0.6, alpha=0.2)",
+     "osc argument alpha is given more than once"),
     ("sqrt(zero, zero)", "sqrt takes one corpus expression"),
     ("sqrt(x=zero)", "sqrt takes one corpus expression"),
     ("sqrt(1.0)", "unknown corpus function '1.0'"),

@@ -366,6 +366,26 @@ def test_diagonal_diffusion_enforced_for_non_gaussian_noise():
                    NoiseSpec.gaussian(2))
 
 
+@pytest.mark.parametrize("horizon, forcing, diffusion, noise, message", [
+    (0, (0, 2), (0, 2, 2), NoiseSpec.gaussian(2), "horizon must be at least 1"),
+    (4, (4, 1), (4, 2, 2), NoiseSpec.gaussian(2), "forcing shape (4, 1) != (4, 2)"),
+    (4, (4, 2), (4, 2), NoiseSpec.gaussian(2),
+     "diffusion shape (4, 2) incompatible with (4, 2, m)"),
+    (4, (4, 2), (3, 2, 2), NoiseSpec.gaussian(2),
+     "diffusion shape (3, 2, 2) incompatible with (4, 2, m)"),
+    (4, (4, 2), (4, 2, 3), NoiseSpec.gaussian(2),
+     "diffusion columns must match the noise dimension"),
+    (4, (4, 2), (4, 2, 1), NoiseSpec.two_point(-1.0, 1.0),
+     "non-Gaussian noise requires square diagonal diffusion"),
+])
+def test_discrete_system_rejects_shapes(horizon, forcing, diffusion, noise,
+                                        message):
+    with pytest.raises(ValueError) as info:
+        DiscreteSystem(MatrixKernelSeq(2), horizon, np.zeros(forcing),
+                       np.zeros(diffusion), noise)
+    assert message in str(info.value)
+
+
 def test_random_initial_laws_drawn_before_noise():
     K = MatrixKernelSeq(1)
     sys_ = _zero_system(K, 4, initial=(UniformLaw(1.0, 2.0),))
@@ -541,6 +561,22 @@ def test_default_sets_certify_builtin_laws():
         assert pair is not None, law
         cert = truncated_mean_certificate(law, *pair)
         assert isinstance(cert, TruncatedMeanCertificate), law
+
+
+def test_sampled_density_draws_follow_the_cells():
+    """Cell frequencies of the draws match values * step (4.5 sigma), the
+    empty cell gets none, and draws are uniform inside a cell."""
+    law = SampledDensityLaw(-1.0, 0.25, (0.5, 0.0, 1.5, 2.0))
+    n = 200_000
+    x = law.sample(np.random.default_rng(21), n)
+    edges = -1.0 + 0.25 * np.arange(5)
+    counts, _ = np.histogram(x, bins=edges)
+    p = np.array(law.values) * law.step
+    assert np.all(np.abs(counts - n * p) <= 4.5 * np.sqrt(n * p * (1 - p)))
+    assert counts[1] == 0
+    assert x.min() >= -1.0 and x.max() < 0.0
+    last = x[x >= -0.25]
+    assert abs(np.mean(last) + 0.125) < 4.5 * 0.25 / np.sqrt(12 * last.size)
 
 
 def test_default_sets_give_up_on_constant():

@@ -13,7 +13,7 @@ from svlab.core import GridSpec
 from svlab.evidence import (DIVERGENT, INCONCLUSIVE, SATISFIED, SUMMABLE,
                             VIOLATED, EvidenceReport, TailThresholds,
                             checkpoint_indices, median_tail_verdict,
-                            time_checkpoints, worst_verdict)
+                            tail_verdict, time_checkpoints, worst_verdict)
 
 TH = TailThresholds()          # eps_tail 1e-2, eps_abs 1e-8, ratio_div 1.5
 HALF = np.linspace(0.9, 1.1, 31)   # median 1.0
@@ -49,6 +49,21 @@ def test_margins_are_deterministic_json():
     diag = json.loads(rep.to_json())["diagnostics"]
     assert diag["ratio_margin"] == 0.5
     assert diag["tail_margin"] == pytest.approx(15.5 - (0.155 + 1e-8))
+
+
+@pytest.mark.parametrize("s_half, s_full, thresholds, verdict", [
+    (1.0, 1.0 + BAR * (1 - 1e-9), TH, SUMMABLE),
+    (1.0, 1.0 + BAR * (1 + 1e-9), TH, INCONCLUSIVE),
+    (1.0, 2.0, TH, DIVERGENT),
+    (0.0, 0.0, TH, SUMMABLE),
+    (0.0, 1.0, TH, DIVERGENT),
+    # a zero tail with no absolute slack is no evidence of divergence
+    (0.0, 0.0, TailThresholds(eps_abs=0.0), INCONCLUSIVE),
+])
+def test_one_sequence_and_its_ensemble_share_the_tail_rule(
+        s_half, s_full, thresholds, verdict):
+    assert tail_verdict(s_half, s_full, thresholds) == verdict
+    assert median_tail_verdict([s_half], [s_full], thresholds)[0] == verdict
 
 
 # the aggregate of per-width and per-eps verdicts ------------------------------
