@@ -51,39 +51,21 @@ class WindowProfile:
     quad_step: float
 
 
-def _support_spans(support, first: int, n: int, step: float) -> list:
-    """Merged, increasing index spans [a, b) within [0, n) of the samples
-    first + j within two points of a support interval (lo, hi), the sample
-    times being about step apart; without a support, [(0, n)]."""
-    if support is None:
-        return [(0, n)]
+def _support_indices(support, first: int, n: int, step: float) -> np.ndarray:
+    """The indices j in [0, n), increasing, of the samples first + j within
+    two points of a support interval (lo, hi), the sample times being about
+    step apart."""
     iv = np.asarray(support, float).reshape(-1, 2)
     i0 = np.clip(np.floor(iv[:, 0] / step).astype(np.int64) - 2 - first, 0, n)
     i1 = np.clip(np.ceil(iv[:, 1] / step).astype(np.int64) + 3 - first, 0, n)
     spans = []
     for a, b in sorted(zip(i0.tolist(), i1.tolist())):
         if spans and a <= spans[-1][1]:
-            spans[-1] = (spans[-1][0], max(spans[-1][1], b))
+            spans[-1][1] = max(spans[-1][1], b)
         elif a < b:
-            spans.append((a, b))
-    return spans
-
-
-def _batches(spans):
-    """The index arrays of the spans, cut and packed in order into batches
-    of at most LATTICE_SLICE samples; yields each batch as a list."""
-    batch, size = [], 0
-    for a, b in spans:
-        while a < b:
-            c = min(b, a + LATTICE_SLICE - size)
-            batch.append(np.arange(a, c))
-            size += c - a
-            a = c
-            if size == LATTICE_SLICE:
-                yield batch
-                batch, size = [], 0
-    if batch:
-        yield batch
+            spans.append([a, b])
+    return np.concatenate([np.arange(a, b) for a, b in spans]
+                          + [np.empty(0, np.int64)])
 
 
 def _sample(f: Callable, out: np.ndarray, first: int, step: float,
@@ -91,22 +73,24 @@ def _sample(f: Callable, out: np.ndarray, first: int, step: float,
     """out[j] = f(times(first + j)), where times maps integer sample
     indices to increasing times about step apart.
 
-    f is evaluated once per batch of at most LATTICE_SLICE points, so it
-    must be pointwise, f(t)[i] a function of t[i] alone. Where f declares a
-    support (corpus.support_of), out is zero-filled and f is evaluated only
-    on the spans of samples within two points of it, so out gets the same
-    bits; otherwise the whole of out is one span.
+    f is evaluated on at most LATTICE_SLICE points a call, so it must be
+    pointwise, f(t)[i] a function of t[i] alone. Where f declares a support
+    (corpus.support_of), out is zero-filled and f is evaluated only on the
+    samples within two points of it, so out gets the same bits.
     """
     n = out.size
     t0, t1 = times(np.array([first, first + n]))
-    spans = _support_spans(corpus.support_of(f, t0, t1), first, n, step)
-    if spans != [(0, n)]:
-        out.fill(0.0)
-    for batch in _batches(spans):
-        j = np.concatenate(batch)
-        # one run of samples is written through a slice, the cheaper store
-        at = slice(j[0], j[0] + j.size) if len(batch) == 1 else j
-        out[at] = f(times(first + j))
+    support = corpus.support_of(f, t0, t1)
+    if support is None:
+        for lo in range(0, n, LATTICE_SLICE):
+            hi = min(lo + LATTICE_SLICE, n)
+            out[lo:hi] = f(times(first + np.arange(lo, hi)))
+        return
+    out.fill(0.0)
+    idx = _support_indices(support, first, n, step)
+    for lo in range(0, idx.size, LATTICE_SLICE):
+        j = idx[lo:lo + LATTICE_SLICE]
+        out[j] = f(times(first + j))
 
 
 def _cumulative_on_lattice(f: Callable, n_cells: int, h: float,

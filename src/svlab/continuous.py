@@ -30,10 +30,10 @@ are signals, sampled by one rule (`_on_grid`): f and sigma at the left
 endpoints t_0..t_{n-1}, psi at the grid times of [-tau, 0], with per-time
 shapes (d,), (d, m) and (d,). A signal is None, which is zero, a value,
 or a callable, which is evaluated on the times array and read as a value.
-A number or an array of the per-time shape is held constant over time; an
-array with one row per time is taken as it is, and a 1-D one only when
-the per-time shape is all ones. Any other shape is a ValueError naming the
-signal. Both systems bind their samples and their compiled kernel in one
+A number, or a non-callable array of the per-time shape, is held constant
+over time; an array with one row per time is taken as it is, and a 1-D one
+only when the per-time shape is all ones. Any other shape is a ValueError
+naming the signal. Both systems bind their samples and their compiled kernel in one
 place (`_bind`).
 
 The kernel that is exactly the negative identity point mass at zero is
@@ -71,7 +71,10 @@ def _on_grid(value, times: np.ndarray, shape: tuple, what: str) -> np.ndarray:
     if value is None:
         return np.zeros(full)
     v = np.asarray(value(times) if callable(value) else value, float)
-    if v.shape != full and (v.ndim == 0 or v.shape == shape):
+    # a callable's result is held constant only when it is a number: a 1-D
+    # time profile must not pass for a constant vector when d == len(times)
+    if v.shape != full and (v.ndim == 0
+                            or (not callable(value) and v.shape == shape)):
         v = np.repeat(v[None], len(times), axis=0)
     if v.shape == full[:1] and all(k == 1 for k in shape):
         v = v.reshape(full)

@@ -29,14 +29,6 @@ class TailThresholds:
         return asdict(self)
 
 
-def _tail_ratios(s_half, s_full) -> np.ndarray:
-    """full/half per sequence; inf where only the full sum is positive and
-    1 where neither is."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(s_half > 0, s_full / s_half,
-                        np.where(s_full > 0, np.inf, 1.0))
-
-
 def _tail_rule(s_half: float, increment: float, ratio: float,
                thresholds: TailThresholds) -> tuple[str, float]:
     """The three-way tail rule and its bar eps_tail * s_half + eps_abs:
@@ -53,9 +45,9 @@ def _tail_rule(s_half: float, increment: float, ratio: float,
 def tail_verdict(s_half: float, s_full: float,
                  thresholds: TailThresholds = TailThresholds()) -> str:
     """Verdict for one sequence from its half-horizon and full-horizon sums."""
-    return _tail_rule(s_half, s_full - s_half,
-                      float(_tail_ratios(np.float64(s_half), s_full)),
-                      thresholds)[0]
+    ratio = (s_full / s_half if s_half > 0
+             else np.inf if s_full > 0 else 1.0)
+    return _tail_rule(s_half, s_full - s_half, ratio, thresholds)[0]
 
 
 def median_tail_verdict(s_half, s_full,
@@ -70,7 +62,10 @@ def median_tail_verdict(s_half, s_full,
     s_full = np.asarray(s_full, float)
     med_half = float(np.median(s_half))
     med_incr = float(np.median(s_full - s_half))
-    med_ratio = float(np.median(_tail_ratios(s_half, s_full)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where(s_half > 0, s_full / s_half,
+                          np.where(s_full > 0, np.inf, 1.0))
+    med_ratio = float(np.median(ratios))
     verdict, tail_bar = _tail_rule(med_half, med_incr, med_ratio, thresholds)
     diagnostics = {
         "median_s_half": med_half,

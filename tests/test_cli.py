@@ -288,6 +288,28 @@ def test_simulate_sfde_history_is_a_signal_like_forcing(tmp_path):
     assert paths[None] != paths[0.75]
 
 
+@pytest.mark.parametrize("command, signal, message", [
+    ("simulate-sfde", "history", "initial segment shape (2,) != (2, 2)"),
+    ("simulate-sve", "forcing", "forcing shape (2,) != (2, 2)"),
+])
+def test_time_profile_is_not_a_vector_when_dim_equals_the_times(
+        tmp_path, capsys, command, signal, message):
+    # dim 2 on two sample times: a scalar profile of time must not be held
+    # constant as a 2-vector
+    out = tmp_path / "o"
+    cfg = {"schema_version": 1, "dim": 2,
+           "grid": {"step_h": 0.5, "horizon_T": 1.0},
+           "kernel": {"atoms": [[0.0, [[-0.5, 0.0], [0.0, -0.5]]]]},
+           signal: "exp_decay(rate=1.0)", "ensemble": {"n_paths": 1}}
+    if command == "simulate-sfde":
+        cfg.update(tau=0.5, kernel={"atoms": [[-0.5, [[-0.5, 0.0],
+                                                       [0.0, -0.5]]]]})
+    assert main([command, "--config", write_config(tmp_path, "c.json", cfg),
+                 "--out", str(out)]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_resolvent_discrete_halving(tmp_path):
     cfg = write_config(tmp_path, "r.json", {
         "schema_version": 1,

@@ -161,29 +161,14 @@ def test_support_sampling_keeps_unit_window_and_filter_bits(beta, k):
                                           1.0 / k)
 
 
-def test_support_spans_are_merged_and_clipped_to_the_chunk():
-    # without a support the chunk is one span; each interval is widened by
-    # two points below and three above, then merged and clipped
-    assert conditions._support_spans(None, 7, 50, 0.1) == [(0, 50)]
+def test_support_indices_are_merged_and_clipped_to_the_chunk():
+    # each interval is widened by two points below and three above, then
+    # the overlapping ones are merged and all are clipped to the chunk
     support = [(1.5, 1.8), (1.9, 2.2), (4.45, 4.55), (9.0, 9.5)]
-    assert conditions._support_spans(support, 10, 50, 0.1) == \
-        [(3, 15), (32, 39)]
-    assert conditions._support_spans(np.empty((0, 2)), 0, 50, 0.1) == []
-
-
-def test_batches_cut_long_spans_and_pack_short_ones():
-    # f sees one call per LATTICE_SLICE samples, dense or spread out
-    s = conditions.LATTICE_SLICE
-
-    def runs(spans):
-        return [[(int(r[0]), int(r[-1]) + 1) for r in batch]
-                for batch in conditions._batches(spans)]
-
-    assert runs([(0, 2 * s + 5)]) == \
-        [[(0, s)], [(s, 2 * s)], [(2 * s, 2 * s + 5)]]
-    assert runs([(0, 3), (10, s + 8), (s + 20, s + 30)]) == \
-        [[(0, 3), (10, s + 7)], [(s + 7, s + 8), (s + 20, s + 30)]]
-    assert runs([]) == []
+    np.testing.assert_array_equal(
+        conditions._support_indices(support, 10, 50, 0.1),
+        np.r_[3:15, 32:39])
+    assert conditions._support_indices(np.empty((0, 2)), 0, 50, 0.1).size == 0
 
 
 def test_window_profiles_rejects_empty_widths():

@@ -253,6 +253,12 @@ def _delay(psi, d=1, **kw):
     (lambda: _delay(lambda t: np.where(t < -0.25, np.nan, 1.0)),
      "initial segment must be finite"),
     (lambda: _delay(np.inf), "initial segment must be finite"),
+    # a time profile is not a constant vector, even when d == len(times)
+    (lambda: _delay(lambda t: np.exp(t), d=6),
+     "initial segment shape (6,) != (6, 6)"),
+    (lambda: ContinuousSystem(point_mass(-np.eye(10)), _G,
+                              forcing=lambda t: np.exp(-t)),
+     "forcing shape (10,) != (10, 10)"),
 ])
 def test_signal_rule_rejects_and_names_the_signal(build, message):
     with pytest.raises(ValueError) as info:
