@@ -9,10 +9,16 @@ three-valued tail rules to their L^p / l^p partial integrals.
 "For all theta > 0" is approximated on a declared finite set of widths
 (default 0.5, 1, 2, 4); the aggregate verdict is the worst per-width one.
 All widths of one check share one cumulative lattice, evaluated once up to
-the widest window and sliced per width. Its bits do not depend on which
+the widest window and read per width. Its bits do not depend on which
 widths are requested: the lattice is built in chunks anchored at t = 0 and
 summed in sequence, so a longer lattice has the same prefix as a shorter
 one, and each profile equals the one a lattice of its own width gives.
+
+An integrand that declares a support (corpus.support_of) is evaluated and
+summed only there: each cell end reads the running sum of the support
+samples at or before it, which has the bits of summing the zeros in
+between. A profile is never held whole: its L^p partial sums and segment
+suprema are reduced in blocks of PROFILE_BLOCK points read off the lattice.
 """
 from __future__ import annotations
 
@@ -35,6 +41,8 @@ DEFAULT_THETAS = (0.5, 1.0, 2.0, 4.0)
 # lattice points per chunk, and per evaluation of the integrand
 LATTICE_CHUNK = 4_000_000
 LATTICE_SLICE = 1 << 16
+# grid points per block of a streamed profile reduction
+PROFILE_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -43,12 +51,29 @@ class WindowProfile:
 
     values[i] = integral over [t_i, t_i + theta], left-Riemann at quad_step
     (a divisor of the grid step, so window endpoints sit on sample points).
+    It is lattice[i + width] - lattice[i], on the cumulative lattice all
+    widths of a check share, and is worked out on each read of values.
     """
 
     theta: float
     grid: GridSpec
-    values: np.ndarray
+    lattice: np.ndarray
+    width: int
     quad_step: float
+
+    @property
+    def values(self) -> np.ndarray:
+        n = self.grid.n_steps
+        return self.lattice[self.width: self.width + n + 1] - \
+            self.lattice[: n + 1]
+
+    def abs_blocks(self, lo: int, hi: int):
+        """(start, |values[start:end]|) over [lo, hi) in blocks of
+        PROFILE_BLOCK points, start increasing."""
+        F, m = self.lattice, self.width
+        for a in range(lo, hi, PROFILE_BLOCK):
+            b = min(a + PROFILE_BLOCK, hi)
+            yield a, np.abs(F[a + m: b + m] - F[a: b])
 
 
 def _support_indices(support, first: int, n: int, step: float) -> np.ndarray:
@@ -68,29 +93,43 @@ def _support_indices(support, first: int, n: int, step: float) -> np.ndarray:
                           + [np.empty(0, np.int64)])
 
 
+def _on_support(f: Callable, first: int, n: int, step: float,
+                times: Callable):
+    """None when f declares no support (corpus.support_of) on the samples
+    first .. first + n - 1; else (j, v), j the indices in [0, n) of the
+    samples within two points of the support, increasing, and
+    v = f(times(first + j)), evaluated on at most LATTICE_SLICE points a
+    call. f is 0.0 at every other sample."""
+    t0, t1 = times(np.array([first, first + n]))
+    support = corpus.support_of(f, t0, t1)
+    if support is None:
+        return None
+    idx = _support_indices(support, first, n, step)
+    vals = np.empty(idx.size)
+    for lo in range(0, idx.size, LATTICE_SLICE):
+        j = idx[lo:lo + LATTICE_SLICE]
+        vals[lo:lo + j.size] = f(times(first + j))
+    return idx, vals
+
+
 def _sample(f: Callable, out: np.ndarray, first: int, step: float,
             times: Callable) -> None:
     """out[j] = f(times(first + j)), where times maps integer sample
     indices to increasing times about step apart.
 
     f is evaluated on at most LATTICE_SLICE points a call, so it must be
-    pointwise, f(t)[i] a function of t[i] alone. Where f declares a support
-    (corpus.support_of), out is zero-filled and f is evaluated only on the
-    samples within two points of it, so out gets the same bits.
+    pointwise, f(t)[i] a function of t[i] alone. Where f declares a support,
+    f is evaluated only on it (_on_support) and out is zero elsewhere, so
+    out gets the same bits.
     """
-    n = out.size
-    t0, t1 = times(np.array([first, first + n]))
-    support = corpus.support_of(f, t0, t1)
-    if support is None:
-        for lo in range(0, n, LATTICE_SLICE):
-            hi = min(lo + LATTICE_SLICE, n)
-            out[lo:hi] = f(times(first + np.arange(lo, hi)))
+    on_support = _on_support(f, first, out.size, step, times)
+    if on_support is not None:
+        out.fill(0.0)
+        out[on_support[0]] = on_support[1]
         return
-    out.fill(0.0)
-    idx = _support_indices(support, first, n, step)
-    for lo in range(0, idx.size, LATTICE_SLICE):
-        j = idx[lo:lo + LATTICE_SLICE]
-        out[j] = f(times(first + j))
+    for lo in range(0, out.size, LATTICE_SLICE):
+        hi = min(lo + LATTICE_SLICE, out.size)
+        out[lo:hi] = f(times(np.arange(first + lo, first + hi)))
 
 
 def _cumulative_on_lattice(f: Callable, n_cells: int, h: float,
@@ -98,26 +137,41 @@ def _cumulative_on_lattice(f: Callable, n_cells: int, h: float,
     """F[j] = left-Riemann integral of f over [0, j*h] at step h/refine.
 
     The lattice runs in chunks of at most LATTICE_CHUNK points (the chunk
-    boundaries fix the bits), so long horizons stay in memory. Each chunk
-    is sampled by _sample into one buffer allocated once per call, which
-    is then summed in place.
+    boundaries fix the bits), so long horizons stay in memory. A dense
+    chunk is sampled by _sample into one buffer, allocated once per call,
+    and summed in place. Where f declares a support, a chunk sums only the
+    samples on it (_on_support), and each cell end reads the running sum of
+    those at or before it. That has the bits of summing the zeros too:
+    adding 0.0 changes a running sum at most in the sign of a zero, and
+    adding the chunk's sums to F[pos], never -0.0, removes that sign.
     """
     step = h / refine
     times = lambda i: i * step
     F = np.empty(n_cells + 1)
     F[0] = 0.0
     block = max(1, LATTICE_CHUNK // refine)
-    buf = np.empty(min(block, n_cells) * refine)
-    run = 0.0
+    buf = None
     pos = 0
     while pos < n_cells:
         nb = min(block, n_cells - pos)
-        cs = buf[:nb * refine]
-        _sample(f, cs, pos * refine, step, times)
-        np.cumsum(cs, out=cs)
-        cs *= step
-        F[pos + 1: pos + nb + 1] = run + cs[refine - 1::refine]
-        run = F[pos + nb]
+        on_support = _on_support(f, pos * refine, nb * refine, step, times)
+        if on_support is None:
+            if buf is None:
+                buf = np.empty(min(block, n_cells) * refine)
+            cs = buf[:nb * refine]
+            _sample(f, cs, pos * refine, step, times)
+            np.cumsum(cs, out=cs)
+            at_ends = cs[refine - 1::refine]
+        else:
+            idx, vals = on_support
+            cs = np.empty(idx.size + 1)
+            cs[0] = 0.0
+            np.cumsum(vals, out=cs[1:])
+            ends = np.arange(refine - 1, nb * refine, refine)
+            at_ends = cs[np.searchsorted(idx, ends, side="right")]
+        cells = F[pos + 1: pos + nb + 1]
+        np.multiply(at_ends, step, out=cells)
+        cells += F[pos]
         pos += nb
     return F
 
@@ -150,14 +204,12 @@ def window_profiles(f: Callable, thetas: Sequence[float], grid: GridSpec,
                     quad_step: Optional[float] = None
                     ) -> list[WindowProfile]:
     """Window profiles integral_t^{t+theta} f at every grid node, one per
-    width, all sliced from one cumulative lattice up to the widest window;
+    width, all read off one cumulative lattice up to the widest window;
     f must be evaluable on [0, T + max(thetas)]."""
     h = grid.step_h
     ms, refine = window_widths(thetas, grid, quad_step)
-    n = grid.n_steps
-    F = _cumulative_on_lattice(f, n + max(ms), h, refine)
-    return [WindowProfile(theta=float(theta), grid=grid,
-                          values=F[m: m + n + 1] - F[: n + 1],
+    F = _cumulative_on_lattice(f, grid.n_steps + max(ms), h, refine)
+    return [WindowProfile(theta=float(theta), grid=grid, lattice=F, width=m,
                           quad_step=h / refine)
             for theta, m in zip(thetas, ms)]
 
@@ -183,6 +235,9 @@ def profile_lp_evidence(profile: WindowProfile, p: float,
 
     Cumulative integral of |profile|^p at doubling checkpoints; verdict from
     the last two by the shared tail rules, mapped onto satisfied/violated.
+    The left-Riemann sums of |profile|^p run block by block in the order of
+    one cumsum over the profile: each block's cumsum starts from the total
+    so far.
     """
     if p < 1:
         raise ValueError("exponent p must be >= 1")
@@ -192,10 +247,18 @@ def profile_lp_evidence(profile: WindowProfile, p: float,
     else:
         time_checkpoints(checkpoint_times, grid)
     cps = [float(t) for t in checkpoint_times]
-    power = np.abs(profile.values) ** p
-    cum = np.zeros(len(power))
-    cum[1:] = np.cumsum(power[:-1]) * grid.step_h
-    at = [float(cum[grid.index_at(t)]) for t in cps]
+    stops = np.array([grid.index_at(t) for t in cps], np.int64)
+    sums = np.zeros(stops.size)
+    total = 0.0
+    for lo, block in profile.abs_blocks(0, int(stops.max(initial=0))):
+        cs = np.empty(block.size + 1)
+        cs[0] = total
+        cs[1:] = block ** p
+        np.cumsum(cs, out=cs)
+        inside = (stops > lo) & (stops <= lo + block.size)
+        sums[inside] = cs[stops[inside] - lo] * grid.step_h
+        total = cs[-1]
+    at = [float(x) for x in sums]
     params = {"theta": profile.theta, "p": p, "quad_step": profile.quad_step}
     if len(cps) < 3:
         return EvidenceReport("window-lp-integral", params, tuple(cps),
@@ -503,8 +566,8 @@ def window_fading_evidence(f: Callable, thetas: Sequence[float] = (0.5, 1.0, 2.0
     grid, idx = segment_grid(segment_times, step_h)
     per = []
     for prof in window_profiles(f, thetas, grid):
-        absvals = np.abs(prof.values)
-        sups = [float(absvals[i0:i1].max()) for i0, i1 in zip(idx, idx[1:])]
+        sups = [float(np.max([b.max() for _, b in prof.abs_blocks(i0, i1)]))
+                for i0, i1 in zip(idx, idx[1:])]
         if sups[-1] < tol:
             v = SATISFIED
         elif sups[-1] > 0.5 * sups[0]:

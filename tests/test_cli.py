@@ -539,6 +539,36 @@ def test_bad_checkpoints_are_config_errors(tmp_path, capsys, monkeypatch,
     assert f"config error: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cfg", [
+    _check_cfg("cond-f", function="exp_decay(rate=1.0)", p=2.0,
+               thetas=[0.5, 1.0, 2.0]),
+    _check_cfg("cond-sigma-high", sigma="sqrt(spike(beta=0.32))", p=4.0,
+               thetas=[0.5, 1.0], quad_step=0.01),
+    _check_cfg("fading", function="osc(alpha=0.1,beta=0.5)",
+               thetas=[0.5, 1.0], segment_times=[1.0, 2.0, 3.0],
+               fading_step=0.01)], ids=lambda c: c["condition"])
+def test_window_checks_build_their_profiles_in_one_call(tmp_path,
+                                                        monkeypatch, cfg):
+    """cond-f, cond-sigma-high and fading get every width's profile from
+    one window_profiles call, so a guard that patches window_profiles sees
+    all of their evaluation."""
+    calls = []
+    orig = conditions.window_profiles
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(conditions, "window_profiles", counting)
+    path = write_config(tmp_path, "c.json", cfg)
+    assert main(["check", "--config", path,
+                 "--out", str(tmp_path / "o")]) == EXIT_OK
+    assert calls == [cfg["thetas"]]
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert [row["theta"] for row in report["diagnostics"]["per_theta"]] == \
+        cfg["thetas"]
+
+
 @pytest.mark.parametrize("condition", ["cond-sigma-low", "s-epsilon"])
 @pytest.mark.parametrize("cps", [[5], [0]])
 def test_unit_window_checks_read_one_checkpoint_as_inconclusive(

@@ -161,6 +161,47 @@ def test_support_sampling_keeps_unit_window_and_filter_bits(beta, k):
                                           1.0 / k)
 
 
+class SignedBumps:
+    """A signed integrand that declares its support: -0.0 on [0, 0.05),
+    cos(7 t) - 0.2 on the rest of [0, 0.2) and on every (n + 0.1, n + 0.9),
+    n >= 1, save for runs of exact -0.0 inside them; -0.0 off the support."""
+
+    def __call__(self, t):
+        t = np.asarray(t, float)
+        frac = t - np.floor(t)
+        on = ((t >= 0.05) & (t < 0.2)) | \
+            ((t >= 1.0) & (frac > 0.1) & (frac < 0.9))
+        on &= np.floor(t * 50.0) % 7 != 3
+        return np.where(on, np.cos(7.0 * t) - 0.2, -0.0)
+
+    def support(self, t0, t1):
+        n = np.arange(max(1, int(np.floor(t0))), max(1, int(np.ceil(t1))))
+        iv = np.column_stack([n + 0.1, n + 0.9])
+        if t0 < 0.2:
+            iv = np.vstack([[0.0, 0.2], iv])
+        return iv
+
+
+@pytest.mark.parametrize("h, refine, n_cells", [
+    (0.01, 1, 1000), (0.01, 7, 1000),
+    # two full chunks of 4e6 // 7 cells and a short third; both chunk
+    # edges, t = 57.14 and 114.29, fall inside a bump
+    (1e-4, 7, 2 * (conditions.LATTICE_CHUNK // 7) + 123)])
+def test_support_lattice_keeps_signed_bits(h, refine, n_cells):
+    """Summing only the support keeps the bytes of summing every point for
+    a signed integrand with -0.0 values: the chunk sums differ at most in
+    the sign of a zero, and F, never -0.0, absorbs it."""
+    f = SignedBumps()
+    assert f(np.array([0.0]))[0] == 0.0 and np.signbit(f(np.array([0.0]))[0])
+    block = conditions.LATTICE_CHUNK // refine
+    edges = [c * block * h for c in range(1, n_cells // block + 1)]
+    assert all(0.1 < e % 1.0 < 0.9 for e in edges)
+    got = conditions._cumulative_on_lattice(f, n_cells, h, refine)
+    ref = _one_shot_lattice(f, n_cells, h, refine)
+    assert np.any(np.diff(ref) < 0) and np.any(np.diff(ref) > 0)
+    assert got.tobytes() == ref.tobytes()
+
+
 def test_support_indices_are_merged_and_clipped_to_the_chunk():
     # each interval is widened by two points below and three above, then
     # the overlapping ones are merged and all are clipped to the chunk
@@ -223,6 +264,44 @@ def test_sigma_high_check_evaluates_only_the_support():
 
 
 # L^p evidence on a profile --------------------------------------------------
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, 4.0, 2.5])
+def test_streamed_lp_sums_keep_whole_array_bits(p):
+    """The checkpoint sums, reduced in blocks of PROFILE_BLOCK points, equal
+    one cumsum over the whole profile bit for bit, at 0, at n and off the
+    block edges of a lattice of more than three blocks."""
+    B = conditions.PROFILE_BLOCK
+    n, m, h = 3 * B + 1000, 250, 0.01
+    g = GridSpec(h, n * h)
+    assert g.n_steps == n
+    F = np.cumsum(np.random.default_rng(3).standard_normal(n + m + 1))
+    prof = conditions.WindowProfile(theta=m * h, grid=g, lattice=F, width=m,
+                                    quad_step=h)
+    cps = [0, B - 7, 2 * B + 1, 3 * B + 11, n]
+    rep = profile_lp_evidence(prof, p, checkpoint_times=[c * h for c in cps])
+    whole = np.cumsum(np.abs(F[m:m + n + 1] - F[:n + 1]) ** p)
+    ref = [0.0] + [float(whole[c - 1] * h) for c in cps[1:]]
+    got = rep.diagnostics["checkpoint_values"]
+    assert np.array(got).tobytes() == np.array(ref).tobytes()
+    assert prof.values.tobytes() == (F[m:m + n + 1] - F[:n + 1]).tobytes()
+
+
+def test_streamed_fading_sups_keep_whole_array_max():
+    """Segment suprema taken block by block equal a max over the whole
+    profile, on segments that straddle the block edges."""
+    B = conditions.PROFILE_BLOCK
+    h = 1e-4
+    seg = (1.0, 4.0, 7.5, 11.0)
+    assert all(int(seg[0] / h) < k * B < int(seg[-1] / h) for k in (1, 2, 3))
+    f = lambda t: np.sin(5.0 * t) * np.exp(-0.2 * t) + 0.01 * np.cos(37.0 * t)
+    rep = window_fading_evidence(f, (0.5, 1.3), seg, step_h=h)
+    grid, idx = conditions.segment_grid(seg, h)
+    for row, prof in zip(rep.diagnostics["per_theta"],
+                         window_profiles(f, (0.5, 1.3), grid)):
+        a = np.abs(prof.values)
+        assert row["segment_sups"] == [float(a[i0:i1].max())
+                                       for i0, i1 in zip(idx, idx[1:])]
+
 
 def test_profile_lp_zero_satisfied():
     prof = window_integral(corpus.zero_f, 1.0, GridSpec(0.1, 32.0))
