@@ -3,8 +3,9 @@ drift convolves the path's past against a signed kernel measure.
 
 Four layers:
 
-* `core` - grids, signed matrix measures and their grid compilation, kernel
-  sequences, scalar noise laws, seeding and run manifests;
+* `core` - grids, the signal sampler, signed matrix measures and their grid
+  compilation, kernel sequences, scalar noise laws, seeding and run
+  manifests;
 * `discrete` / `continuous` - the summation-equation and integrodifferential
   simulators, resolvents, delay systems and gap diagnostics;
 * `conditions` / `evidence` - rolling-window integrability checks and the

@@ -595,18 +595,12 @@ def cmd_simulate_discrete(cfg: dict):
     cps = cfg["checkpoints"]
     short = []
     kernel = _discrete_kernel(cfg["kernel"], d)
-    f_fn = _signal(cfg["forcing"], "forcing")
-    s_fn = _signal(cfg["diffusion"], "diffusion")
-    steps = np.arange(N, dtype=float)
-    f_vals = np.zeros((N, d)) if f_fn is None else \
-        np.tile(np.asarray(f_fn(steps), float)[:, None], (1, d))
-    diag = np.zeros(N) if s_fn is None else np.asarray(s_fn(steps), float)
-    sig_vals = diag[:, None, None] * np.eye(d)[None]
-    noise = _noise(cfg["noise"], d)
     initial = None if cfg["initial"] is None else \
         np.asarray(cfg["initial"], float)
-    sys_ = discrete.DiscreteSystem(kernel, N, f_vals, sig_vals, noise,
-                                   initial)
+    sys_ = discrete.DiscreteSystem(
+        kernel, N, _signal(cfg["forcing"], "forcing"),
+        _signal(cfg["diffusion"], "diffusion"), _noise(cfg["noise"], d),
+        initial)
     if cps is not None:
         checkpoint_indices(cps, N, "checkpoints")
     elif p is not None:

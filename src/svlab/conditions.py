@@ -33,8 +33,8 @@ from .core import GridSpec
 from .evidence import (DIVERGENT, INCONCLUSIVE, SATISFIED, SUMMABLE, VIOLATED,
                        EvidenceReport, TailThresholds, as_condition_verdict,
                        checkpoint_indices, default_checkpoint_times,
-                       default_checkpoints, tail_verdict, time_checkpoints,
-                       worst_verdict)
+                       default_checkpoints, tail_ratio, tail_verdict,
+                       time_checkpoints, worst_verdict)
 from .quad import trapezoid_refined
 
 DEFAULT_THETAS = (0.5, 1.0, 2.0, 4.0)
@@ -268,7 +268,7 @@ def profile_lp_evidence(profile: WindowProfile, p: float,
     diagnostics = {
         "checkpoint_values": at,
         "tail_increment": at[-1] - at[-2],
-        "tail_ratio": at[-1] / at[-2] if at[-2] > 0 else np.inf,
+        "tail_ratio": tail_ratio(at[-2], at[-1]),
     }
     return EvidenceReport("window-lp-integral", params, tuple(cps),
                           diagnostics, thresholds.as_dict(), verdict)

@@ -26,15 +26,10 @@ column of such a block, so path i has the same bytes alone, in an ensemble
 of any size and under any `--threads`.
 
 Forcing f, diffusion sigma and the initial segment psi of a delay system
-are signals, sampled by one rule (`_on_grid`): f and sigma at the left
-endpoints t_0..t_{n-1}, psi at the grid times of [-tau, 0], with per-time
-shapes (d,), (d, m) and (d,). A signal is None, which is zero, a value,
-or a callable, which is evaluated on the times array and read as a value.
-A number, or a non-callable array of the per-time shape, is held constant
-over time; an array with one row per time is taken as it is, and a 1-D one
-only when the per-time shape is all ones. Any other shape is a ValueError
-naming the signal. Both systems bind their samples and their compiled kernel in one
-place (`_bind`).
+are signals, sampled by the one rule of `core.on_grid`: f and sigma at the
+left endpoints t_0..t_{n-1}, psi at the grid times of [-tau, 0], with
+per-time shapes (d,), (d, m) and (d,). Both systems bind their samples and
+their compiled kernel in one place (`_bind`).
 
 The kernel that is exactly the negative identity point mass at zero is
 routed through the same exponential-integrator scan as `simulate_ou`, so
@@ -51,8 +46,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import lfilter
 
 from .core import (DEFAULT_NORM, CompiledMeasure, GridSpec,
-                   SignedMeasureRepr, is_neg_identity_point_mass, rng_stream,
-                   run_paths, vector_norm)
+                   SignedMeasureRepr, is_neg_identity_point_mass, on_grid,
+                   rng_stream, run_paths, vector_norm)
+from .conditions import divisions
 from .evidence import (EvidenceReport, TailThresholds, median_tail_verdict,
                        time_checkpoints)
 from .quad import bisect_root
@@ -61,27 +57,7 @@ PATH_BLOCK = 8
 
 
 # ---------------------------------------------------------------------------
-# signals on the grid and the shared exponential-integrator scan
-
-def _on_grid(value, times: np.ndarray, shape: tuple, what: str) -> np.ndarray:
-    """The signal `value` at `times`, shape (len(times),) + shape, by the
-    signal rule of the module docstring; ValueError naming `what` for any
-    other shape."""
-    full = (len(times),) + shape
-    if value is None:
-        return np.zeros(full)
-    v = np.asarray(value(times) if callable(value) else value, float)
-    # a callable's result is held constant only when it is a number: a 1-D
-    # time profile must not pass for a constant vector when d == len(times)
-    if v.shape != full and (v.ndim == 0
-                            or (not callable(value) and v.shape == shape)):
-        v = np.repeat(v[None], len(times), axis=0)
-    if v.shape == full[:1] and all(k == 1 for k in shape):
-        v = v.reshape(full)
-    if v.shape != full:
-        raise ValueError(f"{what} shape {v.shape} != {full}")
-    return v
-
+# Brownian increments and the shared exponential-integrator scan
 
 def brownian_increments(grid: GridSpec, m: int, rng: np.random.Generator) -> np.ndarray:
     """Increments dB_k ~ N(0, h I_m) for k = 0..n-1."""
@@ -120,8 +96,8 @@ def simulate_ou(f, sigma, grid: GridSpec, *, d: int = 1, m: Optional[int] = None
     Y_{k+1} = e^{-h} Y_k + (1 - e^{-h}) f(t_k) + sigma(t_k) dB_k, Y_0 = 0."""
     m = d if m is None else m
     times = grid.times()[:-1]
-    return _ou_path(np.zeros(d), _on_grid(f, times, (d,), "forcing"),
-                    _on_grid(sigma, times, (d, m), "diffusion"),
+    return _ou_path(np.zeros(d), on_grid(f, times, (d,), "forcing"),
+                    on_grid(sigma, times, (d, m), "diffusion"),
                     _increments(grid, m, master_seed, path_index, dB),
                     grid.step_h)
 
@@ -138,8 +114,8 @@ def _bind(sys, measure: SignedMeasureRepr, head: np.ndarray) -> None:
     times = sys.grid.times()[:-1]
     for name, value in (
             ("noise_dim", m), ("head", head),
-            ("f_vals", _on_grid(sys.forcing, times, (d,), "forcing")),
-            ("sig_vals", _on_grid(sys.diffusion, times, (d, m), "diffusion")),
+            ("f_vals", on_grid(sys.forcing, times, (d,), "forcing")),
+            ("sig_vals", on_grid(sys.diffusion, times, (d, m), "diffusion")),
             ("compiled", CompiledMeasure(measure, sys.grid))):
         object.__setattr__(sys, name, value)
 
@@ -318,7 +294,8 @@ def grid_convolution(kernel_vals: np.ndarray, f_vals: np.ndarray,
 def trailing_window_average(f, grid: GridSpec, d: int = 1) -> np.ndarray:
     """Average over widths u in [0, 1] of the trailing window integrals:
     value(t) = integral_0^1 integral_{max(t-u,0)}^t f(s) ds du, double
-    left-endpoint quadrature on the grid."""
+    left-endpoint quadrature on the grid; ValueError unless the grid step
+    divides 1."""
     n = grid.n_steps
     h = grid.step_h
     raw = np.asarray(f(grid.times()) if callable(f) else f, float)
@@ -328,9 +305,7 @@ def trailing_window_average(f, grid: GridSpec, d: int = 1) -> np.ndarray:
         fv = raw[:, None]
     else:
         fv = raw
-    m = int(round(1.0 / h))
-    if m < 1:
-        raise ValueError("step too coarse for the unit width range")
+    m = divisions(1.0, h, "the grid step must divide the unit width range")
     F = np.zeros((n + 1, fv.shape[1]))
     F[1:] = np.cumsum(fv[:n], axis=0) * h
     G = np.cumsum(F, axis=0)
@@ -379,8 +354,8 @@ class DelaySystem:
     def __post_init__(self):
         n_hist = delay_steps(self.mu, self.tau, self.grid)
         object.__setattr__(self, "n_hist", n_hist)
-        head = _on_grid(self.psi, self.times()[:n_hist + 1], (self.mu.dim,),
-                        "initial segment")
+        head = on_grid(self.psi, self.times()[:n_hist + 1], (self.mu.dim,),
+                       "initial segment")
         if not np.all(np.isfinite(head)):
             raise ValueError("initial segment must be finite")
         _bind(self, self.mu, head)

@@ -1,7 +1,7 @@
 """Grids, signed matrix measures, kernels, noise laws and RNG streams.
 
-These are the shared substrate types: a uniform time grid, a finitely
-represented matrix-valued signed measure (atoms plus a piecewise-constant
+These are the shared substrate types: a uniform time grid, the one signal
+sampler of every system (`on_grid`), a finitely represented matrix-valued signed measure (atoms plus a piecewise-constant
 density), matrix kernel sequences for the summation equations, scalar noise
 laws with exact or quadrature moments, and the reproducible per-path RNG
 stream convention.
@@ -112,6 +112,33 @@ class GridSpec:
         if k < 0 or k > self.n_steps:
             raise GridError(f"time {t} outside [0, {self.horizon_T}]")
         return k
+
+
+def on_grid(value, times: np.ndarray, shape: tuple, what: str) -> np.ndarray:
+    """The signal `value` at `times`, shape (len(times),) + shape, by the one
+    rule of every system: None is zero, a callable is evaluated on `times`.
+    A number, or a non-callable array of the per-time shape, is held
+    constant; a 1-D result with one value per time is a scalar profile s,
+    read as s 1 for a (d,) shape and s I for a square (d, d) one. Any other
+    shape than a row per time is a ValueError naming `what`."""
+    n = len(times)
+    full = (n,) + shape
+    if value is None:
+        return np.zeros(full)
+    v = np.asarray(value(times) if callable(value) else value, float)
+    # a callable's result is held constant only when it is a number: a 1-D
+    # time profile must not pass for a constant vector when d == len(times)
+    if v.shape != full and (v.ndim == 0
+                            or (not callable(value) and v.shape == shape)):
+        v = np.repeat(v[None], n, axis=0)
+    if v.shape == (n,) and shape:
+        if len(shape) == 1:
+            v = np.repeat(v[:, None], shape[0], axis=1)
+        elif len(shape) == 2 and shape[0] == shape[1]:
+            v = v[:, None, None] * np.eye(shape[0])
+    if v.shape != full:
+        raise ValueError(f"{what} shape {v.shape} != {full}")
+    return v
 
 
 # ---------------------------------------------------------------------------

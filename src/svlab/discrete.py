@@ -5,7 +5,8 @@ The state recursion is
 and the resolvent R satisfies the same recursion driven by the identity.
 `simulate_direct` steps the recursion; `simulate_via_resolvent` rebuilds the
 same path from R by variation of constants. The two must agree to round-off,
-which is the cheapest deep check of both.
+which is the cheapest deep check of both. Forcing and diffusion are
+signals, sampled by the one rule of `core.on_grid`.
 
 Both recursions lay the kernel out once per call as the lag-reversed slab
 of `core.lag_slab` (also the continuous stepper's layout), row a holding
@@ -19,12 +20,12 @@ caller's threads (`--threads`) nor on the BLAS thread count.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from .core import (DEFAULT_NORM, MatrixKernelSeq, NoiseSpec, ScalarLaw,
-                   lag_slab, lag_solve, rng_stream, vector_norm)
+                   lag_slab, lag_solve, on_grid, rng_stream, vector_norm)
 from .evidence import (EvidenceReport, TailThresholds, median_tail_verdict)
 
 # the fewest paths an ensemble tail verdict reads
@@ -47,15 +48,16 @@ def resolvent_seq(kernel: MatrixKernelSeq, n_max: int) -> np.ndarray:
 class DiscreteSystem:
     """Kernel, forcing, diffusion, noise and initial data on horizon 0..N.
 
-    forcing has shape (N, d) and diffusion (N, d, m); row n drives the step
-    from n to n+1. Non-Gaussian or dependent noise requires diagonal
-    diffusion at every step.
+    forcing and diffusion are signals, sampled by `core.on_grid` at the
+    steps 0..N-1 into shapes (N, d) and (N, d, m), m the noise dimension;
+    row n drives the step from n to n+1. Non-Gaussian or dependent noise
+    requires diagonal diffusion at every step.
     """
 
     kernel: MatrixKernelSeq
     horizon: int
-    forcing: np.ndarray
-    diffusion: np.ndarray
+    forcing: Union[Callable, np.ndarray, float, None]
+    diffusion: Union[Callable, np.ndarray, float, None]
     noise: NoiseSpec
     initial: Union[np.ndarray, Sequence[ScalarLaw], None] = None
 
@@ -64,14 +66,9 @@ class DiscreteSystem:
         N = int(self.horizon)
         if N < 1:
             raise ValueError("horizon must be at least 1")
-        f = np.asarray(self.forcing, float)
-        if f.shape != (N, d):
-            raise ValueError(f"forcing shape {f.shape} != ({N}, {d})")
-        s = np.asarray(self.diffusion, float)
-        if s.ndim != 3 or s.shape[0] != N or s.shape[1] != d:
-            raise ValueError(f"diffusion shape {s.shape} incompatible with ({N}, {d}, m)")
-        if s.shape[2] != self.noise.dim:
-            raise ValueError("diffusion columns must match the noise dimension")
+        steps = np.arange(N, dtype=float)
+        f = on_grid(self.forcing, steps, (d,), "forcing")
+        s = on_grid(self.diffusion, steps, (d, self.noise.dim), "diffusion")
         if not self.noise.unrestricted_diffusion:
             if s.shape[1] != s.shape[2]:
                 raise ValueError("non-Gaussian noise requires square diagonal diffusion")

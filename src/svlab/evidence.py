@@ -42,12 +42,17 @@ def _tail_rule(s_half: float, increment: float, ratio: float,
     return INCONCLUSIVE, bar
 
 
+def tail_ratio(s_half: float, s_full: float) -> float:
+    """s_full / s_half; inf only when s_half = 0 < s_full, 1.0 for 0/0."""
+    return (s_full / s_half if s_half > 0
+            else np.inf if s_full > 0 else 1.0)
+
+
 def tail_verdict(s_half: float, s_full: float,
                  thresholds: TailThresholds = TailThresholds()) -> str:
     """Verdict for one sequence from its half-horizon and full-horizon sums."""
-    ratio = (s_full / s_half if s_half > 0
-             else np.inf if s_full > 0 else 1.0)
-    return _tail_rule(s_half, s_full - s_half, ratio, thresholds)[0]
+    return _tail_rule(s_half, s_full - s_half, tail_ratio(s_half, s_full),
+                      thresholds)[0]
 
 
 def median_tail_verdict(s_half, s_full,

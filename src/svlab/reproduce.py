@@ -59,10 +59,8 @@ def solver_equivalence():
     for k in range(20):
         d = 1 + k % 4
         kernel = discrete.random_summable_kernel(rng_stream(1000, k), d)
-        steps = np.arange(N, dtype=float)
-        f_vals = np.tile(np.cos(0.1 * steps)[:, None], (1, d)) * 0.1
-        sig_vals = 0.3 * np.tile(np.eye(d)[None], (N, 1, 1))
-        sys_ = discrete.DiscreteSystem(kernel, N, f_vals, sig_vals,
+        sys_ = discrete.DiscreteSystem(kernel, N,
+                                       lambda n: np.cos(0.1 * n) * 0.1, 0.3,
                                        NoiseSpec.gaussian(d),
                                        np.linspace(0.5, 1.0, d))
         x0, xi = discrete.draw_noise(sys_, rng_stream(2000, k))

@@ -12,7 +12,7 @@ from svlab import cli, conditions, continuous, discrete, reproduce
 from svlab.cli import (EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_TABLE_FAIL,
                        main)
 from svlab.conditions import diffusion_window_evidence
-from svlab.core import CompiledMeasure, GridSpec
+from svlab.core import CompiledMeasure, GridSpec, MatrixKernelSeq, NoiseSpec
 from svlab.corpus import resolve
 
 
@@ -288,14 +288,16 @@ def test_simulate_sfde_history_is_a_signal_like_forcing(tmp_path):
     assert paths[None] != paths[0.75]
 
 
-@pytest.mark.parametrize("command, signal, message", [
-    ("simulate-sfde", "history", "initial segment shape (2,) != (2, 2)"),
-    ("simulate-sve", "forcing", "forcing shape (2,) != (2, 2)"),
+@pytest.mark.parametrize("command, signal", [
+    ("simulate-sfde", "history"),
+    ("simulate-sve", "forcing"),
 ])
 def test_time_profile_is_not_a_vector_when_dim_equals_the_times(
-        tmp_path, capsys, command, signal, message):
-    # dim 2 on two sample times: a scalar profile of time must not be held
-    # constant as a 2-vector
+        tmp_path, command, signal):
+    # dim 2 on two sample times: a scalar profile of time is s(t_k) in both
+    # components of row k, not held constant as a 2-vector, so under a
+    # diagonal kernel with equal entries and no diffusion the components
+    # stay equal
     out = tmp_path / "o"
     cfg = {"schema_version": 1, "dim": 2,
            "grid": {"step_h": 0.5, "horizon_T": 1.0},
@@ -305,9 +307,67 @@ def test_time_profile_is_not_a_vector_when_dim_equals_the_times(
         cfg.update(tau=0.5, kernel={"atoms": [[-0.5, [[-0.5, 0.0],
                                                        [0.0, -0.5]]]]})
     assert main([command, "--config", write_config(tmp_path, "c.json", cfg),
-                 "--out", str(out)]) == EXIT_CONFIG
-    assert message in capsys.readouterr().err
-    assert not out.exists()
+                 "--out", str(out)]) == EXIT_OK
+    rows = read_csv(out / "paths.csv")[1:]
+    assert [r[2] for r in rows] == [r[3] for r in rows]
+    assert any(float(r[2]) != 0.0 for r in rows)
+
+
+@pytest.mark.parametrize("kernel, kernel_2", [
+    ("neg-identity", "neg-identity"),
+    ({"atoms": [[0.5, -0.5]]}, {"atoms": [[0.5, [[-0.5, 0.0], [0.0, -0.5]]]]}),
+], ids=["neg-identity", "lagged-atom"])
+def test_dim2_simulate_sve_reads_scalar_signals_in_every_component(
+        tmp_path, kernel, kernel_2):
+    # a number forcing is 0.1 in both components: without diffusion each
+    # component is the dim-1 path, bit for bit; a number diffusion is
+    # 0.3 I, independent noise per component
+    base = {"schema_version": 1, "grid": {"step_h": 0.05, "horizon_T": 2.0},
+            "forcing": 0.1, "ensemble": {"n_paths": 3}}
+    runs = {}
+    for name, over in (("d1", {"kernel": kernel}),
+                       ("d2", {"kernel": kernel_2, "dim": 2}),
+                       ("noisy", {"kernel": kernel_2, "dim": 2,
+                                  "diffusion": 0.3})):
+        out = tmp_path / name
+        assert main(["simulate-sve", "--config",
+                     write_config(tmp_path, f"{name}.json", {**base, **over}),
+                     "--out", str(out)]) == EXIT_OK
+        runs[name] = read_csv(out / "paths.csv")
+    one, two, noisy = runs["d1"], runs["d2"], runs["noisy"]
+    assert two[0] == ["path_index", "t", "X_1", "X_2"]
+    assert [r[:3] for r in two[1:]] == one[1:]
+    assert [r[3] for r in two[1:]] == [r[2] for r in one[1:]]
+    assert any(r[2] != r[3] for r in noisy[1:])
+
+
+def test_dim3_simulate_discrete_matches_hand_tiled_signals(tmp_path):
+    # a corpus forcing and a number diffusion give the bytes of the system
+    # built from hand-tiled arrays: f 1 and sigma I at the steps 0..N-1
+    N, d, M = 12, 3, 3
+    w0 = [[-0.5, 0.1, 0.0], [0.0, -0.4, 0.0], [0.05, 0.0, -0.3]]
+    w2 = [[0.1, 0.0, 0.0], [0.0, 0.05, 0.02], [0.0, 0.0, 0.1]]
+    cfg = write_config(tmp_path, "d.json", discrete_cfg(
+        dim=d, horizon=N, kernel={"entries": [[0, w0], [2, w2]]},
+        forcing="exp_decay(rate=0.5)", diffusion=0.4,
+        ensemble={"n_paths": M}))
+    out = tmp_path / "o"
+    assert main(["simulate-discrete", "--config", cfg,
+                 "--out", str(out)]) == EXIT_OK
+    steps = np.arange(N, dtype=float)
+    f_vals = np.tile(np.asarray(resolve("exp_decay(rate=0.5)")(steps),
+                                float)[:, None], (1, d))
+    sig_vals = np.full(N, 0.4)[:, None, None] * np.eye(d)[None]
+    sys_ = discrete.DiscreteSystem(
+        MatrixKernelSeq(d, {0: np.array(w0), 2: np.array(w2)}), N, f_vals,
+        sig_vals, NoiseSpec.gaussian(d))
+    lines = ["path_index,n,X_1,X_2,X_3"]
+    for i in range(M):
+        X = discrete.simulate_direct(sys_, master_seed=0, path_index=i)
+        lines += ["%d,%d," % (i, n) + ",".join("%.17g" % x for x in row)
+                  for n, row in enumerate(X)]
+    assert (out / "paths.csv").read_bytes() == \
+        ("\r\n".join(lines) + "\r\n").encode()
 
 
 def test_resolvent_discrete_halving(tmp_path):

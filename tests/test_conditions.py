@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from svlab import conditions, corpus
+from svlab import conditions, corpus, evidence
 from svlab.conditions import (
     DIVERGENT, INCONCLUSIVE, SATISFIED, SUMMABLE, VIOLATED,
     diffusion_window_evidence, exceedance_partial_sums,
@@ -305,7 +305,17 @@ def test_streamed_fading_sups_keep_whole_array_max():
 
 def test_profile_lp_zero_satisfied():
     prof = window_integral(corpus.zero_f, 1.0, GridSpec(0.1, 32.0))
-    assert profile_lp_evidence(prof, 2.0).verdict == SATISFIED
+    rep = profile_lp_evidence(prof, 2.0)
+    assert rep.verdict == SATISFIED
+    # 0/0 reads 1.0, as in the verdict's own ratio, so the report is JSON
+    assert rep.diagnostics["tail_ratio"] == 1.0
+    json.dumps(rep.to_dict(), allow_nan=False)
+
+
+def test_tail_ratio_is_infinite_only_from_a_zero_half_sum():
+    assert evidence.tail_ratio(0.0, 0.0) == 1.0
+    assert evidence.tail_ratio(0.0, 2.0) == np.inf
+    assert evidence.tail_ratio(2.0, 3.0) == 1.5
 
 
 def test_profile_lp_constant_violated():

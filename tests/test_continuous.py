@@ -224,7 +224,8 @@ def test_simulators_check_supplied_increments(simulator, shape):
 
 
 # ---------------------------------------------------------------------------
-# signals on the grid: one rule for forcing, diffusion and history
+# signals on the grid: core.on_grid, one rule for forcing, diffusion and
+# history
 
 _G = GridSpec(0.1, 1.0)  # 10 steps; a 0.5 delay has 6 history rows
 
@@ -235,13 +236,15 @@ def _delay(psi, d=1, **kw):
 
 
 @pytest.mark.parametrize("build, message", [
-    (lambda: ContinuousSystem(point_mass(-np.eye(2)), _G, forcing=1.0),
-     "forcing shape (10,) != (10, 2)"),
-    (lambda: simulate_ou(1.0, None, _G, d=2),
-     "forcing shape (10,) != (10, 2)"),
+    # a scalar diffusion is s I, which needs a square (d, m)
     (lambda: ContinuousSystem(point_mass([[-1.0]]), _G, diffusion=0.5,
                               noise_dim=2),
      "diffusion shape (10,) != (10, 1, 2)"),
+    (lambda: ContinuousSystem(point_mass(-np.eye(2)), _G, diffusion=0.5,
+                              noise_dim=1),
+     "diffusion shape (10,) != (10, 2, 1)"),
+    (lambda: simulate_ou(None, lambda t: np.exp(-t), _G, d=2, m=3),
+     "diffusion shape (10,) != (10, 2, 3)"),
     (lambda: ContinuousSystem(point_mass([[-1.0]]), _G,
                               forcing=np.ones(3)),
      "forcing shape (3,) != (10, 1)"),
@@ -249,21 +252,63 @@ def _delay(psi, d=1, **kw):
                               diffusion=lambda t: np.ones((len(t), 2))),
      "diffusion shape (10, 2) != (10, 1, 1)"),
     (lambda: _delay(np.ones((6, 2))), "initial segment shape (6, 2) != (6, 1)"),
-    (lambda: _delay(2.0, d=2), "initial segment shape (6,) != (6, 2)"),
     (lambda: _delay(lambda t: np.where(t < -0.25, np.nan, 1.0)),
      "initial segment must be finite"),
     (lambda: _delay(np.inf), "initial segment must be finite"),
-    # a time profile is not a constant vector, even when d == len(times)
-    (lambda: _delay(lambda t: np.exp(t), d=6),
-     "initial segment shape (6,) != (6, 6)"),
-    (lambda: ContinuousSystem(point_mass(-np.eye(10)), _G,
-                              forcing=lambda t: np.exp(-t)),
-     "forcing shape (10,) != (10, 10)"),
 ])
 def test_signal_rule_rejects_and_names_the_signal(build, message):
     with pytest.raises(ValueError) as info:
         build()
     assert message in str(info.value)
+
+
+_T = _G.times()[:-1]             # forcing and diffusion times
+_HIST = _delay(0.0).times()[:6]  # the six history times of [-0.5, 0]
+
+
+@pytest.mark.parametrize("sampled, expected", [
+    (lambda: ContinuousSystem(point_mass(-np.eye(2)), _G, forcing=1.0).f_vals,
+     np.ones((10, 2))),
+    (lambda: simulate_ou(1.0, None, _G, d=2),
+     simulate_ou(np.ones(2), None, _G, d=2)),
+    (lambda: _delay(2.0, d=2).head, np.full((6, 2), 2.0)),
+    # a time profile is s(t_k) in every component of row k, even when
+    # d == len(times)
+    (lambda: _delay(lambda t: np.exp(t), d=6).head,
+     np.repeat(np.exp(_HIST)[:, None], 6, axis=1)),
+    (lambda: ContinuousSystem(point_mass(-np.eye(10)), _G,
+                              forcing=lambda t: np.exp(-t)).f_vals,
+     np.repeat(np.exp(-_T)[:, None], 10, axis=1)),
+    (lambda: ContinuousSystem(point_mass(-np.eye(2)), _G,
+                              diffusion=0.3).sig_vals,
+     np.repeat(0.3 * np.eye(2)[None], 10, axis=0)),
+    # s I is the product s[:, None, None] * I: a negative s has -0.0 off
+    # the diagonal
+    (lambda: ContinuousSystem(point_mass(-np.eye(2)), _G,
+                              diffusion=lambda t: -np.exp(-t)).sig_vals,
+     -np.exp(-_T)[:, None, None] * np.eye(2)),
+], ids=["forcing-number-d2", "ou-forcing-number-d2", "history-number-d2",
+        "history-profile-d6", "forcing-profile-d10", "diffusion-number-d2",
+        "diffusion-negative-profile-d2"])
+def test_scalar_signal_is_s_times_one_or_identity(sampled, expected):
+    got = sampled()
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_profile_and_constant_vector_differ_when_dim_equals_the_times():
+    # d == len(times) == 10: a callable's profile is tiled over the
+    # components, a non-callable length-d array is held constant over time
+    mu = point_mass(-np.eye(10))
+    profile = ContinuousSystem(mu, _G, forcing=lambda t: np.exp(-t))
+    vector = ContinuousSystem(mu, _G, forcing=np.exp(-_T))
+    np.testing.assert_array_equal(profile.f_vals,
+                                  np.repeat(np.exp(-_T)[:, None], 10, axis=1))
+    np.testing.assert_array_equal(vector.f_vals,
+                                  np.repeat(np.exp(-_T)[None], 10, axis=0))
+    head = _delay(np.exp(_HIST), d=6).head
+    np.testing.assert_array_equal(head, np.repeat(np.exp(_HIST)[None], 6,
+                                                  axis=0))
 
 
 def test_constant_forcing_vector_is_held_over_time():
@@ -487,6 +532,12 @@ def test_trailing_window_average_constant():
     v = trailing_window_average(2.0, g)
     mask = t >= 1.0
     assert np.abs(v[mask] - 1.0).max() < 2 * g.step_h
+
+
+def test_trailing_window_average_needs_a_step_that_divides_one():
+    # at h = 0.3 the widths would reach 0.9, not 1
+    with pytest.raises(ValueError, match="must divide the unit width range"):
+        trailing_window_average(2.0, GridSpec(0.3, 6.0))
 
 
 def test_trailing_window_average_linear():

@@ -370,11 +370,11 @@ def test_diagonal_diffusion_enforced_for_non_gaussian_noise():
     (0, (0, 2), (0, 2, 2), NoiseSpec.gaussian(2), "horizon must be at least 1"),
     (4, (4, 1), (4, 2, 2), NoiseSpec.gaussian(2), "forcing shape (4, 1) != (4, 2)"),
     (4, (4, 2), (4, 2), NoiseSpec.gaussian(2),
-     "diffusion shape (4, 2) incompatible with (4, 2, m)"),
+     "diffusion shape (4, 2) != (4, 2, 2)"),
     (4, (4, 2), (3, 2, 2), NoiseSpec.gaussian(2),
-     "diffusion shape (3, 2, 2) incompatible with (4, 2, m)"),
+     "diffusion shape (3, 2, 2) != (4, 2, 2)"),
     (4, (4, 2), (4, 2, 3), NoiseSpec.gaussian(2),
-     "diffusion columns must match the noise dimension"),
+     "diffusion shape (4, 2, 3) != (4, 2, 2)"),
     (4, (4, 2), (4, 2, 1), NoiseSpec.two_point(-1.0, 1.0),
      "non-Gaussian noise requires square diagonal diffusion"),
 ])
@@ -384,6 +384,30 @@ def test_discrete_system_rejects_shapes(horizon, forcing, diffusion, noise,
         DiscreteSystem(MatrixKernelSeq(2), horizon, np.zeros(forcing),
                        np.zeros(diffusion), noise)
     assert message in str(info.value)
+
+
+def test_discrete_signals_follow_the_one_signal_rule():
+    # a callable profile and a number, sampled at the steps 0..N-1: s 1 for
+    # the forcing and s I for the diffusion, bit for bit the hand-tiled
+    # arrays
+    N, d = 6, 3
+    steps = np.arange(N, dtype=float)
+    sys_ = DiscreteSystem(MatrixKernelSeq(d), N, lambda n: -np.cos(n), 0.3,
+                          NoiseSpec.gaussian(d))
+    assert sys_.forcing.tobytes() == np.tile(-np.cos(steps)[:, None],
+                                             (1, d)).tobytes()
+    assert sys_.diffusion.tobytes() == (
+        np.full(N, 0.3)[:, None, None] * np.eye(d)[None]).tobytes()
+    none = DiscreteSystem(MatrixKernelSeq(d), N, None, None,
+                          NoiseSpec.gaussian(2))
+    np.testing.assert_array_equal(none.forcing, np.zeros((N, d)))
+    np.testing.assert_array_equal(none.diffusion, np.zeros((N, d, 2)))
+
+
+def test_scalar_diffusion_needs_as_many_noise_columns_as_components():
+    with pytest.raises(ValueError) as info:
+        DiscreteSystem(MatrixKernelSeq(2), 4, None, 0.3, NoiseSpec.gaussian(3))
+    assert "diffusion shape (4,) != (4, 2, 3)" in str(info.value)
 
 
 def test_random_initial_laws_drawn_before_noise():
