@@ -29,7 +29,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -903,6 +903,7 @@ def _prepare(command: str, raw_cfg: dict, seed_override: Optional[int]):
     return run
 
 
+@cache  # about 1 ms to build: once, on the first main call of a process
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="svlab",

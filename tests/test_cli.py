@@ -502,6 +502,35 @@ def test_reproduce_rejects_run_flags(tmp_path, capsys, flag):
     assert not (tmp_path / "reproduce-certificates.csv").exists()
 
 
+def test_main_reuses_one_parser_per_process(tmp_path, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    good = write_config(tmp_path, "d.json", discrete_cfg())
+    bad = write_config(tmp_path, "bad.json", discrete_cfg(typo=1))
+    outs = [tmp_path / f"out{i}" for i in range(3)]
+    codes = [main(["simulate-discrete", "--config", cfg, "--out", str(out)])
+             for cfg, out in zip((good, bad, good), outs)]
+    assert codes == [EXIT_OK, EXIT_CONFIG, EXIT_OK]
+    assert not outs[1].exists()
+    assert "config error: unknown key: typo" in capsys.readouterr().err
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[2].iterdir())
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[2] / name).read_bytes()
+    errs = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate-discrete", "--config", good, "--bogus", "1"])
+        assert exc.value.code == 2
+        errs.append(capsys.readouterr().err)
+    assert "unrecognized arguments: --bogus 1" in errs[0]
+    assert errs[0] == errs[1]
+    assert main(["simulate-discrete", "--config", good,
+                 "--out", str(tmp_path / "out3")]) == EXIT_OK
+    for name in names:
+        assert (tmp_path / "out3" / name).read_bytes() == \
+            (outs[0] / name).read_bytes()
+
+
 def test_table_writer_bytes_match_csv_writer(tmp_path):
     """The one-pass writer against csv.writer on the %.17g strings of each
     value, the formatter it replaced."""

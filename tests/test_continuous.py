@@ -540,6 +540,18 @@ def test_trailing_window_average_needs_a_step_that_divides_one():
         trailing_window_average(2.0, GridSpec(0.3, 6.0))
 
 
+def test_trailing_window_average_samples_by_the_signal_rule():
+    g = GridSpec(0.5, 4.0)
+    one = trailing_window_average(lambda s: s, g)
+    assert one.shape == (g.n_steps + 1,)
+    two = trailing_window_average(lambda s: s, g, d=2)
+    assert two.shape == (g.n_steps + 1, 2)
+    assert two[:, 0].tobytes() == two[:, 1].tobytes() == one.tobytes()
+    assert trailing_window_average(2.0, g, d=2).shape == (g.n_steps + 1, 2)
+    with pytest.raises(ValueError, match=r"signal shape \(9, 3\) != \(9, 1\)"):
+        trailing_window_average(np.ones((g.n_steps + 1, 3)), g)
+
+
 def test_trailing_window_average_linear():
     g = GridSpec(0.01, 4.0)
     t = g.times()
@@ -747,25 +759,43 @@ def _det_kernels():
                 (0.0, rng.standard_normal((2, 2))))
     d2_density = DensitySample(-0.875, 0.125,
                                0.5 * rng.standard_normal((7, 2, 2)))
+    # atoms at both ends of [-1.2, 0] and 70 cells of a non-dyadic step
+    d3_cells = 70
+    d3_step = 1.2 / d3_cells
+    d3 = SignedMeasureRepr(3, ((-1.2, rng.standard_normal((3, 3))),
+                               (0.0, rng.standard_normal((3, 3)))),
+                           DensitySample(-(d3_cells * d3_step), d3_step,
+                                         rng.standard_normal((d3_cells, 3, 3))))
     return {
         "d1-atom-100-cells": _atom_and_100_cells(),
         "d2-atoms-density": SignedMeasureRepr(2, d2_atoms, d2_density),
         "d2-atoms-only": SignedMeasureRepr(2, d2_atoms),
+        "d3-end-atoms-70-cells": d3,
     }
 
 
+def _det_lambdas():
+    """A 7 x 13 grid through 0, and a line longer than one DET_BLOCK pass
+    with its one zero in the second pass and a short last pass."""
+    grid = np.empty((7, 13), complex)
+    grid.real = np.linspace(-3.0, 3.0, 13)
+    grid.imag = np.linspace(-2.0, 4.0, 7)[:, None]
+    n = continuous.DET_BLOCK + 37
+    line = np.linspace(-3.0, 3.0, n) + 1j * np.linspace(4.0, -2.0, n)
+    line[continuous.DET_BLOCK + 11] = 0.0
+    return grid, line
+
+
 @pytest.mark.parametrize("name", ["d1-atom-100-cells", "d2-atoms-density",
-                                  "d2-atoms-only"])
+                                  "d2-atoms-only", "d3-end-atoms-70-cells"])
 def test_characteristic_det_array_matches_per_point_bits(name):
     mu = _det_kernels()[name]
-    lams = np.empty((7, 13), complex)
-    lams.real = np.linspace(-3.0, 3.0, 13)
-    lams.imag = np.linspace(-2.0, 4.0, 7)[:, None]
-    assert (lams == 0).sum() == 1
-    got = characteristic_det(mu, 1.2, lams)
-    want = np.array([_det_per_point(mu, complex(z)) for z in lams.ravel()])
-    assert got.shape == lams.shape
-    assert got.tobytes() == want.reshape(lams.shape).tobytes()
+    for lams in _det_lambdas():
+        assert (lams == 0).sum() == 1
+        got = characteristic_det(mu, 1.2, lams)
+        want = np.array([_det_per_point(mu, complex(z)) for z in lams.ravel()])
+        assert got.shape == lams.shape
+        assert got.tobytes() == want.reshape(lams.shape).tobytes()
     scalar = characteristic_det(mu, 1.2, 0.3 + 0.2j)
     assert type(scalar) is complex
     assert scalar == _det_per_point(mu, 0.3 + 0.2j)
@@ -875,6 +905,15 @@ def test_root_scan_real_root():
     assert res.verdict == "stable"
     lam = res.rightmost
     assert abs(lam + 0.25 * np.exp(-lam)) < 1e-9
+
+
+@pytest.mark.parametrize("b,verdict", [(3.0, "unstable"), (-3.0, "stable")])
+def test_root_scan_reads_real_roots_on_both_edges(b, verdict):
+    # det Delta(lambda) = lambda - b is exactly 0 at the first or last sample
+    res = characteristic_root_scan(point_mass([[b]], 0.0), 1.0)
+    assert res.roots == (complex(b, 0.0),)
+    assert res.rightmost == b
+    assert res.verdict == verdict
 
 
 def test_root_scan_empty_region():
