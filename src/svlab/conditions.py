@@ -26,10 +26,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.signal import lfilter
 
 from . import corpus
-from .core import GridSpec
+from .core import GridSpec, exp_scan
 from .evidence import (DIVERGENT, INCONCLUSIVE, SATISFIED, SUMMABLE, VIOLATED,
                        EvidenceReport, TailThresholds, as_condition_verdict,
                        checkpoint_indices, default_checkpoint_times,
@@ -468,9 +467,7 @@ def exp_filter_equivalence(f: Callable, beta: float, p: float, horizon: int,
         raise ValueError(f"negative forcing sample at t = {bad * h:g}")
 
     decay = np.exp(-beta * h)
-    v = np.concatenate([[0.0],
-                        lfilter([1.0], [1.0, -decay],
-                                (1.0 - decay) / beta * fv)])
+    v = exp_scan(0.0, (1.0 - decay) / beta * fv, decay)
     cum = np.zeros(n + 1)
     cum[1:] = np.cumsum(v[:-1] ** p) * h
 

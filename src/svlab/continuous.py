@@ -34,7 +34,8 @@ their compiled kernel in one place (`_bind`).
 The kernel that is exactly the negative identity point mass at zero is
 routed through the same exponential-integrator scan as `simulate_ou`, so
 those two simulators are bit-identical on shared streams (same equation,
-same code path).
+same code path). The scan is `core.exp_scan`, which imports scipy.signal on
+its first call; the other systems never load it.
 """
 from __future__ import annotations
 
@@ -43,15 +44,14 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.signal import lfilter
 
 from .core import (DEFAULT_NORM, CompiledMeasure, GridSpec,
-                   SignedMeasureRepr, is_neg_identity_point_mass, on_grid,
-                   rng_stream, run_paths, vector_norm)
+                   SignedMeasureRepr, exp_scan, is_neg_identity_point_mass,
+                   on_grid, rng_stream, run_paths, vector_norm)
 from .conditions import divisions
 from .evidence import (EvidenceReport, TailThresholds, median_tail_verdict,
                        time_checkpoints)
-from .quad import bisect_root
+from .quad import bisect_root_levels
 
 PATH_BLOCK = 8
 # lambda values per characteristic_det pass: with an atom and 100 cells the
@@ -83,14 +83,10 @@ def _increments(grid: GridSpec, m: int, master_seed: int, path_index: int,
 def _ou_path(x0: np.ndarray, f_vals: np.ndarray, sig_vals: np.ndarray,
              dB: np.ndarray, h: float) -> np.ndarray:
     """Y_0 = x0, Y_{k+1} = e^{-h} Y_k + (1 - e^{-h}) f_k + sigma_k dB_k,
-    scanned in C."""
+    scanned in C by `core.exp_scan`."""
     decay = np.exp(-h)
     drive = (1.0 - decay) * f_vals + np.einsum("kdm,km->kd", sig_vals, dB)
-    out = np.empty((len(drive) + 1, len(x0)))
-    out[0] = x0
-    out[1:] = lfilter([1.0], [1.0, -decay], drive, axis=0,
-                      zi=decay * x0[None])[0]
-    return out
+    return exp_scan(x0, drive, decay)
 
 
 def simulate_ou(f, sigma, grid: GridSpec, *, d: int = 1, m: Optional[int] = None,
@@ -462,6 +458,11 @@ def characteristic_root_scan(mu: SignedMeasureRepr, tau: float,
     with a numerical derivative. Conjugate pairs are represented by their
     upper-half member. A clean verdict ('stable' iff the rightmost located
     root has negative real part) only speaks for the rectangle scanned.
+
+    det Delta is evaluated in batches, each point as it would be alone (see
+    `characteristic_det`): bisection takes quad.BISECT_LEVELS levels of
+    midpoints per call, each Newton iteration steps every unconverged
+    minimum in one call, and one call checks |det| at all candidates.
     """
     def F(lam):
         return characteristic_det(mu, tau, lam)
@@ -476,8 +477,8 @@ def characteristic_root_scan(mu: SignedMeasureRepr, tau: float,
         if fre[i] == 0.0:
             roots.append(complex(res[i], 0.0))
         elif i + 1 < n_re and fre[i] * fre[i + 1] < 0:
-            x = bisect_root(lambda t: F(complex(t, 0.0)).real,
-                            res[i], res[i + 1], tol=1e-13)
+            x = bisect_root_levels(lambda t: F(t.astype(complex)).real,
+                                   res[i], res[i + 1], fre[i], tol=1e-13)
             roots.append(complex(x, 0.0))
 
     # interior: |det| minima + Newton polish
@@ -494,26 +495,32 @@ def characteristic_root_scan(mu: SignedMeasureRepr, tau: float,
     if n_im > 2 and n_re > 2:
         low = sliding_window_view(absdet, (3, 3)).min(axis=(2, 3))
         minima = np.argwhere(absdet[1:-1, 1:-1] == low) + 1
-    for a, b in minima:
-        lam = complex(res[b], ims[a])
-        for _ in range(60):
-            dl = 1e-7 * (1.0 + abs(lam))
-            f_up, f_down, f_lam = F(np.array([lam + dl, lam - dl, lam])).tolist()
+    lams = [complex(res[b], ims[a]) for a, b in minima]
+    active = list(range(len(lams)))
+    for _ in range(60):
+        if not active:
+            break
+        dls = [1e-7 * (1.0 + abs(lams[j])) for j in active]
+        vals = F(np.array([[lams[j] + dl, lams[j] - dl, lams[j]]
+                           for j, dl in zip(active, dls)])).tolist()
+        still = []
+        for j, dl, (f_up, f_down, f_lam) in zip(active, dls, vals):
             deriv = (f_up - f_down) / (2.0 * dl)
             if deriv == 0:
-                break
+                continue
             step = f_lam / deriv
-            lam = lam - step
-            if abs(step) < 1e-13 * (1.0 + abs(lam)):
-                break
-        inside = (re_range[0] - abs(cell.real) <= lam.real
-                  <= re_range[1] + abs(cell.real)
-                  and -abs(cell.imag) <= lam.imag
-                  <= im_range[1] + abs(cell.imag))
-        if inside and abs(F(lam)) < det_tol:
-            if lam.imag < 0:
-                lam = lam.conjugate()
-            roots.append(lam)
+            lams[j] = lams[j] - step
+            if not abs(step) < 1e-13 * (1.0 + abs(lams[j])):
+                still.append(j)
+        active = still
+    cands = [lam for lam in lams
+             if re_range[0] - abs(cell.real) <= lam.real
+             <= re_range[1] + abs(cell.real)
+             and -abs(cell.imag) <= lam.imag <= im_range[1] + abs(cell.imag)]
+    if cands:
+        for lam, val in zip(cands, F(np.array(cands)).tolist()):
+            if abs(val) < det_tol:
+                roots.append(lam.conjugate() if lam.imag < 0 else lam)
 
     unique = []
     for lam in sorted(roots, key=lambda z: (z.real, z.imag)):

@@ -13,7 +13,9 @@ anchored at the first unknown row, each block one stacked slab product with
 the rows already solved and one triangular solve; it returns no history
 terms. The discrete resolvent and direct solver call it, and so does
 `CompiledMeasure`, which compiles a measure once into a slab; its `euler`
-runs every continuous recursion.
+runs every continuous recursion except the unit-rate mean-reverting one,
+which `exp_scan` runs as a first-order filter in C (scipy.signal, imported
+on the first scan, so importing svlab loads only numpy and scipy.linalg).
 Window rule at step k: a kernel on [0, inf) applies atom lag l iff l <= k
 and density lag l iff l <= k - 1, so X(0) sees atoms only; a delay kernel
 applies every tap over the stored history. The state's trailing column
@@ -319,6 +321,25 @@ def lag_solve(slab: np.ndarray, X: np.ndarray, start: int, drive: np.ndarray,
         Z[a + 1 - base:a + 1 + nb - base] = sol.reshape(nb, d, c)
         prev = Z[a + nb - base]
     X[start + 1:start + n + 1] = Z[start + 1 - base:]
+
+
+def exp_scan(y0, drive: np.ndarray, decay: float) -> np.ndarray:
+    """out[0] = y0, out[k+1] = decay out[k] + drive[k] along axis 0, shape
+    (n+1,) + drive.shape[1:]; y0 is a number or an array of drive's row
+    shape. One first-order `scipy.signal.lfilter` recurrence in C, started
+    from zi = decay y0. scipy.signal (which loads scipy.stats,
+    scipy.interpolate and scipy.optimize) is imported on the first scan,
+    not with svlab, since only the exponential-integrator paths and the
+    p < 1 filter check run it."""
+    from scipy.signal import lfilter
+
+    drive = np.asarray(drive, float)
+    y0 = np.asarray(y0, float)
+    out = np.empty((len(drive) + 1,) + drive.shape[1:])
+    out[0] = y0
+    out[1:] = lfilter([1.0], [1.0, -decay], drive, axis=0,
+                      zi=decay * y0[None])[0]
+    return out
 
 
 class CompiledMeasure:

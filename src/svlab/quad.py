@@ -8,6 +8,9 @@ from __future__ import annotations
 
 import numpy as np
 
+# bisection levels per fn_many call of bisect_root_levels: 31 midpoints
+BISECT_LEVELS = 5
+
 
 def adaptive_simpson(fn, a: float, b: float, tol: float = 1e-10, max_depth: int = 50) -> float:
     """Adaptive Simpson quadrature of ``fn`` on [a, b] with absolute tolerance."""
@@ -81,4 +84,37 @@ def bisect_root(fn, a: float, b: float, tol: float = 1e-12, max_iter: int = 200)
             b, fb = mid, fm
         else:
             a, fa = mid, fm
+    return 0.5 * (a + b)
+
+
+def bisect_root_levels(fn_many, a: float, b: float, fa: float,
+                       tol: float = 1e-12, max_iter: int = 200) -> float:
+    """`bisect_root` on a bracket with fa = fn(a) and fn(a) fn(b) < 0 known,
+    where fn_many maps an array of points to their fn values: each call
+    evaluates the midpoints of the next BISECT_LEVELS bisection levels below
+    the current bracket (2^BISECT_LEVELS - 1 points), and the walk through
+    them makes bisect_root's tests on the same midpoints, so the root has
+    its bits."""
+    levels = BISECT_LEVELS
+    for it in range(max_iter):
+        if it % levels == 0:
+            lo, hi = np.array([a]), np.array([b])
+            mids = []
+            for _ in range(levels):
+                mid = 0.5 * (lo + hi)
+                mids.append(mid)
+                lo = np.stack([lo, mid], axis=1).ravel()
+                hi = np.stack([mid, hi], axis=1).ravel()
+            xs = np.concatenate(mids)
+            fs = fn_many(xs)
+            node = 0  # heap index among the points, children 2i+1, 2i+2
+        mid, fm = xs[node], fs[node]
+        if fm == 0.0 or (b - a) < tol:
+            return mid
+        if fa * fm < 0:
+            b = mid
+            node = 2 * node + 1
+        else:
+            a, fa = mid, fm
+            node = 2 * node + 2
     return 0.5 * (a + b)

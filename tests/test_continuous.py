@@ -34,7 +34,7 @@ from svlab.continuous import (
     sve_ensemble_lp_tail,
     trailing_window_average,
 )
-from svlab import continuous, core, corpus
+from svlab import continuous, core, corpus, quad
 
 
 # ---------------------------------------------------------------------------
@@ -828,12 +828,13 @@ def test_root_scan_minima_read_libm_hypot(monkeypatch):
     starts = []
 
     def recording(mu, tau, lam):
-        if np.shape(lam) == (3,):
-            z = complex(lam[2])
-            row = np.flatnonzero(ims == z.imag)
-            col = np.flatnonzero(res == z.real)
-            if row.size and col.size:
-                starts.append((int(row[0]), int(col[0])))
+        # a Newton iteration evaluates (lam + dl, lam - dl, lam) per minimum
+        if np.ndim(lam) == 2 and np.shape(lam)[1] == 3:
+            for z in lam[:, 2]:
+                row = np.flatnonzero(ims == z.imag)
+                col = np.flatnonzero(res == z.real)
+                if row.size and col.size:
+                    starts.append((int(row[0]), int(col[0])))
         return characteristic_det(mu, tau, lam)
 
     monkeypatch.setattr(continuous, "characteristic_det", recording)
@@ -848,6 +849,10 @@ def test_root_scan_minima_read_libm_hypot(monkeypatch):
 
 
 def test_root_scan_evaluates_each_grid_in_one_call(monkeypatch):
+    """Calls in order: the real axis, 31 bisection midpoints per call, the
+    grid, one (k, 3) call per Newton iteration over the k minima still
+    moving, and one check of |det| at the candidates; the second kernel
+    has two real roots."""
     shapes = []
 
     def counting(mu, tau, lam):
@@ -856,13 +861,146 @@ def test_root_scan_evaluates_each_grid_in_one_call(monkeypatch):
 
     monkeypatch.setattr(continuous, "characteristic_det", counting)
     n_re, n_im = 21, 11
-    res = continuous.characteristic_root_scan(
-        point_mass([[-0.5]], location=-1.0), 1.0, n_re=n_re, n_im=n_im)
-    assert res.verdict == "stable"
-    assert shapes[0] == (n_re,)
-    assert shapes.count((n_im, n_re)) == 1
-    # the rest is Newton polish, three points a step, and scalar checks
-    assert set(shapes[1:]) <= {(n_im, n_re), (3,), ()}
+    for a, tau, n_real in [(0.5, 1.0, 0), (0.1, 2.0, 2)]:
+        shapes.clear()
+        res = continuous.characteristic_root_scan(
+            point_mass([[-a]], location=-tau), tau, n_re=n_re, n_im=n_im)
+        assert res.verdict == "stable"
+        assert sum(z.imag == 0 for z in res.roots) == n_real
+        assert shapes[0] == (n_re,)
+        grid_at = shapes.index((n_im, n_re))
+        assert shapes.count((n_im, n_re)) == 1
+        bisect = shapes[1:grid_at]
+        assert set(bisect) <= {(2 ** quad.BISECT_LEVELS - 1,)}
+        assert (len(bisect) > 0) == (n_real > 0)
+        newton, check = shapes[grid_at + 1:-1], shapes[-1]
+        ks = [k for k, three in newton]
+        assert {three for _, three in newton} == {3}
+        assert 0 < len(newton) <= 60 and ks == sorted(ks, reverse=True)
+        assert len(check) == 1 and check[0] <= ks[0]
+
+
+@pytest.mark.parametrize("levels", [1, 3, 5, 7])
+def test_bisect_root_levels_walks_bisect_roots_midpoints(monkeypatch, levels):
+    """Same root bits as quad.bisect_root: a root it stops at by the width
+    test, an exact zero at a dyadic midpoint, and tol = 0, where the walk
+    runs into the 200-step cap (not a multiple of 3 or 7)."""
+    from svlab.quad import bisect_root, bisect_root_levels
+
+    monkeypatch.setattr(quad, "BISECT_LEVELS", levels)
+    cases = [(lambda t: t ** 3 - 2.0, 0.5, 1.7, 1e-13, None),
+             (lambda t: np.tanh(t - 0.3125), 0.0, 1.0, 1e-13, 4),
+             (lambda t: (t > 1.0 / 3.0) - 0.5, 0.0, 1.0, 0.0, 200),
+             (lambda t: 0.6 - np.exp(-t), -1.3, 2.9, 1e-9, None)]
+    for fn, a, b, tol, steps in cases:
+        calls, walked, evaluated = [], [], set()
+
+        def one(t):
+            walked.append(float(t).hex())
+            return fn(t)
+
+        def many(xs):
+            calls.append(len(xs))
+            evaluated.update(float(x).hex() for x in xs)
+            return fn(xs)
+
+        want = bisect_root(one, a, b, tol=tol)
+        got = bisect_root_levels(many, a, b, fn(a), tol=tol)
+        assert float(got).hex() == float(want).hex()
+        # every midpoint bisect_root evaluates, with its bits, is evaluated
+        assert set(walked[2:]) <= evaluated
+        assert set(calls) == {2 ** levels - 1}
+        if steps is not None:
+            assert len(calls) == -(-steps // levels)
+    assert bisect_root(cases[1][0], 0.0, 1.0, tol=1e-13) == 0.3125
+
+
+def _root_scan_reference(mu, tau, re_range=(-3.0, 3.0), im_range=(0.0, 10.0),
+                         n_re=121, n_im=101, det_tol=1e-8):
+    """The scan one det Delta at a time: scalar bisection per sign change,
+    Newton polish one minimum after the other, a scalar check each."""
+    from numpy.lib.stride_tricks import sliding_window_view
+
+    from svlab.quad import bisect_root
+
+    def F(lam):
+        return characteristic_det(mu, tau, lam)
+
+    res = np.linspace(re_range[0], re_range[1], n_re)
+    ims = np.linspace(im_range[0], im_range[1], n_im)
+    roots = []
+    fre = F(res.astype(complex)).real
+    for i in range(n_re):
+        if fre[i] == 0.0:
+            roots.append(complex(res[i], 0.0))
+        elif i + 1 < n_re and fre[i] * fre[i + 1] < 0:
+            x = bisect_root(lambda t: F(complex(t, 0.0)).real,
+                            res[i], res[i + 1], tol=1e-13)
+            roots.append(complex(x, 0.0))
+    grid = np.empty((n_im, n_re), complex)
+    grid.real = res
+    grid.imag = ims[:, None]
+    det = F(grid)
+    absdet = np.hypot(det.real, det.imag)
+    cell = complex(res[1] - res[0], ims[1] - ims[0])
+    low = sliding_window_view(absdet, (3, 3)).min(axis=(2, 3))
+    for a, b in np.argwhere(absdet[1:-1, 1:-1] == low) + 1:
+        lam = complex(res[b], ims[a])
+        for _ in range(60):
+            dl = 1e-7 * (1.0 + abs(lam))
+            f_up, f_down, f_lam = F(np.array([lam + dl, lam - dl, lam])).tolist()
+            deriv = (f_up - f_down) / (2.0 * dl)
+            if deriv == 0:
+                break
+            step = f_lam / deriv
+            lam = lam - step
+            if abs(step) < 1e-13 * (1.0 + abs(lam)):
+                break
+        inside = (re_range[0] - abs(cell.real) <= lam.real
+                  <= re_range[1] + abs(cell.real)
+                  and -abs(cell.imag) <= lam.imag
+                  <= im_range[1] + abs(cell.imag))
+        if inside and abs(F(lam)) < det_tol:
+            roots.append(lam.conjugate() if lam.imag < 0 else lam)
+    unique = []
+    for lam in sorted(roots, key=lambda z: (z.real, z.imag)):
+        if all(abs(lam - u) > 1e-6 for u in unique):
+            unique.append(lam)
+    return unique
+
+
+def _scan_kernels():
+    """Lambert-W kernels b delta_0 - a delta_{-tau}, two of them with two
+    real roots each, and an atom at -tau plus a density on [-tau, 0] in 3
+    to 100 cells."""
+    rng = np.random.default_rng(11)
+    kernels = {f"lambert-real-{k}": (point_mass([[-a]], location=-tau), tau)
+               for k, (a, tau) in enumerate([(0.1, 2.0), (0.25, 1.0)])}
+    for k in range(6):
+        a, b, tau = rng.uniform(0.2, 2.5), rng.uniform(-1.0, 0.8), \
+            rng.uniform(0.3, 1.5)
+        kernels[f"lambert-{k}"] = (
+            SignedMeasureRepr(1, ((0.0, [[b]]), (-tau, [[-a]]))), tau)
+    for cells in (3, 7, 16, 40, 100):
+        tau = rng.uniform(0.3, 1.5)
+        step = tau / cells
+        start = -(cells * step)
+        edges = start + step * np.arange(cells)
+        vals = rng.uniform(-1.5, 1.5) * np.cos(rng.uniform(0, 4) * edges)
+        kernels[f"density-{cells}"] = (SignedMeasureRepr(
+            1, ((-tau, [[-rng.uniform(0.2, 2.0)]]),),
+            DensitySample(start, step, vals.reshape(-1, 1, 1))), tau)
+    return kernels
+
+
+@pytest.mark.parametrize("name", sorted(_scan_kernels()))
+def test_root_scan_batches_keep_the_reference_bits(name):
+    mu, tau = _scan_kernels()[name]
+    got = characteristic_root_scan(mu, tau, n_re=41, n_im=31)
+    want = _root_scan_reference(mu, tau, n_re=41, n_im=31)
+    assert want
+    assert [(z.real.hex(), z.imag.hex()) for z in got.roots] == \
+        [(z.real.hex(), z.imag.hex()) for z in want]
 
 
 @pytest.mark.parametrize("a,b,tau", [(2.0, 0.0, 1.0), (1.0, -0.5, 1.5),

@@ -1,7 +1,13 @@
-"""Grid, measure, kernel and randomness-contract tests."""
+"""Grid, measure, kernel, exponential-scan and randomness-contract tests."""
+
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+
+import svlab
 
 from svlab.core import (
     CompiledMeasure,
@@ -20,6 +26,7 @@ from svlab.core import (
     canonical_json,
     config_digest,
     constant_law,
+    exp_scan,
     is_neg_identity_point_mass,
     neg_identity_point_mass,
     point_mass,
@@ -366,3 +373,59 @@ def test_vector_norm_kinds():
     np.testing.assert_allclose(vector_norm(x, "euclid"), [5.0])
     with pytest.raises(ValueError):
         vector_norm(x, "manhattan")
+
+
+# ---------------------------------------------------------------------------
+# exponential scan and what importing svlab loads
+
+@pytest.mark.parametrize("y0", [0.0, -0.0, 0.7])
+@pytest.mark.parametrize("d", [None, 3])
+def test_exp_scan_has_the_bits_of_lfilter(y0, d):
+    from scipy.signal import lfilter
+
+    rng = np.random.default_rng(5)
+    shape = (257,) if d is None else (257, d)
+    drive = rng.standard_normal(shape)
+    drive[:4] = -0.0
+    drive[100:110] = 0.0
+    y = np.full(shape[1:], y0)
+    decay = np.exp(-0.01)
+    want = np.empty((258,) + shape[1:])
+    want[0] = y
+    want[1:] = lfilter([1.0], [1.0, -decay], drive, axis=0,
+                       zi=decay * y[None])[0]
+    got = exp_scan(y0 if d is None else y, drive, decay)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    # out[k+1] = decay out[k] + drive[k]
+    np.testing.assert_allclose(got[1:], decay * got[:-1] + drive, atol=1e-15)
+
+
+_SIGNAL_LOADED = """
+import sys
+import numpy as np
+import svlab, svlab.cli
+print('scipy.signal' in sys.modules)
+from svlab import (ContinuousSystem, GridSpec, exp_filter_equivalence,
+                   neg_identity_point_mass, simulate_sve)
+if sys.argv[1] == "sve":
+    simulate_sve(ContinuousSystem(neg_identity_point_mass(1),
+                                  GridSpec(0.1, 1.0), diffusion=1.0))
+else:
+    exp_filter_equivalence(lambda t: np.ones_like(t), 1.0, 0.5, 8, 0.125)
+print('scipy.signal' in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("run", ["sve", "exp-filter"])
+def test_scipy_signal_loads_at_the_first_exponential_scan(run):
+    """`import svlab, svlab.cli` leaves scipy.signal (and the scipy.stats,
+    interpolate and optimize it brings) unloaded; a neg-identity simulate_sve
+    or an exp_filter_equivalence call loads it."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(svlab.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", _SIGNAL_LOADED, run], env=env,
+                         capture_output=True, text=True, check=True,
+                         timeout=120)
+    assert out.stdout.split() == ["False", "True"]
