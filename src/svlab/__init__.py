@@ -19,8 +19,7 @@ from .core import (ARTIFACT_VERSION, DEFAULT_NORM, CompiledMeasure,
                    SampledDensityLaw, SignedMeasureRepr, UniformLaw,
                    canonical_json, config_digest, constant_law,
                    is_neg_identity_point_mass, neg_identity_point_mass,
-                   point_mass, rng_stream, total_variation, two_point_law,
-                   vector_norm)
+                   point_mass, rng_stream, two_point_law, vector_norm)
 from .evidence import (DIVERGENT, INCONCLUSIVE, SATISFIED, SUMMABLE,
                        VIOLATED, EvidenceReport, TailThresholds,
                        median_tail_verdict, tail_verdict)

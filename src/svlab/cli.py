@@ -28,7 +28,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cache, partial
 from typing import Callable, Optional
 
@@ -37,10 +37,10 @@ import numpy as np
 from . import conditions, continuous, corpus, discrete
 from .core import (DEFAULT_NORM, NORMS, CompiledMeasure, DensitySample,
                    GeometricTail, GridSpec, MatrixKernelSeq, NoiseSpec,
-                   RunManifest, SignedMeasureRepr, config_digest,
-                   neg_identity_point_mass, run_paths)
+                   RunManifest, SignedMeasureRepr, config_digest, divisions,
+                   json_text, neg_identity_point_mass, run_paths)
 from .evidence import (INCONCLUSIVE, EvidenceReport, TailThresholds,
-                       _jsonable, checkpoint_indices, default_checkpoint_times,
+                       checkpoint_indices, default_checkpoint_times,
                        default_checkpoints, time_checkpoints)
 
 EXIT_OK = 0
@@ -305,10 +305,12 @@ _WEIGHT = Weight()
 _GRID = {"step_h": leaf(*NUM, required=True, domain=FINITE),
          "horizon_T": leaf(*NUM, required=True, domain=POSITIVE)}
 
-_THRESHOLDS = {"__optional__": True,
-               "eps_tail": leaf(*NUM, default=1e-2, domain=NONNEGATIVE),
-               "eps_abs": leaf(*NUM, default=1e-8, domain=NONNEGATIVE),
-               "ratio_div": leaf(*NUM, default=1.5, domain=POSITIVE)}
+_TH = TailThresholds()
+_THRESHOLDS = {
+    "__optional__": True,
+    "eps_tail": leaf(*NUM, default=_TH.eps_tail, domain=NONNEGATIVE),
+    "eps_abs": leaf(*NUM, default=_TH.eps_abs, domain=NONNEGATIVE),
+    "ratio_div": leaf(*NUM, default=_TH.ratio_div, domain=POSITIVE)}
 
 # the two-point p1 range and lo < hi are NoiseSpec's rules
 _NOISE = {"family": leaf(str, default="gaussian-iid", domain=OneOf(
@@ -549,28 +551,20 @@ def _write_csv(path: str, header, rows):
         w.writerows(rows)
 
 
-def _write_json(path: str, obj):
+def _write_json(path: str, obj, strict: bool = False):
+    """Writes the json_text of obj, a dict, report or manifest; strict: a
+    NaN or an infinity in obj is a numeric failure and nothing is written."""
+    try:
+        text = json_text(obj if isinstance(obj, dict) else asdict(obj), strict)
+    except ValueError:
+        raise NumericFailure("non-finite values in report") from None
     with open(path, "w") as fh:
-        if isinstance(obj, (EvidenceReport, RunManifest)):
-            fh.write(obj.to_json())
-        else:
-            json.dump(obj, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        fh.write(text)
 
 
 def _ensure_finite(arr: np.ndarray, what: str):
     if not np.all(np.isfinite(arr)):
         raise NumericFailure(f"non-finite values in {what}")
-
-
-def _ensure_finite_json(obj, what: str):
-    """A NaN or an infinity anywhere in obj, written as JSON, is a numeric
-    failure."""
-    tree = obj.to_dict() if isinstance(obj, EvidenceReport) else obj
-    try:
-        json.dumps(tree, allow_nan=False, default=_jsonable)
-    except ValueError:
-        raise NumericFailure(f"non-finite values in {what}") from None
 
 
 def _make_dir(path: str) -> str:
@@ -613,16 +607,17 @@ def cmd_simulate_discrete(cfg: dict):
         if not short:
             discrete.tail_span(cps[-1], cps[-2])
     norm = cfg["norm"]
+    keep = cfg["ensemble"]["keep_paths"]
 
     def one(i: int):
         X = discrete.simulate_direct(sys_, master_seed=seed, path_index=i)
         _ensure_finite(X, f"path {i}")
         S = None if p is None else discrete.lp_partial_sums(X, p, norm)
-        return X, S
+        return X if keep else None, S
 
     def run(out_dir: str, threads: int):
         results = run_paths(M, one, threads)
-        if cfg["ensemble"]["keep_paths"]:
+        if keep:
             _write_table(os.path.join(out_dir, "paths.csv"),
                          ["path_index", "n"] + [f"X_{j+1}" for j in range(d)],
                          [np.repeat(np.arange(M), N + 1),
@@ -664,10 +659,11 @@ def cmd_simulate_sve(cfg: dict):
         [grid.index_at(t) for t in keep_times]
     M = cfg["ensemble"]["n_paths"]
     norm = cfg["norm"]
+    keep = cfg["ensemble"]["keep_paths"]
 
     def reduce(i: int, X: np.ndarray):
         _ensure_finite(X, f"path {i}")
-        kept = X if keep_idx is None else X[keep_idx]
+        kept = (X if keep_idx is None else X[keep_idx]) if keep else None
         S = None
         if p is not None:
             cum = continuous.lp_time_integral(X, p, grid, norm)
@@ -678,7 +674,7 @@ def cmd_simulate_sve(cfg: dict):
         results = continuous.ensemble(sys_, seed, M, reduce, threads)
         times = grid.times()
         kept_times = times if keep_idx is None else times[keep_idx]
-        if cfg["ensemble"]["keep_paths"]:
+        if keep:
             _write_paths(out_dir, d, kept_times, [X for X, _ in results])
         if p is None:
             return
@@ -768,25 +764,26 @@ def cmd_check(cfg: dict):
     elif cond in ("cond-sigma-low", "s-epsilon"):
         n_windows, step = cfg["n_windows"], cfg["window_step"]
         conditions.unit_window_checkpoints(n_windows, cfg["checkpoints"])
-        conditions.divisions(1.0, step, "window_step must divide 1")
+        divisions(1.0, step, "window_step must divide 1")
         if cond == "cond-sigma-low":
             report = partial(conditions.unit_window_evidence, fn, p,
                              n_windows, step, cfg["checkpoints"], th)
         else:
             report = partial(
                 conditions.gaussian_exceedance_series, fn,
-                cfg["eps"] if cfg["eps"] is not None else [0.1, 1.0],
+                cfg["eps"] if cfg["eps"] is not None else
+                conditions.DEFAULT_EPS,
                 n_windows, quad_step=step, checkpoints=cfg["checkpoints"],
                 thresholds=th)
     elif cond == "fading":
         seg = cfg["segment_times"] if cfg["segment_times"] is not None else \
-            (2.0, 6.0, 10.0, 14.0, 18.0, 20.0)
+            conditions.DEFAULT_SEGMENT_TIMES
         grid, _ = conditions.segment_grid(seg, cfg["fading_step"])
         conditions.window_widths(thetas, grid)
         report = partial(conditions.window_fading_evidence, fn, thetas, seg,
                          cfg["fading_step"], cfg["tol"], th)
     elif cond == "lemma-p-lt-1":
-        conditions.divisions(1.0, cfg["step_h"], "step_h must divide 1")
+        divisions(1.0, cfg["step_h"], "step_h must divide 1")
 
         def report():
             pair = conditions.exp_filter_equivalence(
@@ -807,9 +804,8 @@ def cmd_check(cfg: dict):
                     "windows": windows.tolist(), "partial_sums": sums.tolist()}
 
     def run(out_dir: str, threads: int):
-        result = report()
-        _ensure_finite_json(result, "report")
-        _write_json(os.path.join(out_dir, "report.json"), result)
+        _write_json(os.path.join(out_dir, "report.json"), report(),
+                    strict=True)
     return run
 
 

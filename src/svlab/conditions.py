@@ -28,7 +28,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import corpus
-from .core import GridSpec, exp_scan
+from .core import GridSpec, divisions, exp_scan
 from .evidence import (DIVERGENT, INCONCLUSIVE, SATISFIED, SUMMABLE, VIOLATED,
                        EvidenceReport, TailThresholds, as_condition_verdict,
                        checkpoint_indices, default_checkpoint_times,
@@ -37,6 +37,8 @@ from .evidence import (DIVERGENT, INCONCLUSIVE, SATISFIED, SUMMABLE, VIOLATED,
 from .quad import trapezoid_refined
 
 DEFAULT_THETAS = (0.5, 1.0, 2.0, 4.0)
+DEFAULT_EPS = (0.1, 1.0)
+DEFAULT_SEGMENT_TIMES = (2.0, 6.0, 10.0, 14.0, 18.0, 20.0)
 # lattice points per chunk, and per evaluation of the integrand
 LATTICE_CHUNK = 4_000_000
 LATTICE_SLICE = 1 << 16
@@ -173,15 +175,6 @@ def _cumulative_on_lattice(f: Callable, n_cells: int, h: float,
         cells += F[pos]
         pos += nb
     return F
-
-
-def divisions(span: float, step: float, message: str) -> int:
-    """span / step; raises ValueError(message), before any evaluation,
-    unless step divides span."""
-    k = int(round(span / step)) if step > 0 else 0
-    if k < 1 or abs(span / k - step) > 1e-9 * span:
-        raise ValueError(message)
-    return k
 
 
 def window_widths(thetas: Sequence[float], grid: GridSpec,
@@ -395,7 +388,7 @@ def exceedance_partial_sums(windows: np.ndarray, eps: float) -> np.ndarray:
 
 
 def gaussian_exceedance_series(sigma: Optional[Callable] = None,
-                               eps_list: Sequence[float] = (0.1, 1.0),
+                               eps_list: Sequence[float] = DEFAULT_EPS,
                                n_windows: int = 512,
                                windows: Optional[np.ndarray] = None,
                                quad_step: float = 1e-3,
@@ -548,8 +541,7 @@ def segment_grid(segment_times: Sequence[float], step_h: float
 
 
 def window_fading_evidence(f: Callable, thetas: Sequence[float] = (0.5, 1.0, 2.0),
-                           segment_times: Sequence[float] = (2.0, 6.0, 10.0,
-                                                             14.0, 18.0, 20.0),
+                           segment_times: Sequence[float] = DEFAULT_SEGMENT_TIMES,
                            step_h: float = 1e-5, tol: float = 1e-2,
                            thresholds: TailThresholds = TailThresholds()
                            ) -> EvidenceReport:

@@ -14,9 +14,11 @@ rows already solved and one unit lower-triangular solve. On [0, inf) atom
 lag l counts iff l <= k and density lag l iff l <= k - 1, so X(0) sees
 atoms only; a delay kernel on [-tau, 0] counts every tap over the stored
 history segment. A system compiles its kernel once, for every path of an
-ensemble. The bits depend on the block size, not on the columns solved
-beside a path, `--threads` or the BLAS thread count. The solvers return
-no history terms: `coupled_paths` reads its drift through `convolve`.
+ensemble. The bits depend on the block size and width (a path alone in
+one column and in a PATH_BLOCK-column block can differ in the last bits);
+at a fixed width and column, not on the other columns, `--threads` or the
+BLAS thread count. The solvers return no history terms: `coupled_paths`
+reads its drift through `convolve`.
 
 `ensemble` steps the paths of an ensemble PATH_BLOCK = 8 at a time, on the
 solver's trailing column axis: path i sits in column i % 8 of block i // 8
@@ -46,9 +48,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (DEFAULT_NORM, CompiledMeasure, GridSpec,
-                   SignedMeasureRepr, exp_scan, is_neg_identity_point_mass,
-                   on_grid, rng_stream, run_paths, vector_norm)
-from .conditions import divisions
+                   SignedMeasureRepr, divisions, exp_scan,
+                   is_neg_identity_point_mass, on_grid, rng_stream, run_paths,
+                   vector_norm)
 from .evidence import (EvidenceReport, TailThresholds, median_tail_verdict,
                        time_checkpoints)
 from .quad import bisect_root_levels
@@ -164,12 +166,16 @@ def simulate_sve(sys: ContinuousSystem, *, master_seed: int = 0,
     return _one_path(sys, path_index, dB)
 
 
-def _block(sys, dB: np.ndarray) -> np.ndarray:
-    """Step PATH_BLOCK paths of `sys` from its head rows on, with
-    increments dB of shape (n, m, PATH_BLOCK). Returns the state, shape
-    (rows, d, PATH_BLOCK)."""
+def _block(sys, increments) -> np.ndarray:
+    """Step one block of PATH_BLOCK paths of `sys` from its head rows on.
+    `increments` yields pairs (i, dB_i): path i steps dB_i, shape (n, m),
+    in column i % PATH_BLOCK, and every other column steps zero
+    increments. Returns the state, shape (rows, d, PATH_BLOCK)."""
     head = sys.head
     n, d = sys.f_vals.shape
+    dB = np.zeros((n, sys.noise_dim, PATH_BLOCK))
+    for i, dB_i in increments:
+        dB[:, :, i % PATH_BLOCK] = dB_i
     X = np.empty((len(head) + n, d, PATH_BLOCK))
     X[:len(head)] = head[:, :, None]
     drive = np.matmul(sys.sig_vals, dB)
@@ -181,10 +187,8 @@ def _block(sys, dB: np.ndarray) -> np.ndarray:
 def _one_path(sys, path_index: int, dB: np.ndarray) -> np.ndarray:
     """Path `path_index`, stepped in its column of a block whose other
     columns get zero increments."""
-    col = path_index % PATH_BLOCK
-    block = np.zeros(dB.shape + (PATH_BLOCK,))
-    block[:, :, col] = dB
-    return _block(sys, block)[:, :, col].copy()
+    X = _block(sys, [(path_index, dB)])
+    return X[:, :, path_index % PATH_BLOCK].copy()
 
 
 def ensemble(sys: Union[ContinuousSystem, DelaySystem], master_seed: int,
@@ -207,10 +211,8 @@ def ensemble(sys: Union[ContinuousSystem, DelaySystem], master_seed: int,
 
     def block(b: int) -> list:
         paths = range(b * PATH_BLOCK, min((b + 1) * PATH_BLOCK, n_paths))
-        dB = np.zeros((sys.grid.n_steps, m, PATH_BLOCK))
-        for i in paths:
-            dB[:, :, i % PATH_BLOCK] = _increments(sys.grid, m, master_seed, i)
-        X = _block(sys, dB)
+        X = _block(sys, ((i, _increments(sys.grid, m, master_seed, i))
+                         for i in paths))
         return [reduce(i, X[:, :, i % PATH_BLOCK].copy()) for i in paths]
 
     blocks = run_paths(-(-n_paths // PATH_BLOCK), block, threads)

@@ -35,7 +35,7 @@ import hashlib
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -114,6 +114,15 @@ class GridSpec:
         if k < 0 or k > self.n_steps:
             raise GridError(f"time {t} outside [0, {self.horizon_T}]")
         return k
+
+
+def divisions(span: float, step: float, message: str) -> int:
+    """span / step; raises ValueError(message), before any evaluation,
+    unless step divides span."""
+    k = int(round(span / step)) if step > 0 else 0
+    if k < 1 or abs(span / k - step) > 1e-9 * span:
+        raise ValueError(message)
+    return k
 
 
 def on_grid(value, times: np.ndarray, shape: tuple, what: str) -> np.ndarray:
@@ -387,22 +396,19 @@ class CompiledMeasure:
             return row - self.max_lag
         return max(row - self.max_lag, start + 1)
 
-    def _window(self, flat: np.ndarray, row: int, first: int) -> np.ndarray:
-        """Full taps times rows first..row of the (rows d, c) state."""
-        d = self.measure.dim
-        return self.slab[:, self.slab.shape[1] - (row + 1 - first) * d:] \
-            @ flat[first * d:(row + 1) * d]
-
     def convolve(self, path: np.ndarray, t_index: int, history_offset: int = 0) -> np.ndarray:
         """Quadrature of the past-weighted integral at step t_index, the
         one-step view of `euler` with its own window code. path[i], shape
         (d,) or (d, c), is the state at grid index i - history_offset; a
         delay kernel reaching before it raises HistoryUnderflow."""
         path = np.asarray(path, float)
-        X = path.reshape(len(path), self.measure.dim, -1)
+        d = self.measure.dim
+        X = path.reshape(len(path), d, -1)
         row = t_index + history_offset
-        out = self._window(X.reshape(-1, X.shape[2]), row,
-                           self._first_rows(row, history_offset))
+        first = self._first_rows(row, history_offset)
+        # the full taps times rows first..row
+        out = self.slab[:, self.slab.shape[1] - (row + 1 - first) * d:] \
+            @ X[first:row + 1].reshape(-1, X.shape[2])
         if self.origin_taps is not None and t_index <= self.max_lag:
             out = out + self.origin_taps[t_index] @ X[history_offset]
         return out.reshape(path.shape[1:])
@@ -422,10 +428,6 @@ class CompiledMeasure:
             origin = self.origin_taps[:len(drive)] @ X[start]
             drive[:len(origin)] += origin * h
         lag_solve(self.slab, X, start, drive, h, self._first_rows(start, start))
-
-
-def total_variation(m: SignedMeasureRepr) -> np.ndarray:
-    return m.total_variation()
 
 
 # ---------------------------------------------------------------------------
@@ -731,6 +733,29 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
+def _jsonable(x, strict: bool):
+    """x with numpy values as Python ones, tuples as lists and a NaN or an
+    infinity as its repr "nan", "inf" or "-inf" (a ValueError if strict)."""
+    if isinstance(x, (np.ndarray, np.generic)):
+        x = x.tolist()
+    if isinstance(x, dict):
+        return {k: _jsonable(v, strict) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_jsonable(v, strict) for v in x]
+    if isinstance(x, float) and not math.isfinite(x):
+        if strict:
+            raise ValueError("non-finite value in a JSON tree")
+        return repr(x)
+    return x
+
+
+def json_text(tree, strict: bool = False) -> str:
+    """The text of every JSON file svlab writes, strict JSON: the values of
+    `_jsonable`, sorted keys, indent 2 and a final newline."""
+    return json.dumps(_jsonable(tree, strict), sort_keys=True,
+                      indent=2) + "\n"
+
+
 def config_digest(config: dict) -> str:
     return hashlib.sha256(canonical_json(config).encode()).hexdigest()
 
@@ -745,9 +770,4 @@ class RunManifest:
     norm: str = DEFAULT_NORM
 
     def to_json(self) -> str:
-        return json.dumps({
-            "master_seed": self.master_seed,
-            "config_digest": self.config_digest,
-            "artifact_version": self.artifact_version,
-            "norm": self.norm,
-        }, sort_keys=True, indent=2) + "\n"
+        return json_text(asdict(self))

@@ -53,10 +53,10 @@ class SpikeFamily:
             raise ValueError("spike family is defined on t >= 0")
         n = np.floor(t).astype(int)
         live = n >= 2
-        nf = np.where(live, n, 2).astype(float)
+        nf = np.where(live, n, 2)
         frac = t - n
-        a_n = 0.5 - nf ** -(self.beta + 1.0)
-        h_n = nf ** self.beta
+        a_n = self.a(nf)
+        h_n = self.height(nf)
         half_w = 0.5 - a_n
         rising = live & (frac > a_n) & (frac <= 0.5)
         falling = live & (frac > 0.5) & (frac < 1.0 - a_n)

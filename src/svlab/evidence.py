@@ -7,10 +7,11 @@ tail rules are deliberately one-sided: they report evidence, never proof.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
+
+from .core import json_text
 
 SUMMABLE = "summable-evidence"
 DIVERGENT = "divergent-evidence"
@@ -67,10 +68,8 @@ def median_tail_verdict(s_half, s_full,
     s_full = np.asarray(s_full, float)
     med_half = float(np.median(s_half))
     med_incr = float(np.median(s_full - s_half))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(s_half > 0, s_full / s_half,
-                          np.where(s_full > 0, np.inf, 1.0))
-    med_ratio = float(np.median(ratios))
+    med_ratio = float(np.median([tail_ratio(a, b)
+                                 for a, b in zip(s_half, s_full)]))
     verdict, tail_bar = _tail_rule(med_half, med_incr, med_ratio, thresholds)
     diagnostics = {
         "median_s_half": med_half,
@@ -147,13 +146,4 @@ class EvidenceReport:
         return d
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2,
-                          default=_jsonable) + "\n"
-
-
-def _jsonable(x):
-    if isinstance(x, (np.floating, np.integer)):
-        return x.item()
-    if isinstance(x, np.ndarray):
-        return x.tolist()
-    raise TypeError(f"not JSON-serializable: {type(x)}")
+        return json_text(self.to_dict())

@@ -8,7 +8,7 @@ import json
 import numpy as np
 import pytest
 
-from svlab import cli, conditions, continuous, discrete, reproduce
+from svlab import cli, conditions, continuous, core, discrete, reproduce
 from svlab.cli import (EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_TABLE_FAIL,
                        main)
 from svlab.conditions import diffusion_window_evidence
@@ -995,6 +995,51 @@ def test_check_report_with_non_finite_values_exits_numeric(tmp_path, capsys):
     assert "numeric error: non-finite values in report" in \
         capsys.readouterr().err
     assert not (out / "report.json").exists()
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_evidence_json_writes_an_infinite_ratio_as_a_string(tmp_path):
+    # X = 0 until the spike diffusion starts at t = 2, so the half sum at
+    # t = 1 is 0 and the full sum at t = 4 is not: the ratio is infinite
+    cfg = write_config(tmp_path, "s.json", {
+        "schema_version": 1,
+        "grid": {"step_h": 0.01, "horizon_T": 4.0},
+        "kernel": {"atoms": [[0.0, -1.0]]},
+        "diffusion": "sqrt(spike(beta=0.32))",
+        "forcing": "zero",
+        "p": 2.0,
+        "checkpoint_times": [0.5, 1.0, 4.0],
+        "ensemble": {"n_paths": 3}})
+    out = tmp_path / "o"
+    assert main(["simulate-sve", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    for name in ("evidence.json", "manifest.json"):
+        json.loads((out / name).read_text(), parse_constant=_reject_constant)
+    diag = json.loads((out / "evidence.json").read_text())["diagnostics"]
+    assert diag["median_s_half"] == 0.0 < diag["median_s_full"]
+    assert diag["median_ratio"] == diag["ratio_margin"] == "inf"
+
+
+def test_json_text_names_non_finite_floats_and_strict_refuses_them():
+    tree = {"b": np.array([np.inf, -np.inf]), "a": (np.float64(np.nan),
+                                                    np.int64(3), 0.5)}
+    text = core.json_text(tree)
+    assert text == json.dumps({"a": ["nan", 3, 0.5], "b": ["inf", "-inf"]},
+                              sort_keys=True, indent=2) + "\n"
+    with pytest.raises(ValueError):
+        core.json_text(tree, strict=True)
+    assert core.json_text({"a": [1.0]}, strict=True) == \
+        core.json_text({"a": [1.0]})
+
+
+def test_json_integer_beyond_float_range_is_a_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, "c.json", _cond_f_cfg(p=10 ** 400))
+    out = tmp_path / "o"
+    assert main(["check", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert "config error: p must be a finite number" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_check_failure_after_evaluation_exits_numeric(tmp_path, capsys):

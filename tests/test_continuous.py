@@ -2,6 +2,9 @@
 coupled SVE/OU integrators, delay stepping, and the characteristic-matrix
 root scan."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.special import lambertw
@@ -637,6 +640,17 @@ def test_one_path_is_its_ensemble_column(kind):
         assert alone.tobytes() == given.tobytes() == paths[i].tobytes()
 
 
+def test_continuous_imports_nothing_from_conditions():
+    # the step divisor lives in core, beside GridSpec
+    tree = ast.parse(Path(continuous.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert node.module != "conditions"
+            assert "conditions" not in [a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            assert all("conditions" not in a.name for a in node.names)
+
+
 # ---------------------------------------------------------------------------
 # delay systems
 
@@ -1018,6 +1032,18 @@ def test_root_scan_matches_lambert_w_branches(a, b, tau):
     for root in res.roots:
         assert min(abs(root - lam) for lam in inside) < 1e-9
     assert len(res.roots) == len(inside)
+
+
+def test_root_scan_stores_a_lower_half_root_as_its_conjugate():
+    """The rectangle reaches one cell (0.55) below the real axis, and Newton
+    from the grid minimum lands on the lower member of the pair
+    W_0(-0.4) and its conjugate: the scan reports the upper one."""
+    res = characteristic_root_scan(point_mass([[-0.4]], location=-1.0), 1.0,
+                                   im_range=(-1.0, 10.0), n_re=41, n_im=21)
+    upper = complex(lambertw(-0.4, 0))
+    assert upper.imag > 0
+    assert len(res.roots) == 1
+    assert abs(res.roots[0] - upper) < 1e-9
 
 
 def test_root_scan_stable_case():

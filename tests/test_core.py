@@ -31,7 +31,6 @@ from svlab.core import (
     neg_identity_point_mass,
     point_mass,
     rng_stream,
-    total_variation,
     two_point_law,
     vector_norm,
 )
@@ -85,24 +84,24 @@ def test_grid_index_at_bounds():
 
 def test_total_variation_zero_measure():
     m = SignedMeasureRepr(dim=1)
-    np.testing.assert_array_equal(total_variation(m), [[0.0]])
+    np.testing.assert_array_equal(m.total_variation(), [[0.0]])
 
 
 def test_total_variation_single_atom():
     m = point_mass(-2.0)
-    np.testing.assert_allclose(total_variation(m), [[2.0]])
+    np.testing.assert_allclose(m.total_variation(), [[2.0]])
 
 
 def test_total_variation_two_atoms():
     m = SignedMeasureRepr(1, atoms=((0.0, [[-1.0]]), (1.0, [[1.0]])))
-    np.testing.assert_allclose(total_variation(m), [[2.0]])
+    np.testing.assert_allclose(m.total_variation(), [[2.0]])
 
 
 def test_total_variation_includes_density():
     dens = DensitySample(0.0, 0.5, np.full((2, 1, 1), -1.0))
     m = SignedMeasureRepr(1, atoms=((0.0, [[1.0]]),), density=dens)
     # |1| + integral of |-1| over [0, 1]
-    np.testing.assert_allclose(total_variation(m), [[2.0]])
+    np.testing.assert_allclose(m.total_variation(), [[2.0]])
 
 
 def test_total_variation_subadditive_and_homogeneous():
@@ -113,12 +112,12 @@ def test_total_variation_subadditive_and_homogeneous():
         a = SignedMeasureRepr(2, atoms=((0.0, w1),))
         b = SignedMeasureRepr(2, atoms=((0.0, w2),))
         both = SignedMeasureRepr(2, atoms=((0.0, w1 + w2),))
-        assert np.all(total_variation(both)
-                      <= total_variation(a) + total_variation(b) + 1e-12)
+        assert np.all(both.total_variation()
+                      <= a.total_variation() + b.total_variation() + 1e-12)
         c = float(rng.uniform(0.1, 3.0))
         scaled = SignedMeasureRepr(2, atoms=((0.0, c * w1),))
-        np.testing.assert_allclose(total_variation(scaled),
-                                   c * total_variation(a), rtol=1e-12)
+        np.testing.assert_allclose(scaled.total_variation(),
+                                   c * a.total_variation(), rtol=1e-12)
 
 
 def test_measure_rejects_mixed_support():
@@ -223,6 +222,16 @@ def test_kernel_l1_matrix_closed_form_tail():
     K = MatrixKernelSeq(1, {0: [[-0.5]]}, tail=GeometricTail(2, [[0.1]], 0.5))
     # 0.5 + 0.1 / (1 - 0.5)
     np.testing.assert_allclose(K.l1_matrix(), [[0.7]])
+
+
+def test_kernel_l1_matrix_swaps_the_tail_term_at_an_explicit_lag():
+    # an entry at a lag >= tail.start replaces the tail there, as in values:
+    # |-0.5| + 0.1 / (1 - 0.5) - 0.1 * 0.5^2 + |0.2| = 0.875
+    K = MatrixKernelSeq(1, {0: [[-0.5]], 12: [[0.2]]},
+                        tail=GeometricTail(10, [[0.1]], 0.5))
+    assert K.l1_matrix()[0, 0] == pytest.approx(0.875, rel=1e-15)
+    np.testing.assert_allclose(K.l1_matrix(),
+                               np.abs(K.values(200)).sum(axis=0), rtol=1e-15)
 
 
 def test_kernel_rejects_negative_lag():
