@@ -8,14 +8,26 @@ same path from R by variation of constants. The two must agree to round-off,
 which is the cheapest deep check of both. Forcing and diffusion are
 signals, sampled by the one rule of `core.on_grid`.
 
-Both recursions lay the kernel out once per call as the lag-reversed slab
-of `core.lag_slab` (also the continuous stepper's layout), row a holding
-K(N-1)[a, :], ..., K(0)[a, :], and solve it with `core.lag_solve`: a
-block of core.SOLVE_BLOCK = 64 steps, anchored at row 1, is one stacked
-product of the slab with the rows already solved and one unit
-lower-triangular solve. The summation order is fixed by the block layout,
-so the bits of R and X depend on the block size but neither on the
-caller's threads (`--threads`) nor on the BLAS thread count.
+Both recursions go through `_solve_recursion`, which hands `core.lag_solve`
+(the continuous stepper's solver) a short recurrence instead of N lags. A
+kernel is explicit entries up to lag `last` plus, optionally, a geometric
+tail c rho^(n-s) from lag s on, whose generating function c z^s / (1 - rho
+z) is rational (Lubich, Numer. Math. 52, 1988). Subtracting rho times step
+n-1 from step n multiplies the recursion by (1 - rho z): the taps become
+K(l) - rho K(l-1), exactly zero past L + 1 with L = max(last, s), plus
+rho I at lag 0 and -rho I at lag 1, and the drive becomes D(n) - rho
+D(n-1), with D(0) - rho X(0) for the step out of row 0. Without a tail
+rho = 0 and the taps are K(0..last) unchanged. The slab of `core.lag_slab`
+then holds L + 2 lags (last + 1 without a tail), row a holding
+T(L+1)[a, :], ..., T(0)[a, :], and a resolvent costs O(N L d^3), a path
+O(N L d^2), instead of O(N^2). `core.lag_solve` solves it in blocks of
+core.SOLVE_BLOCK = 64 steps, anchored at row 1, each one stacked product
+of the slab with the rows already solved and one unit lower-triangular
+solve. The summation order is fixed by the taps and the block layout, so
+the bits of R and X depend on the kernel's recurrence form and the block
+size, but neither on the caller's threads (`--threads`) nor on the BLAS
+thread count. They are not promised to agree with the leading rows of a
+longer horizon's solution, whose block matrix is sized by the horizon.
 """
 from __future__ import annotations
 
@@ -32,15 +44,39 @@ from .evidence import (EvidenceReport, TailThresholds, median_tail_verdict)
 MIN_TAIL_PATHS = 30
 
 
+def _solve_recursion(kernel: MatrixKernelSeq, X: np.ndarray,
+                     drive: np.ndarray) -> None:
+    """Fill X[1..n] of X(n+1) = X(n) + sum_{l<=n} K(l) X(n-l) + drive[n] in
+    place, X (n+1, d, c) with X[0] known, as the (1 - rho z) recurrence of
+    the module docstring: L + 2 taps with a tail of ratio rho, last + 1
+    without one."""
+    tail = kernel.tail
+    rho = 0.0 if tail is None else tail.ratio
+    top = max(kernel.entries, default=0)   # the last tap's lag
+    if tail is not None:
+        top = max(top, tail.start) + 1
+    # no step reaches a lag past the horizon
+    taps = kernel.values(min(top, len(X) - 1))
+    taps[1:] -= rho * taps[:-1]
+    eye = np.eye(kernel.dim)
+    taps[0] += rho * eye
+    taps[1:2] -= rho * eye
+    drive = np.broadcast_to(drive, (len(X) - 1,) + X.shape[1:])
+    # row n - 1 of the drive, and X(0) in place of row -1
+    before = np.concatenate((X[:1], drive))[:-1]
+    lag_solve(lag_slab(taps), X, 0, drive - rho * before)
+
+
 def resolvent_seq(kernel: MatrixKernelSeq, n_max: int) -> np.ndarray:
-    """Resolvent R(0..n_max): R(0) = I, R(n+1) = R(n) + sum_j K(n-j) R(j)."""
+    """Resolvent R(0..n_max): R(0) = I, R(n+1) = R(n) + sum_j K(n-j) R(j),
+    solved as the short recurrence of `_solve_recursion` in O(n_max L d^3),
+    L the kernel's last explicit lag or tail start."""
     if n_max < 0:
         raise ValueError("horizon must be nonnegative")
     d = kernel.dim
     R = np.empty((n_max + 1, d, d))
     R[0] = np.eye(d)
-    lag_solve(lag_slab(kernel.values(n_max - 1)), R, 0,
-              np.zeros((n_max, 1, 1)))
+    _solve_recursion(kernel, R, np.zeros((1, 1, 1)))
     return R
 
 
@@ -129,8 +165,7 @@ def simulate_direct(sys: DiscreteSystem, noise: Optional[np.ndarray] = None,
     shocks = np.matmul(sys.diffusion, noise[:, :, None])
     X = np.empty((N + 1, d, 1))
     X[0, :, 0] = initial
-    lag_solve(lag_slab(sys.kernel.values(N - 1)), X, 0,
-              sys.forcing[:, :, None] + shocks)
+    _solve_recursion(sys.kernel, X, sys.forcing[:, :, None] + shocks)
     return X[:, :, 0]
 
 

@@ -11,7 +11,7 @@ import pytest
 from scipy import integrate, stats
 
 import svlab
-from svlab import core
+from svlab import core, discrete
 from svlab.core import (
     SOLVE_BLOCK,
     GaussianLaw,
@@ -139,6 +139,107 @@ def test_slab_solvers_match_per_lag_reference(d, with_tail):
     assert np.abs(X - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
+# (entry lags, tail start, tail ratio). The tail starts past the last entry,
+# at an entry, at the last entry, before entries, under a zero entry that
+# cancels it at one lag, and with no entries at all; the ratios are
+# negative, positive and near one.
+_TAIL_CASES = {
+    "tail-after-entries": ((0, 1, 3), 6, 0.6),
+    "entry-at-start": ((0, 2, 5, 8), 5, 0.5),
+    "last-entry-at-start": ((0, 1, 4), 4, -0.7),
+    "entries-past-start": ((0, 3, 7, 9), 2, 0.7),
+    "zero-entry-cancels-tail": ((0, 1, 6), 3, -0.5),
+    "near-one-ratio": ((0, 2), 3, 0.95),
+    "tail-only": ((), 2, -0.8),
+}
+
+
+def _tail_kernel(case, d):
+    lags, start, ratio = _TAIL_CASES[case]
+    rng = np.random.default_rng(list(_TAIL_CASES).index(case) + 10 * d)
+    entries = {lag: 0.3 / (lag + 1) * (rng.random((d, d)) - 0.5)
+               for lag in lags}
+    if 0 in entries:
+        entries[0] -= 0.2 * np.eye(d)
+    if case == "zero-entry-cancels-tail":
+        entries[6] = np.zeros((d, d))
+    coeff = 0.1 * (1.0 - abs(ratio)) * (rng.random((d, d)) - 0.5)
+    return MatrixKernelSeq(d, entries, GeometricTail(start, coeff, ratio))
+
+
+def _tail_horizons():
+    """N in {1, L, L + 1, L + 2, 3 SOLVE_BLOCK + 5}, L = max(last, start)."""
+    out = []
+    for case, (lags, start, _) in _TAIL_CASES.items():
+        L = max(max(lags, default=0), start)
+        out += [(case, N) for N in (1, L, L + 1, L + 2, 3 * SOLVE_BLOCK + 5)]
+    return out
+
+
+@pytest.mark.parametrize("case,N", _tail_horizons())
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_tail_recurrence_matches_per_lag_reference(case, N, d):
+    """The (1 - rho z) recurrence both solvers share, against the dense
+    per-step sums of every lag: the tail taps, the rho I corrections at lags
+    0 and 1, the row-0 drive and every entry at or past the tail start."""
+    kernel = _tail_kernel(case, d)
+    R = resolvent_seq(kernel, N)
+    ref = _reference_resolvent(kernel, N)
+    assert np.abs(R - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    rng = np.random.default_rng(N + d)
+    sys_ = DiscreteSystem(kernel, N, 0.1 * rng.standard_normal((N, d)),
+                          0.2 * rng.standard_normal((N, d, d)),
+                          NoiseSpec.gaussian(d),
+                          initial=rng.standard_normal(d))
+    x0, xi = draw_noise(sys_, rng_stream(5, 0))
+    X = simulate_direct(sys_, noise=xi)
+    ref = _reference_direct(sys_, xi, x0)
+    assert np.abs(X - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.fixture
+def slab_widths(monkeypatch):
+    """The width of every slab the discrete solvers hand `lag_solve`."""
+    widths = []
+
+    def recording(slab, *args, **kwargs):
+        widths.append(slab.shape[1])
+        return core.lag_solve(slab, *args, **kwargs)
+
+    monkeypatch.setattr(discrete, "lag_solve", recording)
+    return widths
+
+
+@pytest.mark.parametrize("N", [100, 3000])
+def test_discrete_slab_width_follows_the_kernel_not_the_horizon(
+        slab_widths, N):
+    """L + 2 lags with a tail (L the last entry or the tail start, whichever
+    is later), last + 1 without one, at every horizon."""
+    d = 2
+    for kernel, lags in ((_panel_kernel(d, False), 4 + 1),
+                         (_panel_kernel(d, True), 7 + 2),
+                         (_tail_kernel("entries-past-start", d), 9 + 2)):
+        slab_widths.clear()
+        resolvent_seq(kernel, N)
+        simulate_direct(_zero_system(kernel, N, initial=np.ones(d)),
+                        noise=np.zeros((N, 1)))
+        assert slab_widths == [lags * d] * 2
+
+
+def test_discrete_slab_stops_at_the_horizon(slab_widths):
+    """An entry far past the horizon is never reached, so it adds no taps."""
+    d, N = 2, 10
+    kernel = MatrixKernelSeq(d, {0: -0.5 * np.eye(d), 10 ** 6: np.eye(d)},
+                             GeometricTail(3, 0.1 * np.ones((d, d)), 0.5))
+    R = resolvent_seq(kernel, N)
+    ref = _reference_resolvent(kernel, N)
+    assert np.abs(R - ref).max() <= 1e-13 * np.abs(ref).max()
+    simulate_direct(_zero_system(kernel, N, initial=np.ones(d)),
+                    noise=np.zeros((N, 1)))
+    assert slab_widths == [(N + 1) * d] * 2
+
+
 def _reference_recursion(kernel, X0, drive):
     """X[n+1] = X[n] + sum_{j<=n} K(n-j) X[j] + drive[n], one step at a
     time."""
@@ -229,6 +330,14 @@ sys_ = DiscreteSystem(kernel, N, 0.1 * rng.standard_normal((N, d)),
                       initial=np.ones(d))
 h = hashlib.sha256(resolvent_seq(kernel, N).tobytes())
 h.update(simulate_direct(sys_, noise=rng.standard_normal((N, d))).tobytes())
+# no tail and entries out to lag 1000: a 1001-lag slab
+far = MatrixKernelSeq(d, {lag: 0.1 / (lag + 1) * (rng.random((d, d)) - 0.5)
+                          for lag in (0, 1, 3, 40, 300, 700, 1000)})
+sys_ = DiscreteSystem(far, N, 0.1 * rng.standard_normal((N, d)),
+                      0.2 * rng.standard_normal((N, d, d)), NoiseSpec.gaussian(d),
+                      initial=np.ones(d))
+h.update(resolvent_seq(far, N).tobytes())
+h.update(simulate_direct(sys_, noise=rng.standard_normal((N, d))).tobytes())
 from svlab.core import DensitySample, GridSpec, SignedMeasureRepr
 from svlab.continuous import (ContinuousSystem, DelaySystem,
                               functional_resolvent, simulate_sfde,
@@ -254,11 +363,14 @@ print(h.hexdigest())
 
 
 def test_slab_bits_do_not_depend_on_blas_threads():
-    """At d = 6 and N = 1500, and with 400 continuous taps, the slab
-    products are large enough for OpenBLAS to split them across threads;
-    the digest covers both solver families, both continuous resolvents and
-    a 9-path ensemble, two blocks of paths, each over 600 steps: nine solve
-    blocks and a remainder."""
+    """The slab products must be large enough for OpenBLAS to split them
+    across threads. A geometric tail compiles to a short recurrence (14
+    lags for the d = 6 tail kernel), so the long discrete slab is the
+    no-tail kernel with entries out to lag 1000, at d = 6 and N = 1500; the
+    continuous ones have 400 taps. The digest covers both discrete solvers
+    on both kernels, both continuous solver families, both continuous
+    resolvents and a 9-path ensemble, two blocks of paths, each over 600
+    steps: nine solve blocks and a remainder."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(svlab.__file__)))
     digests = []
     for threads in ("1", "2"):
