@@ -522,17 +522,27 @@ def _thresholds(spec) -> TailThresholds:
 # ---------------------------------------------------------------------------
 # writers
 
+TABLE_CHUNK = 512  # rows per format call and write of _write_table
+
+
 def _write_table(path: str, header, int_columns, float_block):
     """Numeric CSV of the integer columns and then the columns of the
     (rows, k) float_block as %.17g, in the bytes csv.writer gives (CRLF line
-    ends); each row is one %-format of a tuple from .tolist() columns."""
+    ends). TABLE_CHUNK rows at a time become one row-major object array of
+    Python ints and floats, one %-format of the row format repeated per row
+    and one write, so only a chunk is ever held as Python objects."""
     block = np.asarray(float_block, float)
-    cols = [np.asarray(c).tolist() for c in int_columns] + block.T.tolist()
-    fmt = ",".join(["%d"] * len(int_columns)
-                   + ["%.17g"] * block.shape[1]) + "\r\n"
+    ints = [np.asarray(c) for c in int_columns]
+    fmt = ",".join(["%d"] * len(ints) + ["%.17g"] * block.shape[1]) + "\r\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        fh.writelines(fmt % row for row in zip(*cols))
+        for r0 in range(0, len(block), TABLE_CHUNK):
+            part = block[r0:r0 + TABLE_CHUNK]
+            cells = np.empty((len(part), len(ints) + block.shape[1]), object)
+            for j, col in enumerate(ints):
+                cells[:, j] = col[r0:r0 + TABLE_CHUNK]
+            cells[:, len(ints):] = part
+            fh.write((fmt * len(part)) % tuple(cells.ravel().tolist()))
 
 
 def _write_paths(out_dir: str, d: int, times: np.ndarray, paths: list):

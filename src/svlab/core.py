@@ -10,7 +10,7 @@ stream convention.
 the one solver: X[r+1] = X[r] + s sum_l T(l) X[r-l] + drive[r] is a unit
 lower-triangular system, solved SOLVE_BLOCK = 64 steps at a time in blocks
 anchored at the first unknown row, each block one stacked slab product with
-the rows already solved and one triangular solve; it returns no history
+the rows already solved and one LAPACK trtrs solve; it returns no history
 terms. The discrete resolvent and direct solver call it, and so does
 `CompiledMeasure`, which compiles a measure once into a slab; its `euler`
 runs every continuous recursion except the unit-rate mean-reverting one,
@@ -40,7 +40,7 @@ from typing import Callable, Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
-from scipy.linalg import solve_triangular
+from scipy.linalg import get_lapack_funcs
 
 from .quad import adaptive_simpson
 
@@ -287,7 +287,10 @@ def lag_solve(slab: np.ndarray, X: np.ndarray, start: int, drive: np.ndarray,
     anchored at row start+1. A block is two calls: one stacked slab product
     with the windows of the rows already known, the block's own rows
     reading as zero, and one unit lower-triangular solve against the
-    block's banded Toeplitz matrix, built once per call.
+    block's banded Toeplitz matrix, built once per call. The solve calls
+    LAPACK trtrs directly, with the routine and arguments scipy's
+    triangular-solve wrapper passes for a C-ordered matrix (its transpose as
+    an upper factor, transposed), without the wrapper's per-call checks.
     """
     if not X.flags.c_contiguous:
         raise ValueError("lag_solve fills a C-contiguous state in place")
@@ -298,13 +301,17 @@ def lag_solve(slab: np.ndarray, X: np.ndarray, start: int, drive: np.ndarray,
     L = slab.shape[1] // d - 1
     B = min(SOLVE_BLOCK, n)
     # Tb[(i, a), (j, b)] = T(i-1-j)[a, b]: the taps from solved row j of a
-    # block into its step i; M = I - shift - scale Tb is the block's matrix
+    # block into its step i; M = I - shift - scale Tb is the block's matrix,
+    # the shift subtracted in place on the block subdiagonal (x - 0.0 keeps
+    # every other entry's bits)
     lag = np.subtract.outer(np.arange(B), np.arange(B)) - 1
     taps = slab.reshape(d, L + 1, d)[:, ::-1].transpose(1, 0, 2)
     Tb = np.where(((lag >= 0) & (lag <= L))[:, :, None, None],
                   taps[np.clip(lag, 0, L)], 0.0)
     Tb = Tb.transpose(0, 2, 1, 3).reshape(B * d, B * d)
-    M = -scale * Tb - np.kron(np.eye(B, k=-1), np.eye(d))
+    M = -scale * Tb
+    M.ravel()[B * d * d::B * d + 1] -= 1.0
+    trtrs, = get_lapack_funcs(("trtrs",), (M,))
     # Z[z] holds X[base + z]: excluded rows, the B rows below `first` that
     # a window may reach and the rows not yet solved are zero
     base = first - B
@@ -324,9 +331,10 @@ def lag_solve(slab: np.ndarray, X: np.ndarray, start: int, drive: np.ndarray,
         known = slab[:, (L + 1 - w) * d:] @ windows
         rhs = drive[k0:k0 + nb] + scale * known
         rhs[0] += prev
-        sol = solve_triangular(M[:nb * d, :nb * d], rhs.reshape(nb * d, c),
-                               lower=True, unit_diagonal=True,
-                               check_finite=False)
+        sol, info = trtrs(M.T[:nb * d, :nb * d], rhs.reshape(nb * d, c),
+                          lower=0, trans=1, unitdiag=1)
+        if info:
+            raise ValueError(f"illegal argument {-info} to LAPACK trtrs")
         Z[a + 1 - base:a + 1 + nb - base] = sol.reshape(nb, d, c)
         prev = Z[a + nb - base]
     X[start + 1:start + n + 1] = Z[start + 1 - base:]

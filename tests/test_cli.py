@@ -531,29 +531,60 @@ def test_main_reuses_one_parser_per_process(tmp_path, capsys):
             (outs[0] / name).read_bytes()
 
 
+def _csv_writer_bytes(path, header, ints, floats):
+    """csv.writer on the %.17g strings of each value, the formatter the
+    table writer replaced."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows([int(v) for v in row[:len(ints)]]
+                    + ["%.17g" % float(v) for v in row[len(ints):]]
+                    for row in zip(*ints, *floats.T))
+    return path.read_bytes()
+
+
 def test_table_writer_bytes_match_csv_writer(tmp_path):
-    """The one-pass writer against csv.writer on the %.17g strings of each
-    value, the formatter it replaced."""
+    """The chunked writer against csv.writer: extreme values, then tables
+    on both sides of a chunk boundary, with and without integer columns,
+    carrying the %.17g values hardest to round (the exact tie 2**-25, the
+    doubles beside powers of ten) and the non-finite values a diverging
+    discrete resolvent writes unchecked."""
     floats = np.array([[-0.0, 5e-324, 1.7976931348623157e308],
                        [0.1, -2.5e-300, 1.0 / 3.0],
                        [1e16, -1.7976931348623157e308, 0.0]])
     ints = [np.array([0, 7, 123456789012]), np.array([-3, 0, 2 ** 40])]
     header = ["path_index", "n", "X_1", "X_2", "X_3"]
-    want = tmp_path / "want.csv"
-    with open(want, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows([i, n] + ["%.17g" % float(v) for v in row]
-                    for i, n, row in zip(*ints, floats))
     got = tmp_path / "got.csv"
     cli._write_table(str(got), header, ints, floats)
-    assert got.read_bytes() == want.read_bytes()
+    assert got.read_bytes() == _csv_writer_bytes(tmp_path / "want.csv",
+                                                 header, ints, floats)
     assert got.read_bytes().splitlines()[1] == \
         b"0,-3,-0,4.9406564584124654e-324,1.7976931348623157e+308"
     cli._write_table(str(got), ["t", "r_11"], [], floats[:, :2])
     assert got.read_bytes().splitlines()[1:] == [
         b"-0,4.9406564584124654e-324", b"0.10000000000000001,-2.5e-300",
         b"10000000000000000,-1.7976931348623157e+308"]
+
+    hard = [2.0 ** -25, np.nextafter(1e16, 0), 1e17, 9.9999999999999991e-05,
+            1e-5, np.inf, -np.inf, np.nan]
+    chunk = cli.TABLE_CHUNK
+    for rows in (0, chunk - 1, chunk, chunk + 1, 2 * chunk + 1):
+        rng = np.random.default_rng(rows)
+        floats = rng.standard_normal((rows, 3)) * 10.0 ** rng.integers(
+            -20, 20, (rows, 3))
+        floats.ravel()[:min(rows * 3, len(hard))] = hard[:rows * 3]
+        # and once more across the middle of the table
+        floats[rows // 2:rows // 2 + 1] = [np.nan, np.inf, 2.0 ** -25]
+        for n_ints in (0, 2):
+            ints = [np.arange(rows) + k * 2 ** 40 for k in range(n_ints)]
+            header = [f"i_{k}" for k in range(n_ints)] + ["X_1", "X_2", "X_3"]
+            cli._write_table(str(got), header, ints, floats)
+            assert got.read_bytes() == _csv_writer_bytes(
+                tmp_path / "want.csv", header, ints, floats)
+    text = got.read_bytes()
+    assert text.count(b"nan,inf,2.9802322387695312e-08\r\n") == 1
+    assert b",9999999999999998,1e+17\r\n" in text
+    assert b"9.9999999999999991e-05,1.0000000000000001e-05,inf\r\n" in text
 
 
 # config errors --------------------------------------------------------------

@@ -8,7 +8,9 @@ import sys
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import as_strided
 from scipy import integrate, stats
+from scipy.linalg import solve_triangular
 
 import svlab
 from svlab import core, discrete
@@ -276,14 +278,19 @@ def test_block_solve_matches_per_step_reference(n, d, c, with_tail):
 
 
 def test_block_solve_makes_one_triangular_solve_per_block(monkeypatch):
+    """One LAPACK trtrs call per block, the last on the remainder block."""
     calls = []
-    solve = core.solve_triangular
+    lapack = core.get_lapack_funcs
 
-    def counting(*args, **kwargs):
-        calls.append(args[0].shape)
-        return solve(*args, **kwargs)
+    def counting_lapack(names, arrays):
+        trtrs, = lapack(names, arrays)
 
-    monkeypatch.setattr(core, "solve_triangular", counting)
+        def counting(a, *args, **kwargs):
+            calls.append(a.shape)
+            return trtrs(a, *args, **kwargs)
+        return (counting,)
+
+    monkeypatch.setattr(core, "get_lapack_funcs", counting_lapack)
     kernel = _panel_kernel(2, True)
     for n in (1, SOLVE_BLOCK - 1, SOLVE_BLOCK, SOLVE_BLOCK + 1,
               3 * SOLVE_BLOCK + 5):
@@ -292,6 +299,67 @@ def test_block_solve_makes_one_triangular_solve_per_block(monkeypatch):
         assert len(calls) == -(-n // SOLVE_BLOCK)
         # full blocks, then the remainder
         assert calls[-1] == (2 * (n - SOLVE_BLOCK * (len(calls) - 1)),) * 2
+
+
+def _wrapper_route_lag_solve(slab, X, start, drive, scale=1.0, first=0):
+    """`lag_solve` as it was before it called LAPACK trtrs directly: the
+    block matrix built with np.kron and each block solved by
+    scipy.linalg.solve_triangular."""
+    _, d, c = X.shape
+    n = len(drive)
+    L = slab.shape[1] // d - 1
+    B = min(SOLVE_BLOCK, n)
+    lag = np.subtract.outer(np.arange(B), np.arange(B)) - 1
+    taps = slab.reshape(d, L + 1, d)[:, ::-1].transpose(1, 0, 2)
+    Tb = np.where(((lag >= 0) & (lag <= L))[:, :, None, None],
+                  taps[np.clip(lag, 0, L)], 0.0)
+    Tb = Tb.transpose(0, 2, 1, 3).reshape(B * d, B * d)
+    M = -scale * Tb - np.kron(np.eye(B, k=-1), np.eye(d))
+    base = first - B
+    Z = np.zeros((start + n + 1 - base, d, c))
+    Z[first - base:start + 1 - base] = X[first:start + 1]
+    flat = Z.reshape(-1, c)
+    row, col = flat.strides
+    prev = X[start]
+    for k0 in range(0, n, B):
+        nb = min(B, n - k0)
+        a = start + k0
+        w = max(0, min(L, a + nb - 1 - first)) + 1
+        windows = as_strided(flat[(a + 1 - w - base) * d:],
+                             (nb, w * d, c), (d * row, row, col))
+        rhs = drive[k0:k0 + nb] + scale * (slab[:, (L + 1 - w) * d:] @ windows)
+        rhs[0] += prev
+        sol = solve_triangular(M[:nb * d, :nb * d], rhs.reshape(nb * d, c),
+                               lower=True, unit_diagonal=True,
+                               check_finite=False)
+        Z[a + 1 - base:a + 1 + nb - base] = sol.reshape(nb, d, c)
+        prev = Z[a + nb - base]
+    X[start + 1:start + n + 1] = Z[start + 1 - base:]
+
+
+@pytest.mark.parametrize("n", [1, SOLVE_BLOCK - 1, SOLVE_BLOCK,
+                               SOLVE_BLOCK + 1, 200])
+@pytest.mark.parametrize("d,c", _dims_and_columns())
+def test_direct_trtrs_keeps_the_bits_of_the_wrapper_route(n, d, c):
+    """The direct trtrs call and the in-place block subdiagonal give the
+    bytes of the kron-built matrix solved through solve_triangular. A lag-0
+    slab and one wider than a block, each with first = 0 (the discrete
+    solvers) and with first = start + 1 and scale = h (`euler` on a kernel
+    on [0, inf)); and a few known rows before start (a delay kernel)."""
+    rng = np.random.default_rng(1000 * n + 10 * d + c)
+    start = 5
+    wide = SOLVE_BLOCK + 6
+    for L, first, scale in ((0, 0, 1.0), (wide, 0, 1.0), (0, start + 1, 0.01),
+                            (wide, start + 1, 0.01), (3, 2, 0.25)):
+        slab = lag_slab(0.3 * rng.standard_normal((L + 1, d, d)))
+        X = np.zeros((start + n + 1, d, c))
+        X[min(first, start):start + 1] = rng.standard_normal(
+            (start + 1 - min(first, start), d, c))
+        drive = 0.1 * rng.standard_normal((n, d, c))
+        got, want = X.copy(), X.copy()
+        lag_solve(slab, got, start, drive, scale, first)
+        _wrapper_route_lag_solve(slab, want, start, drive, scale, first)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_resolvent_horizon_zero_is_identity_only():
