@@ -416,6 +416,30 @@ def test_check_cond_f_report(tmp_path):
     assert report["verdict"] == "satisfied-evidence"
 
 
+def test_check_window_rows_with_zero_half_sum_stay_finite(tmp_path):
+    """A spike train has no mass before t = 2, so the half sum of this
+    width is 0 and its tail ratio inf. The row carries only finite margins
+    (tail_bar, tail_margin), so the strict report is written and the run
+    exits 0."""
+    cfg = write_config(tmp_path, "c.json", {
+        "schema_version": 1,
+        "condition": "cond-f",
+        "function": "spike(beta=0.32)",
+        "thetas": [0.5],
+        "grid": {"step_h": 0.01, "horizon_T": 2.0},
+        "checkpoint_times": [0.5, 1.0, 2.0],
+    })
+    out = tmp_path / "out"
+    assert main(["check", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    row, = json.loads((out / "report.json").read_text(),
+                      parse_constant=pytest.fail)["diagnostics"]["per_theta"]
+    half, full = row["checkpoint_values"][1:]
+    assert half == 0.0 < full
+    assert row["tail_bar"] == 1e-8
+    assert row["tail_margin"] == full - 1e-8
+    assert "tail_ratio" not in row
+
+
 def test_check_cond_sigma_high_report_matches_library(tmp_path):
     cfg = write_config(tmp_path, "c.json", {
         "schema_version": 1,

@@ -2,6 +2,7 @@
 exponential-filter equivalence."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from svlab.conditions import (
     gaussian_exceedance_series, irregular_window_sums, profile_lp_evidence,
     unit_window_evidence, unit_windows, window_fading_evidence,
     window_integral, window_profiles)
-from svlab.core import GridSpec
+from svlab.core import GridSpec, exp_scan
 
 
 # window profiles ------------------------------------------------------------
@@ -265,11 +266,25 @@ def test_sigma_high_check_evaluates_only_the_support():
 
 # L^p evidence on a profile --------------------------------------------------
 
+def _blocked_pairwise_sum(terms, stop):
+    """The sum of terms[:stop] by the checkpoint rule: the whole
+    PROFILE_BLOCK blocks anchored at 0 below stop, each np.add.reduce'd and
+    added in order, plus the np.add.reduce of the stop's partial block."""
+    B = conditions.PROFILE_BLOCK
+    whole = stop - stop % B
+    total = 0.0
+    for a in range(0, whole, B):
+        total += np.add.reduce(terms[a:a + B])
+    return total + np.add.reduce(terms[whole:stop])
+
+
 @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, 4.0, 2.5])
 def test_streamed_lp_sums_keep_whole_array_bits(p):
-    """The checkpoint sums, reduced in blocks of PROFILE_BLOCK points, equal
-    one cumsum over the whole profile bit for bit, at 0, at n and off the
-    block edges of a lattice of more than three blocks."""
+    """The checkpoint sums, read off PROFILE_BLOCK blocks of a profile that
+    is never held whole, equal the blocked pairwise sums of the whole
+    |profile|^p array bit for bit: at 0, at n, on a block edge and off the
+    block edges of a lattice of more than three blocks. The sum at n does
+    not depend on the other checkpoints requested."""
     B = conditions.PROFILE_BLOCK
     n, m, h = 3 * B + 1000, 250, 0.01
     g = GridSpec(h, n * h)
@@ -277,13 +292,86 @@ def test_streamed_lp_sums_keep_whole_array_bits(p):
     F = np.cumsum(np.random.default_rng(3).standard_normal(n + m + 1))
     prof = conditions.WindowProfile(theta=m * h, grid=g, lattice=F, width=m,
                                     quad_step=h)
-    cps = [0, B - 7, 2 * B + 1, 3 * B + 11, n]
+    cps = [0, B - 7, B, 2 * B + 1, 3 * B + 11, n]
     rep = profile_lp_evidence(prof, p, checkpoint_times=[c * h for c in cps])
-    whole = np.cumsum(np.abs(F[m:m + n + 1] - F[:n + 1]) ** p)
-    ref = [0.0] + [float(whole[c - 1] * h) for c in cps[1:]]
+    terms = np.abs(F[m:m + n + 1] - F[:n + 1]) ** p
+    ref = [_blocked_pairwise_sum(terms, c) * h for c in cps]
     got = rep.diagnostics["checkpoint_values"]
     assert np.array(got).tobytes() == np.array(ref).tobytes()
+    alone = profile_lp_evidence(prof, p, checkpoint_times=[n * h])
+    assert np.array(alone.diagnostics["checkpoint_values"]).tobytes() == \
+        np.array(ref[-1:]).tobytes()
     assert prof.values.tobytes() == (F[m:m + n + 1] - F[:n + 1]).tobytes()
+
+
+@pytest.mark.parametrize("p", [0.4, 0.8])
+def test_exp_filter_sums_are_blocked_pairwise_sums(p):
+    """The integral route of exp_filter_equivalence reads the left-Riemann
+    sums of v^p by the same blocked pairwise rule; its checkpoints 16, 32
+    and 64 (80 000, 160 000 and 320 000 points) fall inside blocks."""
+    f = corpus.resolve("geomwin(ratio=0.5)")
+    beta, horizon, k = 1.0, 64, 5000
+    h = 1.0 / k
+    pair = exp_filter_equivalence(f, beta, p, horizon, h)
+    decay = np.exp(-beta * h)
+    fv = np.asarray(f(np.arange(horizon * k) * h), float)
+    v = exp_scan(0.0, (1.0 - decay) / beta * fv, decay)
+    stops = [c * k for c in (16, 32, 64)]
+    assert all(s % conditions.PROFILE_BLOCK for s in stops)
+    ref = [_blocked_pairwise_sum(v[:horizon * k] ** p, s) * h for s in stops]
+    got = pair.integral_report.diagnostics["checkpoint_values"]
+    assert np.array(got).tobytes() == np.array(ref).tobytes()
+
+
+def test_lp_checkpoint_sums_meet_the_pairwise_error_bound():
+    """Checkpoint sums of |profile|^p stay within 1e-14 relative of
+    math.fsum of the same terms. The bound comes before the measurement:
+    for non-negative terms the blocked pairwise sum errs by at most about
+    (32 + n / PROFILE_BLOCK) u, 5e-15 at n = 400 000 and u = 2^-53,
+    against up to n u for one sequential cumsum, which breaks the bound on
+    at least one of these cases."""
+    h, T, bound = 1e-5, 4.0, 1e-14
+    g = GridSpec(h, T)
+    cps = [1.0, 2.0, 4.0]
+    worst_old = 0.0
+    for name in ("const(c=0.7)", "osc(alpha=0.1,beta=0.5)"):
+        for prof in window_profiles(corpus.resolve(name), (0.5, 1.0), g):
+            a = np.abs(prof.values)
+            for p in (2.0, 4.0):
+                terms = a ** p
+                seq = np.cumsum(terms)
+                listed = terms.tolist()
+                rep = profile_lp_evidence(prof, p, cps)
+                for t, got in zip(cps, rep.diagnostics["checkpoint_values"]):
+                    c = g.index_at(t)
+                    exact = math.fsum(listed[:c]) * h
+                    assert abs(got - exact) <= bound * exact, \
+                        (name, prof.theta, p, t)
+                    worst_old = max(worst_old,
+                                    abs(seq[c - 1] * h - exact) / exact)
+    assert worst_old > bound
+
+
+def test_window_lp_rows_carry_tail_margins():
+    """Each width row carries the tail rule's bar and margin, from the one
+    rule in evidence; the sums of a profile report them too."""
+    rep = forcing_window_evidence(corpus.ConstFamily(1.0), 2.0,
+                                  GridSpec(0.1, 32.0), thetas=(0.5, 1.0))
+    for row in rep.diagnostics["per_theta"]:
+        s_half, s_full = row["checkpoint_values"][-2:]
+        bar = 1e-2 * s_half + 1e-8
+        assert row["tail_bar"] == bar
+        assert row["tail_margin"] == (s_full - s_half) - bar > 0
+        assert row["verdict"] == VIOLATED
+    prof = window_integral(corpus.ConstFamily(1.0), 1.0, GridSpec(0.1, 32.0))
+    d = profile_lp_evidence(prof, 2.0).diagnostics
+    assert (d["tail_bar"], d["tail_margin"]) == \
+        (rep.diagnostics["per_theta"][1]["tail_bar"],
+         rep.diagnostics["per_theta"][1]["tail_margin"])
+    few = forcing_window_evidence(corpus.ConstFamily(1.0), 2.0,
+                                  GridSpec(0.1, 32.0), thetas=(0.5,),
+                                  checkpoint_times=(16.0, 32.0))
+    assert "tail_margin" not in few.diagnostics["per_theta"][0]
 
 
 def test_streamed_fading_sups_keep_whole_array_max():
