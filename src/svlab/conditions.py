@@ -18,7 +18,8 @@ An integrand that declares a support (corpus.support_of) is evaluated and
 summed only there: each cell end reads the running sum of the support
 samples at or before it, which has the bits of summing the zeros in
 between. A profile is never held whole: its L^p partial sums and segment
-suprema are reduced in blocks of PROFILE_BLOCK points read off the lattice.
+suprema are reduced in blocks of PROFILE_BLOCK points read off the lattice
+into one reused buffer.
 
 The L^p partial sums are read only at checkpoints, so they are not a
 cumsum (_sums_at): each block of PROFILE_BLOCK terms, anchored at index 0,
@@ -80,11 +81,17 @@ class WindowProfile:
 
     def abs_blocks(self, lo: int, hi: int):
         """(start, |values[start:end]|) over [lo, hi) in blocks of
-        PROFILE_BLOCK points, start increasing."""
+        PROFILE_BLOCK points, start increasing. Every block is a view of one
+        buffer per call, which the next block overwrites: a consumer is done
+        with a block (and may change it in place) before it asks for the
+        next."""
         F, m = self.lattice, self.width
+        buf = np.empty(min(PROFILE_BLOCK, max(hi - lo, 0)))
         for a in range(lo, hi, PROFILE_BLOCK):
             b = min(a + PROFILE_BLOCK, hi)
-            yield a, np.abs(F[a + m: b + m] - F[a: b])
+            block = buf[:b - a]
+            np.subtract(F[a + m: b + m], F[a: b], out=block)
+            yield a, np.abs(block, out=block)
 
 
 def _support_indices(support, first: int, n: int, step: float) -> np.ndarray:
@@ -271,9 +278,15 @@ def profile_lp_evidence(profile: WindowProfile, p: float,
         time_checkpoints(checkpoint_times, grid)
     cps = [float(t) for t in checkpoint_times]
     stops = [grid.index_at(t) for t in cps]
-    blocks = ((lo, block ** p)
-              for lo, block in profile.abs_blocks(0, max(stops, default=0)))
-    at = [float(x) for x in _sums_at(blocks, stops) * grid.step_h]
+
+    def terms():
+        # in place on the reused block: **= takes the scalar-power fast
+        # paths of ** (np.square for p = 2), so the terms keep their bits
+        for lo, block in profile.abs_blocks(0, max(stops, default=0)):
+            block **= p
+            yield lo, block
+
+    at = [float(x) for x in _sums_at(terms(), stops) * grid.step_h]
     params = {"theta": profile.theta, "p": p, "quad_step": profile.quad_step}
     if len(cps) < 3:
         return EvidenceReport("window-lp-integral", params, tuple(cps),

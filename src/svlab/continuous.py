@@ -49,8 +49,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (DEFAULT_NORM, CompiledMeasure, GridSpec,
                    SignedMeasureRepr, divisions, exp_scan,
-                   is_neg_identity_point_mass, on_grid, rng_stream, run_paths,
-                   vector_norm)
+                   is_neg_identity_point_mass, on_grid, positive_exponent,
+                   rng_stream, run_paths, vector_norm)
 from .evidence import (EvidenceReport, TailThresholds, median_tail_verdict,
                        time_checkpoints)
 from .quad import bisect_root_levels
@@ -556,7 +556,9 @@ def pathwise_gap(path: np.ndarray, reference: np.ndarray, grid: GridSpec,
 
 def lp_time_integral(path: np.ndarray, p: float, grid: GridSpec,
                      norm: str = DEFAULT_NORM) -> np.ndarray:
-    """Left-Riemann cumulative integral of ||X||^p: value[k] covers [0, t_k]."""
+    """Left-Riemann cumulative integral of ||X||^p: value[k] covers [0, t_k],
+    p finite and positive."""
+    p = positive_exponent(p)
     vals = vector_norm(np.atleast_2d(np.asarray(path, float).T).T, norm) ** p
     out = np.zeros(len(vals))
     out[1:] = np.cumsum(vals[:-1]) * grid.step_h

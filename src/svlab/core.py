@@ -14,8 +14,10 @@ the rows already solved and one LAPACK trtrs solve; it returns no history
 terms. The discrete resolvent and direct solver call it, and so does
 `CompiledMeasure`, which compiles a measure once into a slab; its `euler`
 runs every continuous recursion except the unit-rate mean-reverting one,
-which `exp_scan` runs as a first-order filter in C (scipy.signal, imported
-on the first scan, so importing svlab loads only numpy and scipy.linalg).
+which `exp_scan` runs as a first-order filter in C. Importing svlab loads
+numpy and the standard library alone: scipy.linalg is imported on the
+first `lag_solve`, scipy.signal on the first `exp_scan` and
+concurrent.futures on the first `run_paths` with threads > 1.
 Window rule at step k: a kernel on [0, inf) applies atom lag l iff l <= k
 and density lag l iff l <= k - 1, so X(0) sees atoms only; a delay kernel
 applies every tap over the stored history. The state's trailing column
@@ -34,13 +36,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
-from scipy.linalg import get_lapack_funcs
 
 from .quad import adaptive_simpson
 
@@ -72,6 +72,15 @@ def vector_norm(x: np.ndarray, kind: str = DEFAULT_NORM) -> np.ndarray:
     if kind == "euclid":
         return np.sqrt(np.sum(x * x, axis=-1))
     raise ValueError(f"unknown norm {kind!r}")
+
+
+def positive_exponent(p: float) -> float:
+    """p itself; ValueError unless p is a finite positive number (0, -1,
+    nan and inf are not)."""
+    if not 0 < p < math.inf:
+        raise ValueError(f"exponent p must be a finite positive number, "
+                         f"got {p!r}")
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +300,12 @@ def lag_solve(slab: np.ndarray, X: np.ndarray, start: int, drive: np.ndarray,
     LAPACK trtrs directly, with the routine and arguments scipy's
     triangular-solve wrapper passes for a C-ordered matrix (its transpose as
     an upper factor, transposed), without the wrapper's per-call checks.
+    scipy.linalg, which holds the LAPACK bindings, is imported on the first
+    solve, not with svlab, since the window, unit-window and fading checks
+    never solve.
     """
+    from scipy.linalg import get_lapack_funcs
+
     if not X.flags.c_contiguous:
         raise ValueError("lag_solve fills a C-contiguous state in place")
     _, d, c = X.shape
@@ -730,8 +744,11 @@ def rng_stream(master_seed: int, path_index: int) -> np.random.Generator:
 def run_paths(n_paths: int, one: Callable, threads: int = 1) -> list:
     """[one(0), ..., one(n_paths - 1)], fanned out over `threads` worker
     threads; results come back in path order whatever the scheduling. The
-    continuous ensembles pass whole blocks of paths as the items."""
+    continuous ensembles pass whole blocks of paths as the items.
+    concurrent.futures is imported on the first run with threads > 1."""
     if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(one, range(n_paths)))
     return [one(i) for i in range(n_paths)]

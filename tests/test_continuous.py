@@ -518,6 +518,13 @@ def test_lp_time_integral_left_riemann():
     assert S[0] == 0.0
 
 
+@pytest.mark.parametrize("p", [0.0, -1.0, np.nan, np.inf])
+def test_lp_time_integral_rejects_p_not_finite_positive(p):
+    g = GridSpec(0.25, 2.0)
+    with pytest.raises(ValueError, match="finite positive"):
+        lp_time_integral(np.ones((g.n_steps + 1, 1)), p, g)
+
+
 def test_pathwise_gap_blocks():
     g = GridSpec(0.5, 3.0)
     path = np.array([0.0, 1.0, -2.0, 0.5, 3.0, -1.0, 0.25])[:, None]

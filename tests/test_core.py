@@ -438,3 +438,31 @@ def test_scipy_signal_loads_at_the_first_exponential_scan(run):
                          capture_output=True, text=True, check=True,
                          timeout=120)
     assert out.stdout.split() == ["False", "True"]
+
+
+_DEFERRED_LOADS = """
+import sys
+import svlab, svlab.cli
+print(any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules),
+      'concurrent.futures' in sys.modules)
+from svlab import MatrixKernelSeq, resolvent_seq
+from svlab.core import run_paths
+resolvent_seq(MatrixKernelSeq(1, {0: [[-0.5]]}), 40)
+print('scipy.linalg' in sys.modules, 'scipy.signal' in sys.modules)
+assert run_paths(2, lambda i: i * i, threads=2) == [0, 1]
+print('concurrent.futures' in sys.modules)
+"""
+
+
+def test_svlab_imports_on_numpy_alone():
+    """`import svlab, svlab.cli` loads no scipy module and no
+    concurrent.futures; a discrete resolvent loads scipy.linalg (its block
+    solve) but not scipy.signal, and a threaded run_paths loads
+    concurrent.futures."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(svlab.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", _DEFERRED_LOADS], env=env,
+                         capture_output=True, text=True, check=True,
+                         timeout=120)
+    assert out.stdout.split() == ["False", "False", "True", "False", "True"]

@@ -8,6 +8,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.lib.stride_tricks import as_strided
 from scipy import integrate, stats
 from scipy.linalg import solve_triangular
@@ -278,9 +279,11 @@ def test_block_solve_matches_per_step_reference(n, d, c, with_tail):
 
 
 def test_block_solve_makes_one_triangular_solve_per_block(monkeypatch):
-    """One LAPACK trtrs call per block, the last on the remainder block."""
+    """One LAPACK trtrs call per block, the last on the remainder block.
+    lag_solve imports scipy.linalg.get_lapack_funcs at call time, so the
+    counting wrapper goes on scipy.linalg."""
     calls = []
-    lapack = core.get_lapack_funcs
+    lapack = scipy.linalg.get_lapack_funcs
 
     def counting_lapack(names, arrays):
         trtrs, = lapack(names, arrays)
@@ -290,7 +293,7 @@ def test_block_solve_makes_one_triangular_solve_per_block(monkeypatch):
             return trtrs(a, *args, **kwargs)
         return (counting,)
 
-    monkeypatch.setattr(core, "get_lapack_funcs", counting_lapack)
+    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", counting_lapack)
     kernel = _panel_kernel(2, True)
     for n in (1, SOLVE_BLOCK - 1, SOLVE_BLOCK, SOLVE_BLOCK + 1,
               3 * SOLVE_BLOCK + 5):
@@ -617,6 +620,12 @@ def test_lp_partial_sums_geometric():
 def test_lp_partial_sums_counting():
     S = lp_partial_sums(np.ones((11, 1)), 4.0)
     np.testing.assert_array_equal(S, np.arange(1, 12, dtype=float))
+
+
+@pytest.mark.parametrize("p", [0.0, -1.0, np.nan, np.inf])
+def test_lp_partial_sums_rejects_p_not_finite_positive(p):
+    with pytest.raises(ValueError, match="finite positive"):
+        lp_partial_sums(np.ones((11, 1)), p)
 
 
 def test_tail_decision_zero_paths_summable():
