@@ -488,8 +488,10 @@ def exp_filter_equivalence(f: Callable, beta: float, p: float, horizon: int,
     v(t) = integral_0^t e^{-beta (t-s)} f(s) ds has finite integral of v^p
     exactly when the unit-window sums sum_n (integral_n^{n+1} f)^p converge.
     Both routes are computed at the same checkpoints; disagreement of the
-    two verdicts is flagged. The left-Riemann sums of v^p are read at the
-    checkpoints by _sums_at, pairwise within blocks of PROFILE_BLOCK
+    two verdicts is flagged. v on the grid is the step recurrence
+    v_{k+1} = e^{-beta h} v_k + (1 - e^{-beta h}) / beta f(t_k), run by
+    core.exp_scan in numpy alone. The left-Riemann sums of v^p are read at
+    the checkpoints by _sums_at, pairwise within blocks of PROFILE_BLOCK
     points: for n points, relative error below about
     (32 + n / PROFILE_BLOCK) u.
     """

@@ -36,8 +36,7 @@ their compiled kernel in one place (`_bind`).
 The kernel that is exactly the negative identity point mass at zero is
 routed through the same exponential-integrator scan as `simulate_ou`, so
 those two simulators are bit-identical on shared streams (same equation,
-same code path). The scan is `core.exp_scan`, which imports scipy.signal on
-its first call; the other systems never load it.
+same code path). The scan is `core.exp_scan`, in numpy alone.
 """
 from __future__ import annotations
 
@@ -49,8 +48,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (DEFAULT_NORM, CompiledMeasure, GridSpec,
                    SignedMeasureRepr, divisions, exp_scan,
-                   is_neg_identity_point_mass, on_grid, positive_exponent,
-                   rng_stream, run_paths, vector_norm)
+                   is_neg_identity_point_mass, on_grid, path_rows,
+                   positive_exponent, rng_stream, run_paths, vector_norm)
 from .evidence import (EvidenceReport, TailThresholds, median_tail_verdict,
                        time_checkpoints)
 from .quad import bisect_root_levels
@@ -85,7 +84,7 @@ def _increments(grid: GridSpec, m: int, master_seed: int, path_index: int,
 def _ou_path(x0: np.ndarray, f_vals: np.ndarray, sig_vals: np.ndarray,
              dB: np.ndarray, h: float) -> np.ndarray:
     """Y_0 = x0, Y_{k+1} = e^{-h} Y_k + (1 - e^{-h}) f_k + sigma_k dB_k,
-    scanned in C by `core.exp_scan`."""
+    scanned by `core.exp_scan`."""
     decay = np.exp(-h)
     drive = (1.0 - decay) * f_vals + np.einsum("kdm,km->kd", sig_vals, dB)
     return exp_scan(x0, drive, decay)
@@ -543,9 +542,7 @@ def pathwise_gap(path: np.ndarray, reference: np.ndarray, grid: GridSpec,
                  blocks: Sequence[tuple], norm: str = DEFAULT_NORM):
     """Gap ||X - reference|| on the grid plus suprema over [start, start+width]
     blocks."""
-    p = np.atleast_2d(np.asarray(path, float).T).T
-    r = np.atleast_2d(np.asarray(reference, float).T).T
-    gap = vector_norm(p - r, norm)
+    gap = vector_norm(path_rows(path) - path_rows(reference), norm)
     sups = []
     for start, width in blocks:
         i0 = grid.index_at(start)
@@ -557,9 +554,9 @@ def pathwise_gap(path: np.ndarray, reference: np.ndarray, grid: GridSpec,
 def lp_time_integral(path: np.ndarray, p: float, grid: GridSpec,
                      norm: str = DEFAULT_NORM) -> np.ndarray:
     """Left-Riemann cumulative integral of ||X||^p: value[k] covers [0, t_k],
-    p finite and positive."""
+    p finite and positive; a 1-D path is one component (core.path_rows)."""
     p = positive_exponent(p)
-    vals = vector_norm(np.atleast_2d(np.asarray(path, float).T).T, norm) ** p
+    vals = vector_norm(path_rows(path), norm) ** p
     out = np.zeros(len(vals))
     out[1:] = np.cumsum(vals[:-1]) * grid.step_h
     return out

@@ -14,10 +14,10 @@ the rows already solved and one LAPACK trtrs solve; it returns no history
 terms. The discrete resolvent and direct solver call it, and so does
 `CompiledMeasure`, which compiles a measure once into a slab; its `euler`
 runs every continuous recursion except the unit-rate mean-reverting one,
-which `exp_scan` runs as a first-order filter in C. Importing svlab loads
-numpy and the standard library alone: scipy.linalg is imported on the
-first `lag_solve`, scipy.signal on the first `exp_scan` and
-concurrent.futures on the first `run_paths` with threads > 1.
+which `exp_scan` runs as a first-order scan. Importing svlab loads numpy
+and the standard library alone: scipy.linalg, svlab's one scipy module, is
+imported on the first `lag_solve` and concurrent.futures on the first
+`run_paths` with threads > 1.
 Window rule at step k: a kernel on [0, inf) applies atom lag l iff l <= k
 and density lag l iff l <= k - 1, so X(0) sees atoms only; a delay kernel
 applies every tap over the stored history. The state's trailing column
@@ -30,6 +30,22 @@ a column, which go through the same operations, so a fixed block width and
 column make a path's bytes independent of the ensemble size and of the
 thread count that `run_paths` fans blocks out over; nor on the BLAS thread
 count, whose products and triangular solve keep each column's sums whole.
+
+`exp_scan` is a blocked scan (Blelloch, Prefix sums and their applications,
+CMU-CS-90-190, 1990) in blocks of SCAN_BLOCK = 256 rows anchored at row 0:
+a block is one cumsum of its rows times decay^-j, scaled back by decay^i,
+and the carries into the blocks are the same scan of the block ends with
+decay^B. The powers are sequential cumprod products; B shrinks below
+SCAN_BLOCK where decay^B would leave [2^-500, 2^500], and where decay
+itself does the scan takes doubling steps. Only correctly rounded
+multiplies and adds and the sequential cumsum and cumprod make its bits,
+with no BLAS and no libm, so a column's bits depend on SCAN_BLOCK and the
+anchor alone: not on the other columns, not on n (a prefix of a scan is the
+shorter scan) and not on the SIMD level. Against the exact recurrence the
+error is below about u (3 B L R_k + L M_k), u = 2^-53, over L blocked
+levels, where R_k = sum_j |decay|^(k-1-j) |x_j| + |decay|^k |y0| and M_k
+weights each term of R_k by its lag; the sequential recurrence's is
+u (R_k + 2 M_k).
 """
 from __future__ import annotations
 
@@ -48,6 +64,9 @@ ARTIFACT_VERSION = "0.1.0"
 DEFAULT_NORM = "max"
 NORMS = ("max", "sum", "euclid")  # the kinds vector_norm takes
 SOLVE_BLOCK = 64
+SCAN_BLOCK = 256
+# every power decay^i a scan block multiplies by lies in [1/SCAN_RANGE, SCAN_RANGE]
+SCAN_RANGE = 2.0 ** 500
 
 
 class GridError(ValueError):
@@ -72,6 +91,12 @@ def vector_norm(x: np.ndarray, kind: str = DEFAULT_NORM) -> np.ndarray:
     if kind == "euclid":
         return np.sqrt(np.sum(x * x, axis=-1))
     raise ValueError(f"unknown norm {kind!r}")
+
+
+def path_rows(path) -> np.ndarray:
+    """A path as rows (n+1, d); a 1-D path is one component, (n+1, 1)."""
+    x = np.asarray(path, float)
+    return x[:, None] if x.ndim == 1 else x
 
 
 def positive_exponent(p: float) -> float:
@@ -357,20 +382,51 @@ def lag_solve(slab: np.ndarray, X: np.ndarray, start: int, drive: np.ndarray,
 def exp_scan(y0, drive: np.ndarray, decay: float) -> np.ndarray:
     """out[0] = y0, out[k+1] = decay out[k] + drive[k] along axis 0, shape
     (n+1,) + drive.shape[1:]; y0 is a number or an array of drive's row
-    shape. One first-order `scipy.signal.lfilter` recurrence in C, started
-    from zi = decay y0. scipy.signal (which loads scipy.stats,
-    scipy.interpolate and scipy.optimize) is imported on the first scan,
-    not with svlab, since only the exponential-integrator paths and the
-    p < 1 filter check run it."""
-    from scipy.signal import lfilter
-
+    shape. Blocked in numpy alone (module docstring)."""
     drive = np.asarray(drive, float)
-    y0 = np.asarray(y0, float)
-    out = np.empty((len(drive) + 1,) + drive.shape[1:])
+    n, rows = len(drive), drive.shape[1:]
+    out = _scan(y0, drive.reshape(n, math.prod(rows)), float(decay))
+    return out.reshape((n + 1,) + rows)
+
+
+def _scan(y0, x: np.ndarray, decay: float) -> np.ndarray:
+    """The (n+1, c) scan of the (n, c) rows x from y0.
+
+    Block b holds rows bB..bB+B-1, carry c_b = out[bB]; with q[i] = decay^i
+    and S_b[i] = sum_{j<=i} x[bB+j] / q[j], out[bB+i+1] = q[i] (S_b[i] +
+    decay c_b), and the carries are this scan of the block ends q[B-1]
+    S_b[B-1] with decay q[B]. Every block, the partial last one too, takes
+    the same operations, so a row's bits do not depend on n or c."""
+    n, c = x.shape
+    q = np.full(SCAN_BLOCK + 1, decay)
+    q[0] = 1.0
+    np.cumprod(q, out=q)
+    inside = (np.abs(q) >= 1.0 / SCAN_RANGE) & (np.abs(q) <= SCAN_RANGE)
+    B = SCAN_BLOCK if inside.all() else int(np.argmin(inside)) - 1
+    if B <= 1 or n == 0:
+        # decay itself leaves the range (or no rows): doubling steps over
+        # the rows [y0; x]
+        out = np.empty((n + 1, c))
+        out[0] = y0
+        out[1:] = x
+        s, power = 1, decay
+        while s <= n:
+            out[s:] += power * out[:-s]
+            s, power = 2 * s, power * power
+        return out
+    # rows 1.. of out, zero-padded to whole blocks, hold S_b and then out
+    nb = -(-n // B)
+    out = np.empty((1 + nb * B, c))
     out[0] = y0
-    out[1:] = lfilter([1.0], [1.0, -decay], drive, axis=0,
-                      zi=decay * y0[None])[0]
-    return out
+    out[1:n + 1] = x
+    out[n + 1:] = 0.0
+    S = out[1:].reshape(nb, B, c)
+    S *= (1.0 / q[:B])[:, None]
+    np.cumsum(S, axis=1, out=S)
+    carry = _scan(out[0], q[B - 1] * S[:-1, -1], q[B])
+    S += decay * carry[:, None]
+    S *= q[:B, None]
+    return out[:n + 1]
 
 
 class CompiledMeasure:

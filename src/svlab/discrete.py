@@ -37,8 +37,8 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .core import (DEFAULT_NORM, MatrixKernelSeq, NoiseSpec, ScalarLaw,
-                   lag_slab, lag_solve, on_grid, positive_exponent,
-                   rng_stream, vector_norm)
+                   lag_slab, lag_solve, on_grid, path_rows,
+                   positive_exponent, rng_stream, vector_norm)
 from .evidence import (EvidenceReport, TailThresholds, median_tail_verdict)
 
 # the fewest paths an ensemble tail verdict reads
@@ -221,9 +221,9 @@ def random_summable_kernel(rng: np.random.Generator, dim: int,
 
 def lp_partial_sums(path: np.ndarray, p: float, norm: str = DEFAULT_NORM) -> np.ndarray:
     """S(N) = sum_{n<=N} ||X(n)||^p for N = 0..horizon, p finite and
-    positive."""
+    positive; a 1-D path is one component (core.path_rows)."""
     p = positive_exponent(p)
-    vals = vector_norm(np.atleast_2d(np.asarray(path, float)), norm) ** p
+    vals = vector_norm(path_rows(path), norm) ** p
     return np.cumsum(vals)
 
 

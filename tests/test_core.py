@@ -1,5 +1,6 @@
 """Grid, measure, kernel, exponential-scan and randomness-contract tests."""
 
+import math
 import os
 import subprocess
 import sys
@@ -20,6 +21,7 @@ from svlab.core import (
     MatrixKernelSeq,
     MeasureError,
     NoiseSpec,
+    SCAN_BLOCK,
     RunManifest,
     SignedMeasureRepr,
     UniformLaw,
@@ -387,57 +389,166 @@ def test_vector_norm_kinds():
 # ---------------------------------------------------------------------------
 # exponential scan and what importing svlab loads
 
+U = 2.0 ** -53
+SCAN_DECAYS = [1.0, math.exp(-0.01), math.exp(-400.0), 1e-300, 0.0]
+
+
+def _scan_input(shape):
+    """Normal rows with signed zeros at the start and a run of zeros."""
+    drive = np.random.default_rng(5).standard_normal(shape)
+    drive[:4] = -0.0
+    drive[300:310] = 0.0
+    return drive
+
+
+def _dyadic(v):
+    """(num, s) with v = num / 2^s exactly: a float's denominator is a power
+    of two."""
+    num, den = float(v).as_integer_ratio()
+    return num, den.bit_length() - 1
+
+
+def _exact_scan(y0, x, decay):
+    """out[k+1] = decay out[k] + x[k] in exact rational arithmetic, row k as
+    (num, s) = num / 2^s. Every value is dyadic, so the rows are carried over
+    a power-of-two denominator: a Fraction reduces each step by gcds, and at
+    decay = 1e-300 (1101-bit denominators, 670 000-bit rows) that took
+    about 2 s a column on a 2-core Xeon VM."""
+    dn, ds = _dyadic(decay)
+    rows = [_dyadic(y0)]
+    for v in x:
+        num, s = rows[-1]
+        xn, xs = _dyadic(v)
+        t = max(s + ds, xs)
+        rows.append(((num * dn << (t - s - ds)) + (xn << (t - xs)), t))
+    return rows
+
+
+def _excess(got, exact, bound):
+    """|got - exact| / bound, each quotient exact, the last correctly
+    rounded."""
+    gn, gd = float(got).as_integer_ratio()
+    bn, bd = float(bound).as_integer_ratio()
+    num, s = exact
+    return abs((gn << s) - num * gd) * bd / ((gd * bn) << s)
+
+
+@pytest.mark.parametrize("decay", SCAN_DECAYS)
 @pytest.mark.parametrize("y0", [0.0, -0.0, 0.7])
 @pytest.mark.parametrize("d", [None, 3])
-def test_exp_scan_has_the_bits_of_lfilter(y0, d):
+def test_exp_scan_meets_its_error_bound_against_the_exact_recurrence(
+        d, y0, decay):
+    """Bound, stated before measuring: |out[k] - exact[k]| <= u (8 B R_k +
+    4 M_k) + 2^-1022, B = SCAN_BLOCK, u = 2^-53, where R_k = sum_j
+    |decay|^(k-1-j) |x_j| + |decay|^k |y0| is the running magnitude and M_k
+    the same sum with each term weighted by its lag k-1-j (k for y0). A
+    blocked level rounds a term's coefficient at most about 3 B times (the
+    powers q[i] and 1 / q[j], the block cumsum), these 612 rows take at most
+    two blocked levels, the carried powers of decay add about one rounding
+    a step of lag per level, and 2^-1022 covers powers that underflow. The
+    rows cross two block ends into a partial third block."""
+    n = 2 * SCAN_BLOCK + 100
+    shape = (n,) if d is None else (n, d)
+    drive = _scan_input(shape)
+    got = exp_scan(y0 if d is None else np.full(d, y0), drive, decay)
+    assert got.shape == (n + 1,) + shape[1:]
+    assert got[0].tobytes() == np.full(shape[1:], y0).tobytes()
+    a = abs(decay)
+    for x, out in zip(drive.reshape(n, -1).T, got.reshape(n + 1, -1).T):
+        R, M, worst = abs(y0), 0.0, 0.0
+        for k, exact in enumerate(_exact_scan(y0, x, decay)):
+            if k:
+                R, M = a * R + abs(x[k - 1]), a * (M + R)
+            bound = U * (8 * SCAN_BLOCK * R + 4 * M) + 2.0 ** -1022
+            worst = max(worst, _excess(out[k], exact, bound))
+        assert worst <= 1.0
+
+
+@pytest.mark.parametrize("decay", SCAN_DECAYS + [math.exp(-1e-4)])
+def test_exp_scan_bits_depend_on_no_column_count_or_length(decay):
+    """A column has the bits of its one-column scan, and a prefix of a
+    scan is bitwise the shorter scan, across both carry levels of B (B + 2)
+    + 5 rows; n = 0 gives y0 alone."""
+    B = SCAN_BLOCK
+    n = B * (B + 2) + 5
+    drive = _scan_input((n, 3))
+    y0 = np.array([0.7, -0.0, 0.0])
+    out = exp_scan(y0, drive, decay)
+    for j in range(3):
+        one = exp_scan(y0[j], drive[:, j], decay)
+        assert one.tobytes() == out[:, j].tobytes()
+    for m in (0, 1, B - 1, B, B + 1, 3 * B + 5, B * B - 1, B * B,
+              B * (B + 1) + 1, n):
+        assert exp_scan(y0, drive[:m], decay).tobytes() == out[:m + 1].tobytes()
+    assert exp_scan(-0.0, np.zeros(0), decay).tobytes() == np.array([-0.0]).tobytes()
+
+
+@pytest.mark.parametrize("case", ["const-forcing", "ou-increments"])
+def test_exp_scan_agrees_with_lfilter_on_a_long_scan(case):
+    """scipy.signal.lfilter, the sequential recurrence in C, as a second
+    reference at n = 320 000 rows: the lemma-p-lt-1 filter of a constant
+    forcing (beta = 1, step 2e-4) and an OU scan of criterion 05's step
+    (1e-4). Its error is at most u (R_k + 2 M_k), and these rows take at most
+    three blocked levels, so the two differ by at most u (10 B R_k +
+    8 M_k) (the bound of the exact test, widened by one level and lfilter's
+    own error)."""
     from scipy.signal import lfilter
 
-    rng = np.random.default_rng(5)
-    shape = (257,) if d is None else (257, d)
-    drive = rng.standard_normal(shape)
-    drive[:4] = -0.0
-    drive[100:110] = 0.0
-    y = np.full(shape[1:], y0)
-    decay = np.exp(-0.01)
-    want = np.empty((258,) + shape[1:])
-    want[0] = y
-    want[1:] = lfilter([1.0], [1.0, -decay], drive, axis=0,
-                       zi=decay * y[None])[0]
-    got = exp_scan(y0 if d is None else y, drive, decay)
-    assert got.shape == want.shape
-    assert got.tobytes() == want.tobytes()
-    # out[k+1] = decay out[k] + drive[k]
-    np.testing.assert_allclose(got[1:], decay * got[:-1] + drive, atol=1e-15)
+    n = 320_000
+    if case == "const-forcing":
+        decay = np.exp(-2e-4)
+        drive = np.full(n, (1.0 - decay) * 0.8)
+    else:
+        decay = np.exp(-1e-4)
+        drive = np.random.default_rng(7).standard_normal(n) * 1e-2
+
+    def reference(x):
+        out = np.zeros(n + 1)
+        out[1:] = lfilter([1.0], [1.0, -decay], x)
+        return out
+
+    R = reference(np.abs(drive))
+    M = reference(decay * R[:-1])
+    bound = U * (10 * SCAN_BLOCK * R + 8 * M)
+    assert np.all(np.abs(exp_scan(0.0, drive, decay) - reference(drive))
+                  <= bound)
 
 
-_SIGNAL_LOADED = """
+_NO_SIGNAL = """
 import sys
 import numpy as np
-import svlab, svlab.cli
-print('scipy.signal' in sys.modules)
-from svlab import (ContinuousSystem, GridSpec, exp_filter_equivalence,
-                   neg_identity_point_mass, simulate_sve)
-if sys.argv[1] == "sve":
-    simulate_sve(ContinuousSystem(neg_identity_point_mass(1),
-                                  GridSpec(0.1, 1.0), diffusion=1.0))
+from svlab import (ContinuousSystem, GridSpec, coupled_paths,
+                   exp_filter_equivalence, neg_identity_point_mass,
+                   point_mass, simulate_ou, simulate_sve)
+grid = GridSpec(0.1, 1.0)
+run = sys.argv[1]
+if run == "sve":
+    simulate_sve(ContinuousSystem(neg_identity_point_mass(1), grid,
+                                  diffusion=1.0))
+elif run == "ou":
+    simulate_ou(1.0, 1.0, grid)
+elif run == "coupled":
+    coupled_paths(ContinuousSystem(point_mass(-0.5, 0.2), grid, forcing=1.0,
+                                   diffusion=1.0))
 else:
     exp_filter_equivalence(lambda t: np.ones_like(t), 1.0, 0.5, 8, 0.125)
-print('scipy.signal' in sys.modules)
+print(*[m for m in ("scipy.signal", "scipy.stats", "scipy.interpolate",
+                    "scipy.optimize") if m in sys.modules])
 """
 
 
-@pytest.mark.parametrize("run", ["sve", "exp-filter"])
-def test_scipy_signal_loads_at_the_first_exponential_scan(run):
-    """`import svlab, svlab.cli` leaves scipy.signal (and the scipy.stats,
-    interpolate and optimize it brings) unloaded; a neg-identity simulate_sve
-    or an exp_filter_equivalence call loads it."""
+@pytest.mark.parametrize("run", ["sve", "ou", "coupled", "exp-filter"])
+def test_exponential_scans_load_no_scipy_signal(run):
+    """A neg-identity simulate_sve, simulate_ou, coupled_paths and
+    exp_filter_equivalence each run the exponential scan, and none loads
+    scipy.signal or the scipy.stats, interpolate and optimize it brings."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(svlab.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-c", _SIGNAL_LOADED, run], env=env,
+    out = subprocess.run([sys.executable, "-c", _NO_SIGNAL, run], env=env,
                          capture_output=True, text=True, check=True,
                          timeout=120)
-    assert out.stdout.split() == ["False", "True"]
+    assert out.stdout.split() == []
 
 
 _DEFERRED_LOADS = """

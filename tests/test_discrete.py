@@ -19,6 +19,7 @@ from svlab.core import (
     SOLVE_BLOCK,
     GaussianLaw,
     GeometricTail,
+    GridSpec,
     MatrixKernelSeq,
     NoiseSpec,
     SampledDensityLaw,
@@ -29,6 +30,7 @@ from svlab.core import (
     rng_stream,
     two_point_law,
 )
+from svlab.continuous import lp_time_integral
 from svlab.discrete import (
     CertificateFailure,
     DiscreteSystem,
@@ -620,6 +622,16 @@ def test_lp_partial_sums_geometric():
 def test_lp_partial_sums_counting():
     S = lp_partial_sums(np.ones((11, 1)), 4.0)
     np.testing.assert_array_equal(S, np.arange(1, 12, dtype=float))
+
+
+def test_lp_partial_sums_reads_a_1d_path_as_one_component():
+    """One shape rule with lp_time_integral: (11,) is (11, 1), 11 sums."""
+    S = lp_partial_sums(np.ones(11), 4.0)
+    np.testing.assert_array_equal(S, np.arange(1, 12, dtype=float))
+    g = GridSpec(0.25, 2.5)
+    np.testing.assert_array_equal(
+        lp_time_integral(np.ones(11), 4.0, g),
+        lp_time_integral(np.ones((11, 1)), 4.0, g))
 
 
 @pytest.mark.parametrize("p", [0.0, -1.0, np.nan, np.inf])
