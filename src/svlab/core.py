@@ -35,9 +35,10 @@ count, whose products and triangular solve keep each column's sums whole.
 CMU-CS-90-190, 1990) in blocks of SCAN_BLOCK = 256 rows anchored at row 0:
 a block is one cumsum of its rows times decay^-j, scaled back by decay^i,
 and the carries into the blocks are the same scan of the block ends with
-decay^B. The powers are sequential cumprod products; B shrinks below
-SCAN_BLOCK where decay^B would leave [2^-500, 2^500], and where decay
-itself does the scan takes doubling steps. Only correctly rounded
+decay^B. The powers are sequential cumprod products, worked out once per
+decay and kept; B shrinks below SCAN_BLOCK where decay^B would leave
+[2^-500, 2^500], and where decay itself does the scan takes doubling
+steps. Only correctly rounded
 multiplies and adds and the sequential cumsum and cumprod make its bits,
 with no BLAS and no libm, so a column's bits depend on SCAN_BLOCK and the
 anchor alone: not on the other columns, not on n (a prefix of a scan is the
@@ -49,6 +50,7 @@ u (R_k + 2 M_k).
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -398,14 +400,13 @@ def _scan(y0, x: np.ndarray, decay: float) -> np.ndarray:
     S_b[B-1] with decay q[B]. Every block, the partial last one too, takes
     the same operations, so a row's bits do not depend on n or c."""
     n, c = x.shape
-    q = np.full(SCAN_BLOCK + 1, decay)
-    q[0] = 1.0
-    np.cumprod(q, out=q)
-    inside = (np.abs(q) >= 1.0 / SCAN_RANGE) & (np.abs(q) <= SCAN_RANGE)
-    B = SCAN_BLOCK if inside.all() else int(np.argmin(inside)) - 1
-    if B <= 1 or n == 0:
-        # decay itself leaves the range (or no rows): doubling steps over
-        # the rows [y0; x]
+    if n == 0:
+        out = np.empty((1, c))
+        out[0] = y0
+        return out
+    B, q, rq = _scan_powers(decay)
+    if B <= 1:
+        # decay itself leaves the range: doubling steps over the rows [y0; x]
         out = np.empty((n + 1, c))
         out[0] = y0
         out[1:] = x
@@ -414,19 +415,41 @@ def _scan(y0, x: np.ndarray, decay: float) -> np.ndarray:
             out[s:] += power * out[:-s]
             s, power = 2 * s, power * power
         return out
-    # rows 1.. of out, zero-padded to whole blocks, hold S_b and then out
+    # rows 1.. of out, zero-padded to whole blocks, hold S_b and then out;
+    # one block needs no padding, as rows past n touch no row up to n
     nb = -(-n // B)
+    if nb == 1:
+        B = n
     out = np.empty((1 + nb * B, c))
     out[0] = y0
     out[1:n + 1] = x
     out[n + 1:] = 0.0
     S = out[1:].reshape(nb, B, c)
-    S *= (1.0 / q[:B])[:, None]
+    S *= rq[:B]
     np.cumsum(S, axis=1, out=S)
-    carry = _scan(out[0], q[B - 1] * S[:-1, -1], q[B])
-    S += decay * carry[:, None]
-    S *= q[:B, None]
+    carry = _scan(out[0], q[B - 1, 0] * S[:-1, -1], q[B, 0])
+    carry *= decay
+    S += carry[:, None]
+    S *= q[:B]
     return out[:n + 1]
+
+
+@functools.lru_cache(maxsize=64)
+def _scan_powers(decay: float):
+    """(B, q, 1/q) of a scan with this decay: q[i] = decay^i, i <= B, from
+    one sequential cumprod, B the largest b <= SCAN_BLOCK with every |q[i]|,
+    i <= b, in [1/SCAN_RANGE, SCAN_RANGE], and 1/q[i] for i < B as a (B, 1)
+    column. Worked out once per decay, so the many short scans of an
+    ensemble and the levels of one scan pay for it once."""
+    q = np.full(SCAN_BLOCK + 1, decay)
+    q[0] = 1.0
+    np.cumprod(q, out=q)
+    inside = (np.abs(q) >= 1.0 / SCAN_RANGE) & (np.abs(q) <= SCAN_RANGE)
+    B = SCAN_BLOCK if inside.all() else int(np.argmin(inside)) - 1
+    rq = (1.0 / q[:B])[:, None]
+    q = q[:, None]
+    q.flags.writeable = rq.flags.writeable = False
+    return B, q, rq
 
 
 class CompiledMeasure:

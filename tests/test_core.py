@@ -33,6 +33,7 @@ from svlab.core import (
     neg_identity_point_mass,
     point_mass,
     rng_stream,
+    _scan_powers,
     two_point_law,
     vector_norm,
 )
@@ -481,6 +482,24 @@ def test_exp_scan_bits_depend_on_no_column_count_or_length(decay):
               B * (B + 1) + 1, n):
         assert exp_scan(y0, drive[:m], decay).tobytes() == out[:m + 1].tobytes()
     assert exp_scan(-0.0, np.zeros(0), decay).tobytes() == np.array([-0.0]).tobytes()
+
+
+def test_exp_scan_works_out_its_powers_once_per_decay():
+    """The short scans of an ensemble share one decay: the powers of each
+    level (two here) are worked out by the first scan alone, the later
+    scans have its bits, and the kept powers are read-only."""
+    decay = math.exp(-1e-3)
+    drive = _scan_input((2000, 1))
+    _scan_powers.cache_clear()
+    first = exp_scan(0.0, drive, decay)
+    assert _scan_powers.cache_info().misses == 2
+    for _ in range(3):
+        assert exp_scan(0.0, drive, decay).tobytes() == first.tobytes()
+    assert _scan_powers.cache_info().misses == 2
+    B, q, rq = _scan_powers(decay)
+    assert (B, q.shape, rq.shape) == (SCAN_BLOCK, (SCAN_BLOCK + 1, 1),
+                                      (SCAN_BLOCK, 1))
+    assert not q.flags.writeable and not rq.flags.writeable
 
 
 @pytest.mark.parametrize("case", ["const-forcing", "ou-increments"])
