@@ -12,7 +12,12 @@ All widths of one check share one cumulative lattice, evaluated once up to
 the widest window and read per width. Its bits do not depend on which
 widths are requested: the lattice is built in chunks anchored at t = 0 and
 summed in sequence, so a longer lattice has the same prefix as a shorter
-one, and each profile equals the one a lattice of its own width gives.
+one, and each profile equals the one a lattice of its own width gives. No
+chunk is held whole beside the lattice: a dense chunk is sampled, summed
+and written a slice of whole cells at a time through one reused buffer,
+with the running sum carried into the next slice's first sample. That is
+the very addition one cumsum over the chunk makes, so the lattice has the
+bits of one cumsum per chunk.
 
 An integrand that declares a support (corpus.support_of) is evaluated and
 summed only there: each cell end reads the running sum of the support
@@ -130,44 +135,59 @@ def _on_support(f: Callable, first: int, n: int, step: float,
     return idx, vals
 
 
+def _sample_dense(f: Callable, out: np.ndarray, first: int,
+                  times: Callable) -> None:
+    """out[j] = f(times(first + j)), f evaluated on at most LATTICE_SLICE
+    points a call."""
+    for lo in range(0, out.size, LATTICE_SLICE):
+        hi = min(lo + LATTICE_SLICE, out.size)
+        out[lo:hi] = f(times(np.arange(first + lo, first + hi)))
+
+
 def _sample(f: Callable, out: np.ndarray, first: int, step: float,
             times: Callable) -> None:
     """out[j] = f(times(first + j)), where times maps integer sample
     indices to increasing times about step apart.
 
-    f is evaluated on at most LATTICE_SLICE points a call, so it must be
-    pointwise, f(t)[i] a function of t[i] alone. Where f declares a support,
-    f is evaluated only on it (_on_support) and out is zero elsewhere, so
-    out gets the same bits.
+    f is evaluated on at most LATTICE_SLICE points a call (_sample_dense),
+    so it must be pointwise, f(t)[i] a function of t[i] alone. Where f
+    declares a support, f is evaluated only on it (_on_support) and out is
+    zero elsewhere, so out gets the same bits. out is whatever its caller
+    needs whole (unit_windows, exp_filter_equivalence); the window lattice
+    holds no such buffer and samples its dense chunks a slice at a time.
     """
     on_support = _on_support(f, first, out.size, step, times)
     if on_support is not None:
         out.fill(0.0)
         out[on_support[0]] = on_support[1]
         return
-    for lo in range(0, out.size, LATTICE_SLICE):
-        hi = min(lo + LATTICE_SLICE, out.size)
-        out[lo:hi] = f(times(np.arange(first + lo, first + hi)))
+    _sample_dense(f, out, first, times)
 
 
 def _cumulative_on_lattice(f: Callable, n_cells: int, h: float,
                            refine: int) -> np.ndarray:
     """F[j] = left-Riemann integral of f over [0, j*h] at step h/refine.
 
-    The lattice runs in chunks of at most LATTICE_CHUNK points (the chunk
-    boundaries fix the bits), so long horizons stay in memory. A dense
-    chunk is sampled by _sample into one buffer, allocated once per call,
-    and summed in place. Where f declares a support, a chunk sums only the
-    samples on it (_on_support), and each cell end reads the running sum of
-    those at or before it. That has the bits of summing the zeros too:
-    adding 0.0 changes a running sum at most in the sign of a zero, and
-    adding the chunk's sums to F[pos], never -0.0, removes that sign.
+    The lattice runs in chunks of at most LATTICE_CHUNK points, each summed
+    from 0 (the chunk boundaries fix the bits), so long horizons stay in
+    memory. A dense chunk is never held whole: it is sampled, summed and
+    written to F a slice of max(1, LATTICE_SLICE // refine) whole cells at a
+    time, in one buffer reused by every slice. The running sum s of the
+    chunk carries across slices as an addend of the slice's first sample,
+    s + a_j, before its cumsum. np.cumsum adds in sequence, so that is the
+    very addition s_{j-1} + a_j of one cumsum over the chunk, and F has the
+    bits of one. Where f declares a support, a chunk sums only the samples
+    on it (_on_support), and each cell end reads the running sum of those
+    at or before it. That has the bits of summing the zeros too: adding 0.0
+    changes a running sum at most in the sign of a zero, and adding the
+    chunk's sums to F[pos], never -0.0, removes that sign.
     """
     step = h / refine
     times = lambda i: i * step
     F = np.empty(n_cells + 1)
     F[0] = 0.0
     block = max(1, LATTICE_CHUNK // refine)
+    width = max(1, LATTICE_SLICE // refine)
     buf = None
     pos = 0
     while pos < n_cells:
@@ -175,11 +195,18 @@ def _cumulative_on_lattice(f: Callable, n_cells: int, h: float,
         on_support = _on_support(f, pos * refine, nb * refine, step, times)
         if on_support is None:
             if buf is None:
-                buf = np.empty(min(block, n_cells) * refine)
-            cs = buf[:nb * refine]
-            _sample(f, cs, pos * refine, step, times)
-            np.cumsum(cs, out=cs)
-            at_ends = cs[refine - 1::refine]
+                buf = np.empty(min(width, n_cells) * refine)
+            for c in range(0, nb, width):
+                m = min(width, nb - c)
+                cs = buf[:m * refine]
+                _sample_dense(f, cs, (pos + c) * refine, times)
+                if c:
+                    cs[0] = carry + cs[0]
+                np.cumsum(cs, out=cs)
+                carry = cs[-1]
+                cells = F[pos + c + 1: pos + c + m + 1]
+                np.multiply(cs[refine - 1::refine], step, out=cells)
+                cells += F[pos]
         else:
             idx, vals = on_support
             cs = np.empty(idx.size + 1)
@@ -187,9 +214,9 @@ def _cumulative_on_lattice(f: Callable, n_cells: int, h: float,
             np.cumsum(vals, out=cs[1:])
             ends = np.arange(refine - 1, nb * refine, refine)
             at_ends = cs[np.searchsorted(idx, ends, side="right")]
-        cells = F[pos + 1: pos + nb + 1]
-        np.multiply(at_ends, step, out=cells)
-        cells += F[pos]
+            cells = F[pos + 1: pos + nb + 1]
+            np.multiply(at_ends, step, out=cells)
+            cells += F[pos]
         pos += nb
     return F
 

@@ -66,7 +66,9 @@ DET_BLOCK = 128
 
 def brownian_increments(grid: GridSpec, m: int, rng: np.random.Generator) -> np.ndarray:
     """Increments dB_k ~ N(0, h I_m) for k = 0..n-1."""
-    return rng.standard_normal((grid.n_steps, m)) * np.sqrt(grid.step_h)
+    dB = rng.standard_normal((grid.n_steps, m))
+    dB *= np.sqrt(grid.step_h)
+    return dB
 
 
 def _increments(grid: GridSpec, m: int, master_seed: int, path_index: int,
@@ -86,7 +88,8 @@ def _ou_path(x0: np.ndarray, f_vals: np.ndarray, sig_vals: np.ndarray,
     """Y_0 = x0, Y_{k+1} = e^{-h} Y_k + (1 - e^{-h}) f_k + sigma_k dB_k,
     scanned by `core.exp_scan`."""
     decay = np.exp(-h)
-    drive = (1.0 - decay) * f_vals + np.einsum("kdm,km->kd", sig_vals, dB)
+    drive = np.einsum("kdm,km->kd", sig_vals, dB)
+    drive += (1.0 - decay) * f_vals
     return exp_scan(x0, drive, decay)
 
 
@@ -556,9 +559,14 @@ def lp_time_integral(path: np.ndarray, p: float, grid: GridSpec,
     """Left-Riemann cumulative integral of ||X||^p: value[k] covers [0, t_k],
     p finite and positive; a 1-D path is one component (core.path_rows)."""
     p = positive_exponent(p)
-    vals = vector_norm(path_rows(path), norm) ** p
-    out = np.zeros(len(vals))
-    out[1:] = np.cumsum(vals[:-1]) * grid.step_h
+    vals = vector_norm(path_rows(path), norm)
+    # in place: **= takes the scalar-power fast paths of ** (np.square for
+    # p = 2), so the terms keep their bits
+    vals **= p
+    out = np.empty(len(vals))
+    out[:1] = 0.0
+    np.cumsum(vals[:-1], out=out[1:])
+    out[1:] *= grid.step_h
     return out
 
 

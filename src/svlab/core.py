@@ -84,8 +84,11 @@ class HistoryUnderflow(RuntimeError):
 
 
 def vector_norm(x: np.ndarray, kind: str = DEFAULT_NORM) -> np.ndarray:
-    """Norm on R^d along the last axis: 'max' (default), 'sum' or 'euclid'."""
+    """Norm on R^d along the last axis: 'max' (default), 'sum' or 'euclid'.
+    Both of the first two are |x| for one component (d = 1)."""
     x = np.asarray(x, float)
+    if kind in ("max", "sum") and x.shape[-1:] == (1,):
+        return np.abs(x[..., 0])
     if kind == "max":
         return np.max(np.abs(x), axis=-1)
     if kind == "sum":

@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .quad import bisect_root, simpson_segments, trapezoid_refined
+from .quad import simpson_segments, trapezoid_refined
 
 
 @dataclass(frozen=True)
@@ -48,24 +48,35 @@ class SpikeFamily:
         return np.asarray(n, float) ** self.beta
 
     def __call__(self, t) -> np.ndarray:
+        """The spike at t, of any shape. a_n is worked out once per run of
+        samples in one unit interval, n^beta and the slopes only where the
+        spike is nonzero, each by the operations of the closed form."""
         t = np.asarray(t, float)
         if np.any(t < 0):
             raise ValueError("spike family is defined on t >= 0")
-        n = np.floor(t).astype(int)
-        live = n >= 2
-        nf = np.where(live, n, 2)
-        frac = t - n
-        a_n = self.a(nf)
-        h_n = self.height(nf)
-        half_w = 0.5 - a_n
-        rising = live & (frac > a_n) & (frac <= 0.5)
-        falling = live & (frac > 0.5) & (frac < 1.0 - a_n)
-        out = np.zeros_like(t, dtype=float)
-        out[rising] = (h_n * (frac - a_n) / half_w)[rising]
-        out[falling] = (h_n * (1.0 - a_n - frac) / half_w)[falling]
-        if out.shape == ():
-            return float(out)
-        return out
+        flat = t.reshape(-1)
+        frac = np.floor(flat)  # n, until it is turned into t - n below
+        live = frac >= 2
+        # runs of samples with one n: at most one a run per sample, so no
+        # table reaches over the n between samples
+        first = np.empty(flat.size, bool)
+        first[:1] = True
+        np.not_equal(frac[1:], frac[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
+        n = frac[starts]
+        a_n = np.repeat(self.a(np.where(n >= 2, n, 2.0)),
+                        np.diff(starts, append=flat.size))
+        np.subtract(flat, frac, out=frac)
+        out = np.zeros(flat.size)
+        i = np.flatnonzero(live & (frac > a_n) & (frac <= 0.5))
+        out[i] = self.height(np.floor(flat[i])) * (frac[i] - a_n[i]) / \
+            (0.5 - a_n[i])
+        i = np.flatnonzero(live & (frac > 0.5) & (frac < 1.0 - a_n))
+        out[i] = self.height(np.floor(flat[i])) * (1.0 - a_n[i] - frac[i]) / \
+            (0.5 - a_n[i])
+        if t.shape == ():
+            return float(out[0])
+        return out.reshape(t.shape)
 
     def support(self, t0: float, t1: float) -> np.ndarray:
         """The intervals (n + a_n, n + 1 - a_n), n >= 2, that meet [t0, t1),
@@ -89,32 +100,12 @@ class SpikeFamily:
             raise ValueError("spikes start at n = 2")
         return 1.0 / n
 
-    def truncated_mass_exact(self, n: int) -> float:
-        """Closed-form mass of the part of the spike above level 1."""
-        if n < 2:
-            raise ValueError("spikes start at n = 2")
-        if float(self.height(n)) <= 1.0:
-            raise ValueError(f"spike {n} never exceeds level 1")
-        b = self.beta
-        return 1.0 / n - 2.0 / n ** (b + 1.0) + 1.0 / n ** (2.0 * b + 1.0)
-
     def window_quadrature(self, n: int, h: float = 1e-4) -> float:
         """Unit-window mass by trapezoid on the uniform grid refined with the
         branch breakpoints (exact for the piecewise-linear display)."""
         if n < 2:
             raise ValueError("spikes start at n = 2")
         return trapezoid_refined(self, n, n + 1.0, h, self.breakpoints(n))
-
-    def truncated_mass_quadrature(self, n: int, h: float = 1e-4) -> float:
-        """Mass above level 1 with the crossings located by bisection on the
-        evaluated function (no use of the closed-form crossing formula)."""
-        if n < 2:
-            raise ValueError("spikes start at n = 2")
-        lo, mid, hi = self.breakpoints(n)
-        c1 = bisect_root(lambda s: self(s) - 1.0, lo, mid, tol=1e-14)
-        c2 = bisect_root(lambda s: self(s) - 1.0, mid, hi, tol=1e-14)
-        return trapezoid_refined(lambda s: np.asarray(self(s), float) - 1.0,
-                                 c1, c2, h, (mid,))
 
     def square_integral_to(self, T: int) -> float:
         """Integral of the squared spike train over [0, T], per-segment
@@ -144,9 +135,14 @@ class OscFamily:
 
     def __call__(self, t) -> np.ndarray:
         t = np.asarray(t, float)
-        if np.any(self.beta * t > 700.0):
+        phase = np.asarray(self.beta * t)
+        if np.any(phase > 700.0):
             raise ValueError("oscillation phase overflows float range")
-        out = np.exp(self.alpha * t) * np.sin(np.exp(self.beta * t))
+        np.exp(phase, out=phase)
+        np.sin(phase, out=phase)
+        out = np.asarray(self.alpha * t)
+        np.exp(out, out=out)
+        out *= phase
         if out.shape == ():
             return float(out)
         return out

@@ -66,35 +66,16 @@ def simpson_segments(fn, edges) -> float:
     return float(np.sum((hi - lo) / 6.0 * (fn(lo) + 4.0 * fn(mid) + fn(hi))))
 
 
-def bisect_root(fn, a: float, b: float, tol: float = 1e-12, max_iter: int = 200) -> float:
-    """Bisection on a sign change of ``fn`` over [a, b]."""
-    fa, fb = fn(a), fn(b)
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if fa * fb > 0:
-        raise ValueError("no sign change on bracket")
-    for _ in range(max_iter):
-        mid = 0.5 * (a + b)
-        fm = fn(mid)
-        if fm == 0.0 or (b - a) < tol:
-            return mid
-        if fa * fm < 0:
-            b, fb = mid, fm
-        else:
-            a, fa = mid, fm
-    return 0.5 * (a + b)
-
-
 def bisect_root_levels(fn_many, a: float, b: float, fa: float,
                        tol: float = 1e-12, max_iter: int = 200) -> float:
-    """`bisect_root` on a bracket with fa = fn(a) and fn(a) fn(b) < 0 known,
-    where fn_many maps an array of points to their fn values: each call
-    evaluates the midpoints of the next BISECT_LEVELS bisection levels below
-    the current bracket (2^BISECT_LEVELS - 1 points), and the walk through
-    them makes bisect_root's tests on the same midpoints, so the root has
-    its bits."""
+    """Bisection on a bracket [a, b] with fa = fn(a) and fn(a) fn(b) < 0
+    known, where fn_many maps an array of points to their fn values. Each
+    step takes mid = 0.5 (a + b) and returns it when fn(mid) == 0 or
+    b - a < tol; otherwise it keeps [a, mid] when fa fn(mid) < 0, else
+    [mid, b]; after max_iter steps it returns 0.5 (a + b). Each call of
+    fn_many evaluates the midpoints of the next BISECT_LEVELS levels below
+    the current bracket (2^BISECT_LEVELS - 1 points), and the steps walk
+    through them, so the root has the bits of one fn call per step."""
     levels = BISECT_LEVELS
     for it in range(max_iter):
         if it % levels == 0:

@@ -97,19 +97,76 @@ def _one_shot_lattice(f, n_cells, h, refine):
     return ref
 
 
-@pytest.mark.parametrize("name", ["osc(alpha=0.1,beta=0.5)",
-                                  "sqrt(spike(beta=0.32))"])
-def test_lattice_slices_keep_one_shot_chunk_bits(name):
-    """Evaluating the integrand slice by slice into a reused buffer gives
-    the bytes of one evaluation and one cumsum per chunk. The lattice spans
-    two full chunks and a short third; every chunk ends in a partial
-    slice."""
-    f = corpus.resolve(name)
-    h, refine = 0.01, 100
-    n_cells = 2 * (conditions.LATTICE_CHUNK // refine) + 123
-    assert conditions.LATTICE_CHUNK % conditions.LATTICE_SLICE != 0
+class EvenZeros:
+    """-0.0 at the even sample indices of a lattice step, cos(7 t) - 0.2 at
+    the odd ones; it declares no support, so the lattice samples it densely.
+    Every slice and every chunk of the lattices below starts at an even
+    index, so on a -0.0."""
+
+    def __init__(self, step):
+        self.step = step
+
+    def __call__(self, t):
+        t = np.asarray(t, float)
+        odd = np.rint(t / self.step) % 2 == 1
+        return np.where(odd, np.cos(7.0 * t) - 0.2, -0.0)
+
+
+_WIDE = 3 * conditions.LATTICE_SLICE // 2
+
+
+_OSC = "osc(alpha=0.1,beta=0.5)"
+
+
+@pytest.mark.parametrize("name, refine, n_cells", [
+    pytest.param(_OSC, 100, None, id=_OSC),
+    pytest.param("sqrt(spike(beta=0.32))", 100, None,
+                 id="sqrt(spike(beta=0.32))"),
+    pytest.param(_OSC, 1, None, id="osc-refine1"),
+    pytest.param(_OSC, 7, None, id="osc-refine7"),
+    # one cell a slice, of more points than a slice: 40-cell chunks
+    pytest.param(_OSC, _WIDE, 2 * (conditions.LATTICE_CHUNK // _WIDE) + 3,
+                 id="osc-one-cell-slices"),
+    pytest.param("even-zeros", 1, None, id="even-zeros-refine1"),
+    pytest.param("even-zeros", 7, None, id="even-zeros-refine7")])
+def test_lattice_slices_keep_one_shot_chunk_bits(name, refine, n_cells):
+    """Sampling and summing a chunk slice by slice, the running sum carried
+    into each slice's first sample, gives the bytes of one evaluation and
+    one cumsum per chunk. The lattice spans two full chunks and a short
+    third, at a point step of 1e-4; every chunk ends in a partial slice."""
+    step = 1e-4
+    h = refine * step
+    f = EvenZeros(step) if name == "even-zeros" else corpus.resolve(name)
+    block = conditions.LATTICE_CHUNK // refine
+    if n_cells is None:
+        n_cells = 2 * block + 123
+    width = max(1, conditions.LATTICE_SLICE // refine)
+    assert width == 1 or block % width != 0
+    if name == "even-zeros":
+        starts = np.array([c * block + k for c in range(3)
+                           for k in range(0, block, width)]) * refine
+        assert np.all(starts % 2 == 0)
+        assert np.all(np.signbit(f(starts * step)))
     got = conditions._cumulative_on_lattice(f, n_cells, h, refine)
     assert got.tobytes() == _one_shot_lattice(f, n_cells, h, refine).tobytes()
+
+
+def test_dense_lattice_holds_no_chunk_buffer():
+    """A dense lattice of 2.1M points at refine 1 allocates F and a few
+    slices; a whole-chunk buffer beside F would double that."""
+    import tracemalloc
+
+    f = corpus.OscFamily(0.1, 0.5)
+    n_cells = 2_100_000
+    conditions._cumulative_on_lattice(f, 1000, 1e-4, 1)
+    tracemalloc.start()
+    try:
+        F = conditions._cumulative_on_lattice(f, n_cells, 1e-4, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert F.nbytes == 8 * (n_cells + 1)
+    assert peak - F.nbytes < 8 * 8 * conditions.LATTICE_SLICE
 
 
 @pytest.mark.parametrize("beta", [0.25, 0.4])

@@ -901,12 +901,35 @@ def test_root_scan_evaluates_each_grid_in_one_call(monkeypatch):
         assert len(check) == 1 and check[0] <= ks[0]
 
 
+def bisect_root(fn, a: float, b: float, tol: float = 1e-12,
+                max_iter: int = 200) -> float:
+    """Bisection on a sign change of fn over [a, b], one fn call a step:
+    the reference of quad.bisect_root_levels."""
+    fa, fb = fn(a), fn(b)
+    if fa == 0.0:
+        return a
+    if fb == 0.0:
+        return b
+    if fa * fb > 0:
+        raise ValueError("no sign change on bracket")
+    for _ in range(max_iter):
+        mid = 0.5 * (a + b)
+        fm = fn(mid)
+        if fm == 0.0 or (b - a) < tol:
+            return mid
+        if fa * fm < 0:
+            b, fb = mid, fm
+        else:
+            a, fa = mid, fm
+    return 0.5 * (a + b)
+
+
 @pytest.mark.parametrize("levels", [1, 3, 5, 7])
 def test_bisect_root_levels_walks_bisect_roots_midpoints(monkeypatch, levels):
-    """Same root bits as quad.bisect_root: a root it stops at by the width
+    """Same root bits as bisect_root: a root it stops at by the width
     test, an exact zero at a dyadic midpoint, and tol = 0, where the walk
     runs into the 200-step cap (not a multiple of 3 or 7)."""
-    from svlab.quad import bisect_root, bisect_root_levels
+    from svlab.quad import bisect_root_levels
 
     monkeypatch.setattr(quad, "BISECT_LEVELS", levels)
     cases = [(lambda t: t ** 3 - 2.0, 0.5, 1.7, 1e-13, None),
@@ -941,8 +964,6 @@ def _root_scan_reference(mu, tau, re_range=(-3.0, 3.0), im_range=(0.0, 10.0),
     """The scan one det Delta at a time: scalar bisection per sign change,
     Newton polish one minimum after the other, a scalar check each."""
     from numpy.lib.stride_tricks import sliding_window_view
-
-    from svlab.quad import bisect_root
 
     def F(lam):
         return characteristic_det(mu, tau, lam)

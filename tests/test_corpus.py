@@ -7,6 +7,7 @@ from svlab import corpus
 from svlab.corpus import (ConstFamily, ExpDecayFamily, GeometricWindowFamily,
                           OscFamily, SpikeFamily, SqrtOf, Square, resolve,
                           support_of, zero_f)
+from svlab.quad import bisect_root_levels, trapezoid_refined
 
 
 # declared supports -----------------------------------------------------------
@@ -45,6 +46,90 @@ def test_families_without_support_read_as_anywhere():
 
 
 # spike train ----------------------------------------------------------------
+
+def _spike_reference(g: SpikeFamily, t):
+    """The spike by its closed form at every point of t at once: a_n,
+    n^beta and both slopes over the whole array, then masked."""
+    t = np.asarray(t, float)
+    if np.any(t < 0):
+        raise ValueError("spike family is defined on t >= 0")
+    n = np.floor(t).astype(int)
+    live = n >= 2
+    nf = np.where(live, n, 2)
+    frac = t - n
+    a_n = g.a(nf)
+    h_n = g.height(nf)
+    half_w = 0.5 - a_n
+    rising = live & (frac > a_n) & (frac <= 0.5)
+    falling = live & (frac > 0.5) & (frac < 1.0 - a_n)
+    out = np.zeros_like(t, dtype=float)
+    out[rising] = (h_n * (frac - a_n) / half_w)[rising]
+    out[falling] = (h_n * (1.0 - a_n - frac) / half_w)[falling]
+    if out.shape == ():
+        return float(out)
+    return out
+
+
+def _spike_times():
+    rng = np.random.default_rng(20240710)
+    n = np.arange(1, 400)
+    ends = SpikeFamily(0.32).a(n)
+    return {
+        "grid": np.arange(320_001) * 1e-4,
+        "unsorted": rng.uniform(0.0, 300.0, 50_000),
+        "matrix": rng.uniform(0.0, 40.0, (60, 70)),
+        "head-and-integers": np.r_[np.linspace(0.0, 2.0, 2001),
+                                   np.arange(0.0, 400.0), 1.999999999],
+        "support-ends": np.r_[n + ends, n + (1.0 - ends),
+                              np.nextafter(n + ends, np.inf),
+                              np.nextafter(n + (1.0 - ends), -np.inf)],
+        "nan-inf": np.array([3.25, np.nan, 7.5, np.inf, 2.0, np.nan]),
+        "huge": np.array([4.5, 1e9 + 0.25, 2.0 ** 52 + 0.5, 2.0 ** 62, 6.5]),
+        "empty": np.empty(0),
+    }
+
+
+@pytest.mark.parametrize("beta", [0.32, 0.25, 0.5, 1.0, 2])
+@pytest.mark.parametrize("case", list(_spike_times()))
+def test_spike_has_the_bits_of_the_closed_form_everywhere(beta, case):
+    """a_n once per unit interval and the slopes only where the spike is
+    nonzero give the bytes of the closed form over every point; a huge t
+    does not make a table of size max(t)."""
+    g = SpikeFamily(beta)
+    t = _spike_times()[case]
+    # the reference divides by 0.5 - a_n = 0 at n = 2^62
+    with np.errstate(invalid="ignore", divide="ignore"):
+        got, want = g(t), _spike_reference(g, t)
+    assert got.shape == want.shape == t.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_spike_scalar_times_give_floats():
+    g = SpikeFamily()
+    for x in (0.0, 1.5, 2.0, 3.0, 4.5, 7.25, np.float64(9.9), np.array(5.6),
+              float(g.breakpoints(5)[0]), np.nan, np.inf):
+        with np.errstate(invalid="ignore"):
+            got, want = g(x), _spike_reference(g, x)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def test_spike_evaluation_holds_few_arrays_of_its_input():
+    """Under six arrays of the input's length at once, against about
+    eight when a_n, n^beta and both slopes are formed everywhere."""
+    import tracemalloc
+
+    g = SpikeFamily()
+    t = np.arange(320_000) * 1e-4
+    g(t[:100])
+    tracemalloc.start()
+    try:
+        g(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * t.nbytes
+
 
 def test_spike_zero_head_and_dead_zones():
     g = SpikeFamily()
@@ -107,13 +192,36 @@ def test_spike_window_quadrature_matches_closed_form(n):
     assert abs(g.window_quadrature(n) - 1.0 / n) < 1e-6
 
 
+def truncated_mass_exact(g: SpikeFamily, n: int) -> float:
+    """Closed-form mass of the part of spike n above level 1."""
+    if n < 2:
+        raise ValueError("spikes start at n = 2")
+    if float(g.height(n)) <= 1.0:
+        raise ValueError(f"spike {n} never exceeds level 1")
+    b = g.beta
+    return 1.0 / n - 2.0 / n ** (b + 1.0) + 1.0 / n ** (2.0 * b + 1.0)
+
+
+def truncated_mass_quadrature(g: SpikeFamily, n: int,
+                              h: float = 1e-4) -> float:
+    """Mass of spike n above level 1 with the crossings located by
+    bisection on the evaluated function (no use of the closed-form crossing
+    formula)."""
+    lo, mid, hi = g.breakpoints(n)
+    excess = lambda s: np.asarray(g(s), float) - 1.0
+    c1 = bisect_root_levels(excess, lo, mid, excess(lo), tol=1e-14)
+    c2 = bisect_root_levels(excess, mid, hi, excess(mid), tol=1e-14)
+    return trapezoid_refined(excess, c1, c2, h, (mid,))
+
+
 def test_spike_truncated_mass_closed_form():
     g = SpikeFamily()
     want = 0.1 - 2.0 / 10.0 ** 1.32 + 1.0 / 10.0 ** 1.64
-    assert g.truncated_mass_exact(10) == pytest.approx(want, rel=1e-15)
-    assert g.truncated_mass_exact(10) == pytest.approx(0.027182658063150067)
+    assert truncated_mass_exact(g, 10) == pytest.approx(want, rel=1e-15)
+    assert truncated_mass_exact(g, 10) == \
+        pytest.approx(0.027182658063150067)
     with pytest.raises(ValueError, match="n = 2"):
-        g.truncated_mass_exact(1)
+        truncated_mass_exact(g, 1)
 
 
 @pytest.mark.parametrize("n", [2, 5, 10, 50])
@@ -121,7 +229,7 @@ def test_spike_truncated_mass_dual_route(n):
     """Bisection crossings + quadrature of the excess against the closed
     form, with no shared formulas between the two routes."""
     g = SpikeFamily()
-    gap = abs(g.truncated_mass_quadrature(n) - g.truncated_mass_exact(n))
+    gap = abs(truncated_mass_quadrature(g, n) - truncated_mass_exact(g, n))
     assert gap < 1e-9
 
 
@@ -129,7 +237,7 @@ def test_spike_truncated_mass_sums_diverge():
     # the excess-mass series is a divergent minorant: about 1/n per term,
     # so every doubling of N adds a fixed chunk
     g = SpikeFamily()
-    S = np.cumsum([g.truncated_mass_exact(n) for n in range(2, 1025)])
+    S = np.cumsum([truncated_mass_exact(g, n) for n in range(2, 1025)])
     sums = {N: S[N - 2] for N in (128, 256, 512, 1024)}
     assert sums[256] - sums[128] > 0.3
     assert sums[512] - sums[256] > 0.3
