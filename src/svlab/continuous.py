@@ -55,10 +55,6 @@ from .evidence import (EvidenceReport, TailThresholds, median_tail_verdict,
 from .quad import bisect_root_levels
 
 PATH_BLOCK = 8
-# lambda values per characteristic_det pass: with an atom and 100 cells the
-# exponentials of one pass take 0.24 MB; of 64, 128 and 256 this was the
-# fastest for that kernel on 61 x 51 and 41 x 31 grids
-DET_BLOCK = 128
 
 
 # ---------------------------------------------------------------------------
@@ -395,52 +391,59 @@ def characteristic_det(mu: SignedMeasureRepr, tau: float,
     atoms enter exactly, density cells by exact exponential integration.
 
     `lam` is a scalar or an array of lambda values. A scalar gives a Python
-    complex, an array a complex array of the same shape. One array pass
-    per block of DET_BLOCK lambda values: np.exp runs once per distinct
-    atom location or cell edge (a_k and b_k = a_k + step, matched by bits,
-    not by position), every term is formed in one array, and one
-    np.add.accumulate adds zero, the atoms and then cells 0..K-1 strictly
-    in that order. So the value at each finite lambda is bit-identical to
-    evaluating that lambda on its own, term by term. On a 2-core Xeon VM,
-    an atom plus 100 cells costs 0.05 ms for a scalar and 11 ms for a
-    61 x 51 grid.
+    complex, an array a complex array of the same shape. One elementwise
+    pass over all lambda: zero, plus W_j e^{lambda s_j} in atom order, plus
+    the density's transform. Its cells are uniform, a_k = start + k step,
+    so with u = e^{-lambda step}
+
+        integral_{a_k}^{a_k + step} e^{lambda s} ds
+            = e^{lambda a_{K-1}} u^{K-1-k} expm1(lambda step) / lambda,
+
+    and the transform is psi(lambda) P(u), P(u) = sum_k V_k u^{K-1-k}.
+    P runs by Horner's rule, P = V_0 and then P = P u + V_k; its rounding
+    error is about 2K unit roundoffs times sum_k |V_k| |u|^{K-1-k}
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    5.1). psi is e^{lambda a_{K-1}} expm1(lambda step) / lambda where
+    Re lambda < 0 and -e^{lambda (a_{K-1} + step)} expm1(-lambda step) /
+    lambda elsewhere, step at 0: neither factor outgrows the exponentials
+    of the cell edges, and nothing cancels near lambda = 0. Each form is
+    computed only on the lambda that take it. A call costs about three
+    complex exponentials per lambda and two array passes per cell.
+
+    The Horner step writes each product into a second buffer and swaps
+    the two: numpy multiplies a complex array in place by another loop,
+    which rounds a one-element array differently. So the value at each
+    lambda is bit-identical to evaluating that lambda on its own, in any
+    batch.
     """
     delay_steps(mu, tau)
     lam = np.asarray(lam, complex)
-    flat = lam.reshape(-1)
+    z = lam.reshape(-1)
     d = mu.dim
+    hat = np.zeros((z.size, d, d), complex)
+    for loc, w in mu.atoms:
+        hat += w * np.exp(z * loc)[:, None, None]
     dens = mu.density
-    n_atoms = len(mu.atoms)
-    weights = np.array([w for _, w in mu.atoms]).reshape(n_atoms, d, d)
     k = 0 if dens is None else dens.values.shape[0]
-    a = b = np.empty(0)
     if k:
-        a = dens.start + np.arange(k) * dens.step
-        b = a + dens.step
-    # one exponential per distinct bit pattern, so -0.0 keeps its own
-    bits, which = np.unique(
-        np.concatenate([[loc for loc, _ in mu.atoms], a, b]).view(np.int64),
-        return_inverse=True)
-    edges = bits.view(float)[:, None]
-    at_atom, at_a, at_b = np.split(which, [n_atoms, n_atoms + k])
-    out = np.empty(flat.shape, complex)
-    for s in range(0, flat.size, DET_BLOCK):
-        z = flat[s:s + DET_BLOCK]
-        e = np.exp(z * edges)
-        terms = np.empty((1 + n_atoms + k, z.size, d, d), complex)
-        terms[0] = 0.0
-        np.multiply(weights[:, None], e[at_atom][..., None, None],
-                    out=terms[1:1 + n_atoms])
-        if k:
-            zero = z == 0
-            cell = (e[at_b] - e[at_a]) / np.where(zero, 1.0, z)
-            cell[:, zero] = (b - a)[:, None]
-            np.multiply(dens.values[:, None], cell[..., None, None],
-                        out=terms[1 + n_atoms:])
-        hat = np.add.accumulate(terms, axis=0)[-1]
-        out[s:s + DET_BLOCK] = np.linalg.det(
-            z[:, None, None] * np.eye(d, dtype=complex) - hat)
-    return complex(out[0]) if lam.ndim == 0 else out.reshape(lam.shape)
+        step = dens.step
+        last = dens.start + (k - 1) * step
+        u = np.exp(z * -step)[:, None, None]
+        p, q = np.empty_like(hat), np.empty_like(hat)
+        p[:] = dens.values[0]
+        for v in dens.values[1:]:
+            np.multiply(p, u, out=q)
+            q += v
+            p, q = q, p
+        psi = np.full(z.shape, step, complex)
+        neg = z.real < 0
+        pos = ~neg & (z != 0)
+        zn, zp = z[neg], z[pos]
+        psi[neg] = np.exp(zn * last) * np.expm1(zn * step) / zn
+        psi[pos] = -np.exp(zp * (last + step)) * np.expm1(zp * -step) / zp
+        hat += psi[:, None, None] * p
+    det = np.linalg.det(z[:, None, None] * np.eye(d, dtype=complex) - hat)
+    return complex(det[0]) if lam.ndim == 0 else det.reshape(lam.shape)
 
 
 @dataclass(frozen=True)

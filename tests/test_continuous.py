@@ -3,6 +3,7 @@ coupled SVE/OU integrators, delay stepping, and the characteristic-matrix
 root scan."""
 
 import ast
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -795,44 +796,181 @@ def _det_kernels():
     }
 
 
+def _det_horner_per_point(mu, lam):
+    """det Delta(lambda) for one lambda by the Horner form, on one-element
+    arrays: zero plus the atoms in order, then psi(lambda) P(u) with
+    P = V_0, P = P u + V_k and psi by the sign of Re lambda."""
+    z = np.array([lam], complex)
+    d = mu.dim
+    hat = np.zeros((1, d, d), complex)
+    for loc, w in mu.atoms:
+        hat += w * np.exp(z * loc)[:, None, None]
+    dens = mu.density
+    if dens is not None and dens.values.shape[0]:
+        step = dens.step
+        last = dens.start + (dens.values.shape[0] - 1) * step
+        u = np.exp(z * -step)[:, None, None]
+        p = dens.values[0] + np.zeros((1, d, d), complex)
+        for v in dens.values[1:]:
+            p = p * u
+            p += v
+        if lam == 0:
+            psi = np.array([step], complex)
+        elif lam.real < 0:
+            psi = np.exp(z * last) * np.expm1(z * step) / z
+        else:
+            psi = -np.exp(z * (last + step)) * np.expm1(z * -step) / z
+        hat += psi[:, None, None] * p
+    return complex(np.linalg.det(z[:, None, None] * np.eye(d, dtype=complex)
+                                 - hat)[0])
+
+
 def _det_lambdas():
-    """A 7 x 13 grid through 0, and a line longer than one DET_BLOCK pass
-    with its one zero in the second pass and a short last pass."""
+    """A 7 x 13 grid through 0, and a 165-point line with one zero."""
     grid = np.empty((7, 13), complex)
     grid.real = np.linspace(-3.0, 3.0, 13)
     grid.imag = np.linspace(-2.0, 4.0, 7)[:, None]
-    n = continuous.DET_BLOCK + 37
-    line = np.linspace(-3.0, 3.0, n) + 1j * np.linspace(4.0, -2.0, n)
-    line[continuous.DET_BLOCK + 11] = 0.0
+    line = np.linspace(-3.0, 3.0, 165) + 1j * np.linspace(4.0, -2.0, 165)
+    line[139] = 0.0
     return grid, line
 
 
 @pytest.mark.parametrize("name", ["d1-atom-100-cells", "d2-atoms-density",
                                   "d2-atoms-only", "d3-end-atoms-70-cells"])
 def test_characteristic_det_array_matches_per_point_bits(name):
+    """Each lambda has the bytes of the per-lambda Horner reference, in the
+    whole batch, alone, and in chunks of 1 and 7 from odd offsets."""
     mu = _det_kernels()[name]
     for lams in _det_lambdas():
         assert (lams == 0).sum() == 1
         got = characteristic_det(mu, 1.2, lams)
-        want = np.array([_det_per_point(mu, complex(z)) for z in lams.ravel()])
+        want = np.array([_det_horner_per_point(mu, complex(z))
+                         for z in lams.ravel()])
         assert got.shape == lams.shape
         assert got.tobytes() == want.reshape(lams.shape).tobytes()
+        flat = lams.ravel()
+        for size, offset in [(1, 0), (7, 1), (7, 3)]:
+            chunks = [characteristic_det(mu, 1.2, flat[s:s + size])
+                      for s in range(offset, flat.size, size)]
+            assert np.concatenate(chunks).tobytes() == want[offset:].tobytes()
     scalar = characteristic_det(mu, 1.2, 0.3 + 0.2j)
     assert type(scalar) is complex
-    assert scalar == _det_per_point(mu, 0.3 + 0.2j)
+    assert scalar == _det_horner_per_point(mu, 0.3 + 0.2j)
+
+
+def _det_magnitude(mu, lam):
+    """The permanent of the matrix whose entries sum the absolute values of
+    the per-cell route's terms: |lambda| on the diagonal, |W_j| |e^{lambda
+    s_j}| per atom and |V_k| (|e^{lambda a_k}| + |e^{lambda b_k}|) / |lambda|
+    per cell, at lambda != 0."""
+    d = mu.dim
+    m = abs(lam) * np.eye(d)
+    for loc, w in mu.atoms:
+        m += np.abs(w) * abs(np.exp(lam * loc))
+    dens = mu.density
+    for k in range(dens.values.shape[0]):
+        a = dens.start + k * dens.step
+        m += np.abs(dens.values[k]) * (abs(np.exp(lam * a))
+                                       + abs(np.exp(lam * (a + dens.step))))\
+            / abs(lam)
+    return sum(np.prod([m[i, p[i]] for i in range(d)])
+               for p in itertools.permutations(range(d)))
+
+
+DENSITY_KERNELS = ["d1-atom-100-cells", "d2-atoms-density",
+                   "d3-end-atoms-70-cells"] + [
+    f"density-{cells}" for cells in (3, 7, 16, 40, 100)]
+
+
+def _density_kernel(name):
+    """(mu, tau) of a density kernel of `_det_kernels` or `_scan_kernels`."""
+    if name in _det_kernels():
+        return _det_kernels()[name], 1.2
+    return _scan_kernels()[name]
+
+
+@pytest.mark.parametrize("name", DENSITY_KERNELS)
+def test_characteristic_det_matches_the_per_cell_route(name):
+    """Horner's rule and the per-cell exponentials (`_det_per_point`) each
+    err by a few unit roundoffs per term, so they agree within
+    4 d (K + 4) u M(lambda), M from `_det_magnitude` (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., 4.2 and 5.1)."""
+    mu, tau = _density_kernel(name)
+    cells = mu.density.values.shape[0]
+    lams = np.empty((31, 41), complex)
+    lams.real = np.linspace(-3.0, 3.0, 41)
+    lams.imag = np.linspace(-1.0, 10.0, 31)[:, None]
+    lams = lams[lams != 0]
+    got = characteristic_det(mu, tau, lams)
+    for lam, value in zip(lams.tolist(), got.tolist()):
+        bound = 4 * mu.dim * (cells + 4) * np.finfo(float).eps / 2 \
+            * _det_magnitude(mu, lam)
+        assert abs(value - _det_per_point(mu, lam)) <= bound
+
+
+@pytest.mark.parametrize("lam", [1e-12, 1e-9 + 1e-9j, 1e-6, -1e-6, 0.0])
+def test_characteristic_det_keeps_its_accuracy_near_zero(lam):
+    """mu = -1 on [-1, 0] in 100 cells: det Delta = lambda - expm1(-lambda)
+    / lambda (1 at 0), within Horner's 2K unit roundoffs; the per-cell
+    difference of exponentials cancels there."""
+    cells = 100
+    mu = SignedMeasureRepr(1, density=DensitySample(
+        -1.0, 1.0 / cells, np.full((cells, 1, 1), -1.0)))
+    exact = 1.0 if lam == 0 else lam - complex(np.expm1(-lam)) / lam
+    got = characteristic_det(mu, 1.0, lam)
+    assert abs(got - exact) <= 2 * cells * np.finfo(float).eps / 2 * abs(exact)
+
+
+def test_characteristic_det_of_a_density_without_cells_is_its_atoms():
+    atoms = ((-1.0, [[0.5]]), (-0.25, [[-1.5]]))
+    lams = _det_lambdas()[0]
+    empty = SignedMeasureRepr(1, atoms, DensitySample(-1.0, 0.1,
+                                                      np.zeros((0, 1, 1))))
+    assert characteristic_det(empty, 1.0, lams).tobytes() == \
+        characteristic_det(SignedMeasureRepr(1, atoms), 1.0, lams).tobytes()
+
+
+@pytest.mark.parametrize("name", DENSITY_KERNELS)
+def test_characteristic_det_is_finite_where_the_per_cell_route_is(name):
+    """Far from 0 one psi form overflows where the transform does not; each
+    lambda takes the form that does not, and the other form is not even
+    formed there, so no overflow is raised at those of Re lambda >= 0."""
+    mu, tau = _density_kernel(name)
+    lams = np.array([500, -500, -700 + 3j, 600, 2000 + 5j, 1e5j, 1e300])
+    with np.errstate(all="ignore"):
+        got = characteristic_det(mu, tau, lams)
+        want = np.array([_det_per_point(mu, complex(z)) for z in lams])
+    finite = np.isfinite(want)
+    assert finite.any()
+    assert np.isfinite(got[finite]).all()
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        characteristic_det(mu, tau, lams[finite & (lams.real >= 0)])
 
 
 def test_root_scan_roots_are_pinned():
-    # atom plus a 100-cell density on a 61 x 51 grid: one real root found by
-    # bisection, two complex ones by Newton polish
-    res = characteristic_root_scan(_atom_and_100_cells(), 1.2,
-                                   (-3.0, 3.0), (0.0, 10.0), 61, 51)
+    """Atom plus a 100-cell density on a 61 x 51 grid: one real root found
+    by bisection, two complex ones by Newton polish. The pins moved once,
+    when the density moved from per-cell exponentials to Horner's rule;
+    each root stays within 1e-12 of where it was, and the per-cell route
+    reads |det Delta| below the scan's det_tol there."""
+    mu = _atom_and_100_cells()
+    res = characteristic_root_scan(mu, 1.2, (-3.0, 3.0), (0.0, 10.0), 61, 51)
     assert res.verdict == "unstable"
-    assert [(z.real.hex(), z.imag.hex()) for z in res.roots] == [
+    pins = [
+        ("-0x1.36844a3ca3216p+1", "0x1.1eda4058a5394p+3"),
+        ("-0x1.aae0b82c3919fp+0", "0x1.cca3281bf0e40p+1"),
+        ("0x1.3ed79265d766dp-2", "0x0.0p+0"),
+    ]
+    per_cell = [
         ("-0x1.36844a3ca3214p+1", "0x1.1eda4058a5394p+3"),
         ("-0x1.aae0b82c3919dp+0", "0x1.cca3281bf0e40p+1"),
         ("0x1.3ed79265d766dp-2", "0x0.0p+0"),
     ]
+    assert [(z.real.hex(), z.imag.hex()) for z in res.roots] == pins
+    for z, (re, im) in zip(res.roots, per_cell):
+        was = complex(float.fromhex(re), float.fromhex(im))
+        assert abs(z - was) <= 1e-12 * abs(was)
+        assert abs(_det_per_point(mu, z)) < 1e-8
 
 
 def test_root_scan_minima_read_libm_hypot(monkeypatch):
