@@ -10,12 +10,13 @@ recursion here (paths, delay paths, both resolvents) runs through
 discrete solvers' block solver `core.lag_solve`: per block of
 core.SOLVE_BLOCK = 64 steps, anchored at the first unknown row, one stacked
 product of the kernel's lag-reversed tap slab (`core.lag_slab`) with the
-rows already solved and one unit lower-triangular solve. On [0, inf) atom
-lag l counts iff l <= k and density lag l iff l <= k - 1, so X(0) sees
-atoms only; a delay kernel on [-tau, 0] counts every tap over the stored
-history segment. A system compiles its kernel once, for every path of an
-ensemble. The bits depend on the block size and width (a path alone in
-one column and in a PATH_BLOCK-column block can differ in the last bits);
+rows already solved and one product with the inverse of the block's unit
+lower-triangular matrix. On [0, inf) atom lag l counts iff l <= k and
+density lag l iff l <= k - 1, so X(0) sees atoms only; a delay kernel on
+[-tau, 0] counts every tap over the stored history segment. A system
+compiles its kernel once, for every path of an ensemble. The bits depend
+on the block size and width (a path alone in one column and in a
+PATH_BLOCK-column block can differ in the last bits);
 at a fixed width and column, not on the other columns, `--threads` or the
 BLAS thread count. The solvers return no history terms: `coupled_paths`
 reads its drift through `convolve`.
@@ -50,8 +51,8 @@ from .core import (DEFAULT_NORM, CompiledMeasure, GridSpec,
                    SignedMeasureRepr, divisions, exp_scan,
                    is_neg_identity_point_mass, on_grid, path_rows,
                    positive_exponent, rng_stream, run_paths, vector_norm)
-from .evidence import (EvidenceReport, TailThresholds, median_tail_verdict,
-                       time_checkpoints)
+from .evidence import (EvidenceReport, TailThresholds, median,
+                       median_tail_verdict, time_checkpoints)
 from .quad import bisect_root_levels
 
 PATH_BLOCK = 8
@@ -606,7 +607,7 @@ def ensemble_lp_tail_report(S: np.ndarray, p: float,
     """The 'ensemble-lp-tail' report on S[path, checkpoint], the integrals
     of ||X||^p per path up to each checkpoint time."""
     verdict, diagnostics = median_tail_verdict(S[:, -2], S[:, -1], thresholds)
-    diagnostics["median_checkpoint_values"] = [float(np.median(S[:, j]))
+    diagnostics["median_checkpoint_values"] = [median(S[:, j])
                                                for j in range(S.shape[1])]
     return EvidenceReport(
         condition_id="ensemble-lp-tail",

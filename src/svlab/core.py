@@ -10,14 +10,35 @@ stream convention.
 the one solver: X[r+1] = X[r] + s sum_l T(l) X[r-l] + drive[r] is a unit
 lower-triangular system, solved SOLVE_BLOCK = 64 steps at a time in blocks
 anchored at the first unknown row, each block one stacked slab product with
-the rows already solved and one LAPACK trtrs solve; it returns no history
-terms. The discrete resolvent and direct solver call it, and so does
-`CompiledMeasure`, which compiles a measure once into a slab; its `euler`
-runs every continuous recursion except the unit-rate mean-reverting one,
-which `exp_scan` runs as a first-order scan. Importing svlab loads numpy
-and the standard library alone: scipy.linalg, svlab's one scipy module, is
-imported on the first `lag_solve` and concurrent.futures on the first
-`run_paths` with threads > 1.
+the rows already solved and one product with the inverse of the block's
+matrix; it returns no history terms. The discrete resolvent and direct
+solver call it, and so does `CompiledMeasure`, which compiles a measure
+once into a slab; its `euler` runs every continuous recursion except the
+unit-rate mean-reverting one, which `exp_scan` runs as a first-order scan.
+Importing svlab loads numpy and the standard library alone, and no svlab
+run loads scipy; concurrent.futures is imported on the first `run_paths`
+with threads > 1.
+
+A block's matrix I - shift - s Tb is block lower Toeplitz, Toep(a) with
+a[0] = I, a[1] = -I - s T(0) and a[k] = -s T(k-1) up to k = L+1, so its
+inverse is Toep(Y) for the first block column Y (Hairer, Lubich and
+Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985, use the same block
+structure). `_block_inverse` builds Y once per call by block forward
+substitution, Y[0] = I and Y[i] = sum_k (-a[k]) Y[i-k], one product per
+row, and Toep(Y) as one strided-view copy. With M = Toep(a), the residual
+is componentwise |M Toep(Y) - I| <= gamma_m |M| |Toep(Y)|, m = min(L+1,
+B-1) d, gamma_m = m u / (1 - m u), u = 2^-53 (Higham, Accuracy and
+Stability of Numerical Algorithms, 2nd ed., sections 8.1 and 14.2). So
+the block's solution Toep(Y) rhs is within gamma_(m + B d) |M^-1| |M|
+|Toep(Y)| |rhs| of the exact one, where the triangular solve it replaced
+was within gamma_(B d) |M^-1| |M| |x|: the same bound wherever the
+solution x does not cancel. Faster builds of Y cost accuracy or bits:
+doubling the known rows of Y with Toeplitz products misses the
+near-one-ratio tail reference of the discrete solvers by more than its
+1e-13 bound and changes the bits of a dim-2 diagonal system against its
+dim-1 components, and np.linalg.inv makes the bits depend on the BLAS
+thread count.
+
 Window rule at step k: a kernel on [0, inf) applies atom lag l iff l <= k
 and density lag l iff l <= k - 1, so X(0) sees atoms only; a delay kernel
 applies every tap over the stored history. The state's trailing column
@@ -29,7 +50,7 @@ order of every sum. They do not depend on the other columns solved beside
 a column, which go through the same operations, so a fixed block width and
 column make a path's bytes independent of the ensemble size and of the
 thread count that `run_paths` fans blocks out over; nor on the BLAS thread
-count, whose products and triangular solve keep each column's sums whole.
+count, whose products keep each column's sums whole.
 
 `exp_scan` is a blocked scan (Blelloch, Prefix sums and their applications,
 CMU-CS-90-190, 1990) in blocks of SCAN_BLOCK = 256 rows anchored at row 0:
@@ -323,19 +344,13 @@ def lag_solve(slab: np.ndarray, X: np.ndarray, start: int, drive: np.ndarray,
     X is C-contiguous (rows, d, c) with rows first..start known; row start
     also enters as X[r] of the first step when first > start. drive
     broadcasts to (n, d, c). The steps go SOLVE_BLOCK at a time, in blocks
-    anchored at row start+1. A block is two calls: one stacked slab product
-    with the windows of the rows already known, the block's own rows
-    reading as zero, and one unit lower-triangular solve against the
-    block's banded Toeplitz matrix, built once per call. The solve calls
-    LAPACK trtrs directly, with the routine and arguments scipy's
-    triangular-solve wrapper passes for a C-ordered matrix (its transpose as
-    an upper factor, transposed), without the wrapper's per-call checks.
-    scipy.linalg, which holds the LAPACK bindings, is imported on the first
-    solve, not with svlab, since the window, unit-window and fading checks
-    never solve.
+    anchored at row start+1. A block is two products: one stacked slab
+    product with the windows of the rows already known, the block's own
+    rows reading as zero, and one with the inverse Toep(Y) of the block's
+    matrix M = I - shift - scale Tb = Toep(a). `_block_inverse` builds it
+    once per call, substituting for Y one block row at a time; the module
+    docstring gives the error bound and why the rows go one at a time.
     """
-    from scipy.linalg import get_lapack_funcs
-
     if not X.flags.c_contiguous:
         raise ValueError("lag_solve fills a C-contiguous state in place")
     _, d, c = X.shape
@@ -344,18 +359,7 @@ def lag_solve(slab: np.ndarray, X: np.ndarray, start: int, drive: np.ndarray,
         return
     L = slab.shape[1] // d - 1
     B = min(SOLVE_BLOCK, n)
-    # Tb[(i, a), (j, b)] = T(i-1-j)[a, b]: the taps from solved row j of a
-    # block into its step i; M = I - shift - scale Tb is the block's matrix,
-    # the shift subtracted in place on the block subdiagonal (x - 0.0 keeps
-    # every other entry's bits)
-    lag = np.subtract.outer(np.arange(B), np.arange(B)) - 1
-    taps = slab.reshape(d, L + 1, d)[:, ::-1].transpose(1, 0, 2)
-    Tb = np.where(((lag >= 0) & (lag <= L))[:, :, None, None],
-                  taps[np.clip(lag, 0, L)], 0.0)
-    Tb = Tb.transpose(0, 2, 1, 3).reshape(B * d, B * d)
-    M = -scale * Tb
-    M.ravel()[B * d * d::B * d + 1] -= 1.0
-    trtrs, = get_lapack_funcs(("trtrs",), (M,))
+    Minv = _block_inverse(slab, scale, B)
     # Z[z] holds X[base + z]: excluded rows, the B rows below `first` that
     # a window may reach and the rows not yet solved are zero
     base = first - B
@@ -375,13 +379,39 @@ def lag_solve(slab: np.ndarray, X: np.ndarray, start: int, drive: np.ndarray,
         known = slab[:, (L + 1 - w) * d:] @ windows
         rhs = drive[k0:k0 + nb] + scale * known
         rhs[0] += prev
-        sol, info = trtrs(M.T[:nb * d, :nb * d], rhs.reshape(nb * d, c),
-                          lower=0, trans=1, unitdiag=1)
-        if info:
-            raise ValueError(f"illegal argument {-info} to LAPACK trtrs")
-        Z[a + 1 - base:a + 1 + nb - base] = sol.reshape(nb, d, c)
+        lo = (a + 1 - base) * d
+        np.matmul(Minv[:nb * d, :nb * d], rhs.reshape(nb * d, c),
+                  out=flat[lo:lo + nb * d])
         prev = Z[a + nb - base]
     X[start + 1:start + n + 1] = Z[start + 1 - base:]
+
+
+def _block_inverse(slab: np.ndarray, scale: float, B: int) -> np.ndarray:
+    """The (B d, B d) inverse Toep(Y) of a block's matrix Toep(a), a[0] = I,
+    a[1] = -I - scale T(0), a[k] = -scale T(k-1) for 2 <= k <= L+1.
+
+    Y[0] = I and Y[i] = sum_{k=1..min(i, L+1)} (-a[k]) Y[i-k], one product
+    per row: the negated taps -a[k] are the last blocks of scale * slab,
+    lag-reversed already, with I added to -a[1]."""
+    d = slab.shape[0]
+    K = min(slab.shape[1] // d, B - 1)
+    taps = scale * slab[:, slab.shape[1] - K * d:]
+    taps.ravel()[(K - 1) * d::K * d + 1] += 1.0
+    # Y[i] is rows i d..(i+1) d of Y; np.dot gives np.matmul's bits here
+    # at less cost a call
+    Y = np.empty((B * d, d))
+    Y[:d] = np.eye(d)
+    for i in range(1, B):
+        lo = max(0, i - K) * d
+        np.dot(taps[:, K * d - (i * d - lo):], Y[lo:i * d],
+               out=Y[i * d:i * d + d])
+    # R[a, q, b] = Y[B-1-q][a, b], zero for q >= B, so row (i, a) of
+    # Toep(Y) is R[a, B-1-i:2B-1-i] flattened: one strided view of R
+    R = np.zeros((d, 2 * B - 1, d))
+    R[:, :B] = Y.reshape(B, d, d)[::-1].transpose(1, 0, 2)
+    row, _, col = R.strides
+    return np.ascontiguousarray(as_strided(
+        R[:, B - 1], (B, d, B * d), (-d * col, row, col))).reshape(B * d, B * d)
 
 
 def exp_scan(y0, drive: np.ndarray, decay: float) -> np.ndarray:

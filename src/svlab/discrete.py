@@ -22,11 +22,11 @@ then holds L + 2 lags (last + 1 without a tail), row a holding
 T(L+1)[a, :], ..., T(0)[a, :], and a resolvent costs O(N L d^3), a path
 O(N L d^2), instead of O(N^2). `core.lag_solve` solves it in blocks of
 core.SOLVE_BLOCK = 64 steps, anchored at row 1, each one stacked product
-of the slab with the rows already solved and one unit lower-triangular
-solve. The summation order is fixed by the taps and the block layout, so
-the bits of R and X depend on the kernel's recurrence form and the block
-size, but neither on the caller's threads (`--threads`) nor on the BLAS
-thread count. They are not promised to agree with the leading rows of a
+of the slab with the rows already solved and one product with the inverse
+of the block's unit lower-triangular matrix. The summation order is fixed
+by the taps and the block layout, so the bits of R and X depend on the
+kernel's recurrence form and the block size, but neither on the caller's
+threads (`--threads`) nor on the BLAS thread count. They are not promised to agree with the leading rows of a
 longer horizon's solution, whose block matrix is sized by the horizon.
 """
 from __future__ import annotations

@@ -571,28 +571,49 @@ def test_exponential_scans_load_no_scipy_signal(run):
 
 
 _DEFERRED_LOADS = """
-import sys
+import json, os, sys
+import numpy as np
 import svlab, svlab.cli
-print(any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules),
-      'concurrent.futures' in sys.modules)
+
+
+def scipy_loaded():
+    return any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)
+
+
+print(scipy_loaded(), 'concurrent.futures' in sys.modules)
 from svlab import MatrixKernelSeq, resolvent_seq
-from svlab.core import run_paths
+from svlab.continuous import functional_resolvent
+from svlab.core import DensitySample, GridSpec, SignedMeasureRepr, run_paths
 resolvent_seq(MatrixKernelSeq(1, {0: [[-0.5]]}), 40)
-print('scipy.linalg' in sys.modules, 'scipy.signal' in sys.modules)
+config = os.path.join(sys.argv[1], 'sve.json')
+with open(config, 'w') as fh:
+    json.dump({'schema_version': 1,
+               'grid': {'step_h': 0.02, 'horizon_T': 2.0},
+               'kernel': {'atoms': [[0.0, -1.5]], 'density': {
+                   'name': 'exp_decay(rate=2.0)', 'start': 0.0,
+                   'step': 0.02, 'count': 40, 'scale': -0.5}},
+               'diffusion': 0.4, 'ensemble': {'n_paths': 3}}, fh)
+assert svlab.cli.main(['simulate-sve', '--config', config, '--out',
+                       os.path.join(sys.argv[1], 'out')]) == 0
+mu = SignedMeasureRepr(1, atoms=((-1.0, [[-0.5]]),),
+                       density=DensitySample(-1.0, 0.05, np.full((20, 1, 1), -0.2)))
+functional_resolvent(mu, 1.0, GridSpec(0.05, 2.0))
+print(scipy_loaded())
 assert run_paths(2, lambda i: i * i, threads=2) == [0, 1]
 print('concurrent.futures' in sys.modules)
 """
 
 
-def test_svlab_imports_on_numpy_alone():
+def test_svlab_imports_on_numpy_alone(tmp_path):
     """`import svlab, svlab.cli` loads no scipy module and no
-    concurrent.futures; a discrete resolvent loads scipy.linalg (its block
-    solve) but not scipy.signal, and a threaded run_paths loads
-    concurrent.futures."""
+    concurrent.futures; a discrete resolvent, a `simulate-sve` CLI run on a
+    density kernel and a functional resolvent, which all run the block
+    solver, leave no scipy module in sys.modules; and a threaded run_paths
+    loads concurrent.futures."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(svlab.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-c", _DEFERRED_LOADS], env=env,
-                         capture_output=True, text=True, check=True,
-                         timeout=120)
-    assert out.stdout.split() == ["False", "False", "True", "False", "True"]
+    out = subprocess.run([sys.executable, "-c", _DEFERRED_LOADS,
+                          str(tmp_path)], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.split() == ["False", "False", "False", "True"]

@@ -8,7 +8,6 @@ import sys
 
 import numpy as np
 import pytest
-import scipy.linalg
 from numpy.lib.stride_tricks import as_strided
 from scipy import integrate, stats
 from scipy.linalg import solve_triangular
@@ -280,46 +279,73 @@ def test_block_solve_matches_per_step_reference(n, d, c, with_tail):
     assert np.abs(X - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
-def test_block_solve_makes_one_triangular_solve_per_block(monkeypatch):
-    """One LAPACK trtrs call per block, the last on the remainder block.
-    lag_solve imports scipy.linalg.get_lapack_funcs at call time, so the
-    counting wrapper goes on scipy.linalg."""
-    calls = []
-    lapack = scipy.linalg.get_lapack_funcs
-
-    def counting_lapack(names, arrays):
-        trtrs, = lapack(names, arrays)
-
-        def counting(a, *args, **kwargs):
-            calls.append(a.shape)
-            return trtrs(a, *args, **kwargs)
-        return (counting,)
-
-    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", counting_lapack)
-    kernel = _panel_kernel(2, True)
-    for n in (1, SOLVE_BLOCK - 1, SOLVE_BLOCK, SOLVE_BLOCK + 1,
-              3 * SOLVE_BLOCK + 5):
-        calls.clear()
-        resolvent_seq(kernel, n)
-        assert len(calls) == -(-n // SOLVE_BLOCK)
-        # full blocks, then the remainder
-        assert calls[-1] == (2 * (n - SOLVE_BLOCK * (len(calls) - 1)),) * 2
-
-
-def _wrapper_route_lag_solve(slab, X, start, drive, scale=1.0, first=0):
-    """`lag_solve` as it was before it called LAPACK trtrs directly: the
-    block matrix built with np.kron and each block solved by
-    scipy.linalg.solve_triangular."""
-    _, d, c = X.shape
-    n = len(drive)
+def _block_matrix(slab, scale, B):
+    """Toep(a), the (B d, B d) matrix of one solve block built with np.kron:
+    block (i, j) is a[i - j], a[0] = I, a[1] = -I - scale T(0) and
+    a[k] = -scale T(k-1) for 2 <= k <= L+1."""
+    d = slab.shape[0]
     L = slab.shape[1] // d - 1
-    B = min(SOLVE_BLOCK, n)
     lag = np.subtract.outer(np.arange(B), np.arange(B)) - 1
     taps = slab.reshape(d, L + 1, d)[:, ::-1].transpose(1, 0, 2)
     Tb = np.where(((lag >= 0) & (lag <= L))[:, :, None, None],
                   taps[np.clip(lag, 0, L)], 0.0)
     Tb = Tb.transpose(0, 2, 1, 3).reshape(B * d, B * d)
-    M = -scale * Tb - np.kron(np.eye(B, k=-1), np.eye(d))
+    return np.eye(B * d) - scale * Tb - np.kron(np.eye(B, k=-1), np.eye(d))
+
+
+@pytest.mark.parametrize("n", [1, SOLVE_BLOCK - 1, SOLVE_BLOCK,
+                               SOLVE_BLOCK + 1, 3 * SOLVE_BLOCK + 5])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_block_inverse_is_the_inverse_of_the_block_toeplitz(monkeypatch,
+                                                            n, d):
+    """Each lag_solve call builds one inverse Toep(Y), of its block size
+    min(SOLVE_BLOCK, n): a discrete resolvent (scale 1, a tail kernel's
+    short recurrence) and an euler-like call (scale 0.01, a slab wider than
+    a block). The entries above the diagonal are exact zeros, the diagonal
+    blocks exact identities, and the residual bound is stated before
+    measuring: Y[i] is a dot product of at most B d terms and the check's
+    own product another, so componentwise |Toep(a) Toep(Y) - I| <=
+    2 gamma_{B d + 1} |Toep(a)| |Toep(Y)|, gamma_m = m u / (1 - m u)
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    sections 3.1 and 8.1)."""
+    calls = []
+    build = core._block_inverse
+
+    def recording(slab, scale, B):
+        inv = build(slab, scale, B)
+        calls.append((slab, scale, B, inv))
+        return inv
+
+    monkeypatch.setattr(core, "_block_inverse", recording)
+    resolvent_seq(_panel_kernel(d, True), n)
+    rng = np.random.default_rng(n + 10 * d)
+    slab = lag_slab(0.3 * rng.standard_normal((SOLVE_BLOCK + 7, d, d)))
+    X = np.zeros((n + 1, d, 1))
+    X[0] = 1.0
+    lag_solve(slab, X, 0, np.zeros((n, d, 1)), 0.01, 1)
+    assert [B for _, _, B, _ in calls] == [min(SOLVE_BLOCK, n)] * 2
+    u = np.finfo(float).eps / 2
+    for slab, scale, B, inv in calls:
+        assert inv.shape == (B * d, B * d)
+        assert not np.triu(inv, 1).any()
+        for i in range(B):
+            np.testing.assert_array_equal(
+                inv[i * d:(i + 1) * d, i * d:(i + 1) * d], np.eye(d))
+        M = _block_matrix(slab, scale, B)
+        m = B * d + 1
+        bound = 2 * m * u / (1 - m * u) * (np.abs(M) @ np.abs(inv))
+        assert np.all(np.abs(M @ inv - np.eye(B * d)) <= bound)
+
+
+def _wrapper_route_lag_solve(slab, X, start, drive, scale=1.0, first=0):
+    """The scipy oracle of `lag_solve`: the same blocks, each block's
+    `_block_matrix` solved by scipy.linalg.solve_triangular (LAPACK trtrs)
+    instead of multiplied by its inverse."""
+    _, d, c = X.shape
+    n = len(drive)
+    L = slab.shape[1] // d - 1
+    B = min(SOLVE_BLOCK, n)
+    M = _block_matrix(slab, scale, B)
     base = first - B
     Z = np.zeros((start + n + 1 - base, d, c))
     Z[first - base:start + 1 - base] = X[first:start + 1]
@@ -346,11 +372,12 @@ def _wrapper_route_lag_solve(slab, X, start, drive, scale=1.0, first=0):
                                SOLVE_BLOCK + 1, 200])
 @pytest.mark.parametrize("d,c", _dims_and_columns())
 def test_direct_trtrs_keeps_the_bits_of_the_wrapper_route(n, d, c):
-    """The direct trtrs call and the in-place block subdiagonal give the
-    bytes of the kron-built matrix solved through solve_triangular. A lag-0
-    slab and one wider than a block, each with first = 0 (the discrete
-    solvers) and with first = start + 1 and scale = h (`euler` on a kernel
-    on [0, inf)); and a few known rows before start (a delay kernel)."""
+    """The product with each block's Toeplitz inverse agrees with the
+    triangular solve of the scipy oracle to round-off: within the 1e-13
+    max-normalised bound of the per-step reference. A lag-0 slab and one
+    wider than a block, each with first = 0 (the discrete solvers) and with
+    first = start + 1 and scale = h (`euler` on a kernel on [0, inf)); and
+    a few known rows before start (a delay kernel)."""
     rng = np.random.default_rng(1000 * n + 10 * d + c)
     start = 5
     wide = SOLVE_BLOCK + 6
@@ -364,7 +391,7 @@ def test_direct_trtrs_keeps_the_bits_of_the_wrapper_route(n, d, c):
         got, want = X.copy(), X.copy()
         lag_solve(slab, got, start, drive, scale, first)
         _wrapper_route_lag_solve(slab, want, start, drive, scale, first)
-        assert got.tobytes() == want.tobytes()
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_resolvent_horizon_zero_is_identity_only():

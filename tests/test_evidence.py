@@ -12,7 +12,7 @@ from svlab.conditions import window_widths
 from svlab.core import GridSpec
 from svlab.evidence import (DIVERGENT, INCONCLUSIVE, SATISFIED, SUMMABLE,
                             VIOLATED, EvidenceReport, TailThresholds,
-                            checkpoint_indices, median_tail_verdict,
+                            checkpoint_indices, median, median_tail_verdict,
                             tail_verdict, time_checkpoints, worst_verdict)
 
 TH = TailThresholds()          # eps_tail 1e-2, eps_abs 1e-8, ratio_div 1.5
@@ -64,6 +64,38 @@ def test_one_sequence_and_its_ensemble_share_the_tail_rule(
         s_half, s_full, thresholds, verdict):
     assert tail_verdict(s_half, s_full, thresholds) == verdict
     assert median_tail_verdict([s_half], [s_full], thresholds)[0] == verdict
+
+
+def _median_cases():
+    rng = np.random.default_rng(7)
+    for n in range(1, 31):
+        yield rng.lognormal(size=n)                      # distinct values
+        yield rng.integers(0, 4, n) * 0.1 + 1.0          # ties
+        ratios = rng.lognormal(size=n)
+        ratios[rng.random(n) < 0.3] = np.inf             # infinite ratios
+        yield ratios
+        # two middle values whose sum rounds
+        yield np.where(np.arange(n) < n // 2, 1.0 + 2.0 ** -52, 1.0 + 2.0 ** -51)
+    yield np.array([1e308, 1e308])                      # the sum overflows
+    yield np.array([1.0, np.nan, 2.0])
+    yield np.array([np.nan, 1.0, 2.0, 3.0])
+    yield np.arange(12.0).reshape(3, 4)                 # flattened
+
+
+def test_median_has_the_bits_of_numpy_median():
+    """n = 1..30, odd and even, with ties, infinite ratios, a rounded and
+    an overflowing middle sum, nan, a 2-D array and no values: the same
+    float, bit for bit."""
+    for values in _median_cases():
+        got = median(values)
+        assert type(got) is float
+        with np.errstate(over="ignore"):
+            want = np.median(values)
+        assert np.float64(got).tobytes() == want.tobytes(), values
+        assert np.float64(median(values.tolist())).tobytes() == want.tobytes()
+    with pytest.warns(RuntimeWarning):
+        assert np.isnan(np.median([]))
+    assert np.isnan(median([]))
 
 
 # the aggregate of per-width and per-eps verdicts ------------------------------
