@@ -16,7 +16,7 @@ from .core import (ARTIFACT_VERSION, DEFAULT_NORM, CompiledMeasure,
                    DensitySample, FiniteDiscreteLaw, GaussianLaw,
                    GeometricTail, GridError, GridSpec, HistoryUnderflow,
                    MatrixKernelSeq, MeasureError, NoiseSpec, RunManifest,
-                   SampledDensityLaw, SignedMeasureRepr, UniformLaw,
+                   SignedMeasureRepr, UniformLaw,
                    canonical_json, config_digest, constant_law,
                    is_neg_identity_point_mass, neg_identity_point_mass,
                    point_mass, rng_stream, two_point_law, vector_norm)
@@ -28,10 +28,9 @@ from .discrete import (CertificateFailure, DiscreteSystem, IntervalUnion,
                        draw_noise, lp_partial_sums, random_summable_kernel,
                        resolvent_seq, simulate_direct, simulate_via_resolvent,
                        tail_decision, truncated_mean_certificate)
-from .continuous import (ContinuousSystem, CoupledPaths, DelaySystem,
-                         RootScanResult, brownian_increments,
-                         characteristic_det, characteristic_root_scan,
-                         coupled_paths, differential_resolvent,
+from .continuous import (ContinuousSystem, DelaySystem, RootScanResult,
+                         brownian_increments, characteristic_det,
+                         characteristic_root_scan, differential_resolvent,
                          functional_resolvent, grid_convolution,
                          lp_time_integral, pathwise_gap,
                          simulate_ou, simulate_sfde, simulate_sve,

@@ -18,8 +18,8 @@ compiles its kernel once, for every path of an ensemble. The bits depend
 on the block size and width (a path alone in one column and in a
 PATH_BLOCK-column block can differ in the last bits);
 at a fixed width and column, not on the other columns, `--threads` or the
-BLAS thread count. The solvers return no history terms: `coupled_paths`
-reads its drift through `convolve`.
+BLAS thread count. The solvers return no drift terms; the one-step drift
+with its own window code is `CompiledMeasure.convolve`.
 
 `ensemble` steps the paths of an ensemble PATH_BLOCK = 8 at a time, on the
 solver's trailing column axis: path i sits in column i % 8 of block i // 8
@@ -225,37 +225,6 @@ def _euler_resolvent(cm: CompiledMeasure, off: int) -> np.ndarray:
     r[off] = np.eye(d)
     cm.euler(r, off, np.zeros((n, d, d)))
     return r[off:]
-
-
-@dataclass(frozen=True)
-class CoupledPaths:
-    """Same-noise triple: kernel path X, unit-rate path Y, difference Z."""
-
-    x: np.ndarray
-    y: np.ndarray
-    z: np.ndarray
-    dB: np.ndarray
-    max_step_residual: float
-
-
-def coupled_paths(sys: ContinuousSystem, *, master_seed: int = 0,
-                  path_index: int = 0) -> CoupledPaths:
-    """Drive X (kernel nu) and Y (unit-rate reverting) with the same
-    increments and form Z = X - Y, which solves the nu-equation forced by
-    g = Y + nu * Y. The per-step defect of that equation (divided by h) is
-    reported; it is O(h) by construction (nu * Z + g = nu * X + Y). The
-    drift nu * X of each step comes from `CompiledMeasure.convolve`, the
-    one-step route with its own window code, not from the solver."""
-    grid = sys.grid
-    dB = _increments(grid, sys.noise_dim, master_seed, path_index)
-    X = simulate_sve(sys, path_index=path_index, dB=dB)
-    conv_x = np.array([sys.compiled.convolve(X, k)
-                       for k in range(grid.n_steps)])
-    Y = _ou_path(np.zeros(sys.dim), sys.f_vals, sys.sig_vals, dB, grid.step_h)
-    Z = X - Y
-    h = grid.step_h
-    resid = Z[1:] - Z[:-1] - h * (conv_x + Y[:-1])
-    return CoupledPaths(X, Y, Z, dB, float(np.max(np.abs(resid)) / h))
 
 
 # ---------------------------------------------------------------------------

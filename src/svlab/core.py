@@ -279,16 +279,6 @@ class SignedMeasureRepr:
     def negative_support(self) -> bool:
         return self.support[0] < 0
 
-    def total_variation(self) -> np.ndarray:
-        """Componentwise total variation matrix: sum of |atom weights| plus
-        the cellwise |density| mass."""
-        tv = np.zeros((self.dim, self.dim))
-        for _, w in self.atoms:
-            tv += np.abs(w)
-        if self.density is not None:
-            tv += np.sum(np.abs(self.density.values), axis=0) * self.density.step
-        return tv
-
     def digest(self) -> str:
         payload = {
             "dim": self.dim,
@@ -532,9 +522,11 @@ class CompiledMeasure:
 
     def convolve(self, path: np.ndarray, t_index: int, history_offset: int = 0) -> np.ndarray:
         """Quadrature of the past-weighted integral at step t_index, the
-        one-step view of `euler` with its own window code. path[i], shape
-        (d,) or (d, c), is the state at grid index i - history_offset; a
-        delay kernel reaching before it raises HistoryUnderflow."""
+        one-step view of `euler` with its own window code. No solver calls
+        it: it is the independent check that `euler` takes the taps the
+        window rule counts. path[i], shape (d,) or (d, c), is the state at
+        grid index i - history_offset; a delay kernel reaching before it
+        raises HistoryUnderflow."""
         path = np.asarray(path, float)
         d = self.measure.dim
         X = path.reshape(len(path), d, -1)
@@ -616,17 +608,6 @@ class MatrixKernelSeq:
             if k <= n_max:
                 out[k] = w
         return out
-
-    def l1_matrix(self) -> np.ndarray:
-        """Componentwise l1 mass, with the tail summed in closed form."""
-        tot = np.zeros((self.dim, self.dim))
-        for k, w in self.entries.items():
-            if self.tail is not None and k >= self.tail.start:
-                tot -= np.abs(self.tail.coeff) * abs(self.tail.ratio) ** (k - self.tail.start)
-            tot += np.abs(w)
-        if self.tail is not None:
-            tot += np.abs(self.tail.coeff) / (1.0 - abs(self.tail.ratio))
-        return tot
 
 
 # ---------------------------------------------------------------------------
@@ -743,67 +724,24 @@ def constant_law(c: float) -> FiniteDiscreteLaw:
 
 
 @dataclass(frozen=True)
-class SampledDensityLaw(ScalarLaw):
-    """Piecewise-constant density on [start, start + len(values)*step)."""
-
-    start: float
-    step: float
-    values: tuple
-
-    def __post_init__(self):
-        v = tuple(float(x) for x in self.values)
-        if any(x < 0 for x in v):
-            raise ValueError("density values must be nonnegative")
-        if abs(sum(v) * self.step - 1.0) > 1e-9:
-            raise ValueError("density must integrate to 1")
-        object.__setattr__(self, "values", v)
-
-    def sample(self, rng, n):
-        cdf = np.cumsum(np.asarray(self.values) * self.step)
-        u = rng.random(n)
-        cell = np.searchsorted(cdf, u, side="right")
-        cell = np.clip(cell, 0, len(self.values) - 1)
-        prev = np.concatenate([[0.0], cdf])[cell]
-        dens = np.asarray(self.values)[cell]
-        frac = np.where(dens > 0, (u - prev) / (dens * self.step), 0.0)
-        return self.start + (cell + frac) * self.step
-
-    def density_fn(self):
-        start, step, vals = self.start, self.step, self.values
-
-        def dens(x):
-            k = int(math.floor((x - start) / step))
-            return vals[k] if 0 <= k < len(vals) else 0.0
-        return dens
-
-    def support_hint(self):
-        return (self.start, self.start + len(self.values) * self.step)
-
-
-@dataclass(frozen=True)
 class NoiseSpec:
-    """Noise family for the driving sequence xi(n) / Brownian increments.
+    """Noise family for the driving sequence xi(n) / Brownian increments:
+    one scalar law per component, the components drawn independently.
 
-    family 'gaussian-iid' with independent components is the only family
-    that may be paired with a non-diagonal diffusion.
+    family 'gaussian-iid' is the only family that may be paired with a
+    non-diagonal diffusion.
     """
 
     family: str
     laws: tuple
-    component_independence: bool = True
-    joint_sampler: Optional[Callable] = None
 
-    _FAMILIES = ("gaussian-iid", "two-point", "uniform", "finite-discrete",
-                 "custom-sampled")
+    _FAMILIES = ("gaussian-iid", "two-point", "uniform")
 
     def __post_init__(self):
         if self.family not in self._FAMILIES:
             raise ValueError(f"unknown noise family {self.family!r}")
         if not self.laws:
-            raise ValueError("noise needs one law per component, also with "
-                             "a joint sampler")
-        if not self.component_independence and self.joint_sampler is None:
-            raise ValueError("dependent components need a joint sampler")
+            raise ValueError("noise needs one law per component")
 
     @property
     def dim(self) -> int:
@@ -811,14 +749,9 @@ class NoiseSpec:
 
     @property
     def unrestricted_diffusion(self) -> bool:
-        return self.family == "gaussian-iid" and self.component_independence
+        return self.family == "gaussian-iid"
 
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        if self.joint_sampler is not None:
-            out = np.asarray(self.joint_sampler(rng, n), float)
-            if out.shape != (n, self.dim):
-                raise ValueError("joint sampler returned wrong shape")
-            return out
         if self.family == "gaussian-iid" and all(
                 isinstance(l, GaussianLaw) and l.mean == 0.0 and l.std == 1.0
                 for l in self.laws):

@@ -94,12 +94,6 @@ class SpikeFamily:
         a_n = float(self.a(n))
         return (n + a_n, n + 0.5, n + 1.0 - a_n)
 
-    def window_exact(self, n: int) -> float:
-        """Closed-form unit-window mass: integral over [n, n+1] is 1/n."""
-        if n < 2:
-            raise ValueError("spikes start at n = 2")
-        return 1.0 / n
-
     def window_quadrature(self, n: int, h: float = 1e-4) -> float:
         """Unit-window mass by trapezoid on the uniform grid refined with the
         branch breakpoints (exact for the piecewise-linear display)."""

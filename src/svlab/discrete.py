@@ -87,8 +87,8 @@ class DiscreteSystem:
 
     forcing and diffusion are signals, sampled by `core.on_grid` at the
     steps 0..N-1 into shapes (N, d) and (N, d, m), m the noise dimension;
-    row n drives the step from n to n+1. Non-Gaussian or dependent noise
-    requires diagonal diffusion at every step.
+    row n drives the step from n to n+1. Non-Gaussian noise requires
+    diagonal diffusion at every step.
     """
 
     kernel: MatrixKernelSeq
@@ -111,8 +111,8 @@ class DiscreteSystem:
                 raise ValueError("non-Gaussian noise requires square diagonal diffusion")
             off = s - s * np.eye(d)[None, :, :]
             if np.any(off != 0.0):
-                raise ValueError("non-Gaussian or dependent noise requires "
-                                 "diagonal diffusion at every step")
+                raise ValueError("non-Gaussian noise requires diagonal "
+                                 "diffusion at every step")
         init = self.initial
         if init is None:
             init = np.zeros(d)

@@ -26,7 +26,6 @@ from svlab.continuous import (
     brownian_increments,
     characteristic_det,
     characteristic_root_scan,
-    coupled_paths,
     differential_resolvent,
     functional_resolvent,
     grid_convolution,
@@ -433,34 +432,32 @@ def test_embedding_matrix_valued():
     assert np.array_equal(x, y)
 
 
-def test_coupled_paths_identity_and_residual():
-    g = GridSpec(1e-3, 3.0)
-    sys_ = ContinuousSystem(point_mass([[-2.0]]), g,
-                            forcing=corpus.ConstFamily(1.0),
-                            diffusion=corpus.ExpDecayFamily(1.0))
-    cp = coupled_paths(sys_, master_seed=3, path_index=1)
-    np.testing.assert_array_equal(cp.x - cp.y - cp.z,
-                                  np.zeros_like(cp.x))
-    # Z solves a forced kernel equation; the reported per-step defect comes
-    # from mixing the Euler and exponential steppers and shrinks like h
-    assert cp.max_step_residual < 5 * g.step_h
-
-
 def test_solver_fault_moves_coupled_residual(monkeypatch):
-    """The residual reads its drift through `convolve`, not through the
-    solver: a block solve that drops the farthest tap must show."""
+    """`euler` against the per-lag reference, which sums its taps from the
+    measure and not through the solver: a block solve that drops the
+    farthest tap must break the reference's 1e-13 bound."""
+    g = GridSpec(1e-3, 3.0)
+    n = g.n_steps
+    nu = SignedMeasureRepr(1, atoms=((0.0, [[-2.0]]), (0.005, [[0.5]])))
+    head = np.ones((1, 1, 1))
+    forcing = np.ones((n, 1, 1))
+    noise = np.sqrt(g.step_h) * np.random.default_rng(3).standard_normal((n, 1, 1))
+    ref = _reference_euler(nu, g, head, forcing, noise)
+
+    def gap():
+        X = np.empty((n + 1, 1, 1))
+        X[0] = head
+        CompiledMeasure(nu, g).euler(X, 0, forcing * g.step_h + noise)
+        return np.abs(X - ref).max() / np.abs(ref).max()
+
+    assert gap() <= 1e-13
     solve = core.lag_solve
 
     def short(slab, X, *args):
         return solve(slab[:, X.shape[1]:], X, *args)
 
     monkeypatch.setattr(core, "lag_solve", short)
-    g = GridSpec(1e-3, 3.0)
-    nu = SignedMeasureRepr(1, atoms=((0.0, [[-2.0]]), (0.005, [[0.5]])))
-    sys_ = ContinuousSystem(nu, g, forcing=corpus.ConstFamily(1.0),
-                            diffusion=corpus.ExpDecayFamily(1.0))
-    cp = coupled_paths(sys_, master_seed=3, path_index=1)
-    assert cp.max_step_residual > 5 * g.step_h
+    assert gap() > 1e-13
 
 
 def test_simulation_reproducible_by_seed():

@@ -83,45 +83,7 @@ def test_grid_index_at_bounds():
 
 
 # ---------------------------------------------------------------------------
-# measures and total variation
-
-def test_total_variation_zero_measure():
-    m = SignedMeasureRepr(dim=1)
-    np.testing.assert_array_equal(m.total_variation(), [[0.0]])
-
-
-def test_total_variation_single_atom():
-    m = point_mass(-2.0)
-    np.testing.assert_allclose(m.total_variation(), [[2.0]])
-
-
-def test_total_variation_two_atoms():
-    m = SignedMeasureRepr(1, atoms=((0.0, [[-1.0]]), (1.0, [[1.0]])))
-    np.testing.assert_allclose(m.total_variation(), [[2.0]])
-
-
-def test_total_variation_includes_density():
-    dens = DensitySample(0.0, 0.5, np.full((2, 1, 1), -1.0))
-    m = SignedMeasureRepr(1, atoms=((0.0, [[1.0]]),), density=dens)
-    # |1| + integral of |-1| over [0, 1]
-    np.testing.assert_allclose(m.total_variation(), [[2.0]])
-
-
-def test_total_variation_subadditive_and_homogeneous():
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        w1 = rng.standard_normal((2, 2))
-        w2 = rng.standard_normal((2, 2))
-        a = SignedMeasureRepr(2, atoms=((0.0, w1),))
-        b = SignedMeasureRepr(2, atoms=((0.0, w2),))
-        both = SignedMeasureRepr(2, atoms=((0.0, w1 + w2),))
-        assert np.all(both.total_variation()
-                      <= a.total_variation() + b.total_variation() + 1e-12)
-        c = float(rng.uniform(0.1, 3.0))
-        scaled = SignedMeasureRepr(2, atoms=((0.0, c * w1),))
-        np.testing.assert_allclose(scaled.total_variation(),
-                                   c * a.total_variation(), rtol=1e-12)
-
+# measures
 
 def test_measure_rejects_mixed_support():
     with pytest.raises(MeasureError):
@@ -221,22 +183,6 @@ def test_kernel_values_and_tail():
     np.testing.assert_allclose(v[5:, 0, 0], [0.1, 0.05, 0.025, 0.0125])
 
 
-def test_kernel_l1_matrix_closed_form_tail():
-    K = MatrixKernelSeq(1, {0: [[-0.5]]}, tail=GeometricTail(2, [[0.1]], 0.5))
-    # 0.5 + 0.1 / (1 - 0.5)
-    np.testing.assert_allclose(K.l1_matrix(), [[0.7]])
-
-
-def test_kernel_l1_matrix_swaps_the_tail_term_at_an_explicit_lag():
-    # an entry at a lag >= tail.start replaces the tail there, as in values:
-    # |-0.5| + 0.1 / (1 - 0.5) - 0.1 * 0.5^2 + |0.2| = 0.875
-    K = MatrixKernelSeq(1, {0: [[-0.5]], 12: [[0.2]]},
-                        tail=GeometricTail(10, [[0.1]], 0.5))
-    assert K.l1_matrix()[0, 0] == pytest.approx(0.875, rel=1e-15)
-    np.testing.assert_allclose(K.l1_matrix(),
-                               np.abs(K.values(200)).sum(axis=0), rtol=1e-15)
-
-
 def test_kernel_rejects_negative_lag():
     with pytest.raises(ValueError):
         MatrixKernelSeq(1, {-1: [[1.0]]})
@@ -292,39 +238,9 @@ def test_noise_draw_shapes():
     assert NoiseSpec.uniform(0.0, 1.0, m=3).draw(rng, 4).shape == (4, 3)
 
 
-def _shared_gaussian(rng, n):
-    # two components driven by one Gaussian: dependent, not independent
-    z = rng.standard_normal(n)
-    return np.stack([z, -z], axis=1)
-
-
-def test_noise_joint_sampler_draws_dependent_components():
-    noise = NoiseSpec("custom-sampled", (GaussianLaw(), GaussianLaw()),
-                      component_independence=False,
-                      joint_sampler=_shared_gaussian)
-    assert not noise.unrestricted_diffusion
-    draw = noise.draw(np.random.default_rng(7), 5)
-    assert draw.shape == (5, 2)
-    np.testing.assert_array_equal(draw[:, 1], -draw[:, 0])
-
-
-def test_noise_joint_sampler_wrong_shape_raises():
-    noise = NoiseSpec("custom-sampled", (GaussianLaw(), GaussianLaw()),
-                      joint_sampler=lambda rng, n: rng.standard_normal((n, 3)))
-    with pytest.raises(ValueError, match="wrong shape"):
-        noise.draw(np.random.default_rng(7), 5)
-
-
 def test_noise_joint_sampler_needs_laws():
     with pytest.raises(ValueError, match="one law per component"):
-        NoiseSpec("custom-sampled", (),
-                  joint_sampler=lambda rng, n: rng.standard_normal((n, 3, 2)))
-
-
-def test_noise_dependent_components_need_a_sampler():
-    with pytest.raises(ValueError, match="need a joint sampler"):
-        NoiseSpec("custom-sampled", (GaussianLaw(), GaussianLaw()),
-                  component_independence=False)
+        NoiseSpec("gaussian-iid", ())
 
 
 # ---------------------------------------------------------------------------
@@ -536,9 +452,8 @@ def test_exp_scan_agrees_with_lfilter_on_a_long_scan(case):
 _NO_SIGNAL = """
 import sys
 import numpy as np
-from svlab import (ContinuousSystem, GridSpec, coupled_paths,
-                   exp_filter_equivalence, neg_identity_point_mass,
-                   point_mass, simulate_ou, simulate_sve)
+from svlab import (ContinuousSystem, GridSpec, exp_filter_equivalence,
+                   neg_identity_point_mass, simulate_ou, simulate_sve)
 grid = GridSpec(0.1, 1.0)
 run = sys.argv[1]
 if run == "sve":
@@ -546,9 +461,6 @@ if run == "sve":
                                   diffusion=1.0))
 elif run == "ou":
     simulate_ou(1.0, 1.0, grid)
-elif run == "coupled":
-    coupled_paths(ContinuousSystem(point_mass(-0.5, 0.2), grid, forcing=1.0,
-                                   diffusion=1.0))
 else:
     exp_filter_equivalence(lambda t: np.ones_like(t), 1.0, 0.5, 8, 0.125)
 print(*[m for m in ("scipy.signal", "scipy.stats", "scipy.interpolate",
@@ -556,10 +468,10 @@ print(*[m for m in ("scipy.signal", "scipy.stats", "scipy.interpolate",
 """
 
 
-@pytest.mark.parametrize("run", ["sve", "ou", "coupled", "exp-filter"])
+@pytest.mark.parametrize("run", ["sve", "ou", "exp-filter"])
 def test_exponential_scans_load_no_scipy_signal(run):
-    """A neg-identity simulate_sve, simulate_ou, coupled_paths and
-    exp_filter_equivalence each run the exponential scan, and none loads
+    """A neg-identity simulate_sve, simulate_ou and exp_filter_equivalence
+    each run the exponential scan, and none loads
     scipy.signal or the scipy.stats, interpolate and optimize it brings."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(svlab.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

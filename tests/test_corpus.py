@@ -177,14 +177,6 @@ def test_spike_rejects_bad_beta():
         SpikeFamily(0.0)
 
 
-def test_spike_window_exact_values():
-    g = SpikeFamily()
-    assert g.window_exact(2) == 0.5
-    assert g.window_exact(10) == 0.1
-    with pytest.raises(ValueError, match="n = 2"):
-        g.window_exact(1)
-
-
 @pytest.mark.parametrize("n", [2, 3, 10, 50, 100])
 def test_spike_window_quadrature_matches_closed_form(n):
     # trapezoid refined with the slope breaks is exact for the triangle

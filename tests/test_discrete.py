@@ -21,7 +21,6 @@ from svlab.core import (
     GridSpec,
     MatrixKernelSeq,
     NoiseSpec,
-    SampledDensityLaw,
     UniformLaw,
     constant_law,
     lag_slab,
@@ -796,9 +795,6 @@ def test_shared_atom_rejected():
 
 def test_default_sets_certify_builtin_laws():
     """Every non-constant built-in law separates with the default windows."""
-    rng = np.random.default_rng(6)
-    vals = rng.uniform(0.2, 1.0, 16)
-    vals /= vals.sum() * 0.25
     laws = [
         GaussianLaw(),
         GaussianLaw(mean=1.0, std=2.0),
@@ -806,29 +802,12 @@ def test_default_sets_certify_builtin_laws():
         UniformLaw(-2.0, -1.0),
         two_point_law(1.0, 2.0),
         two_point_law(-1.0, 1.0, p1=0.3),
-        SampledDensityLaw(1.0, 0.25, tuple(vals)),
     ]
     for law in laws:
         pair = default_separating_sets(law)
         assert pair is not None, law
         cert = truncated_mean_certificate(law, *pair)
         assert isinstance(cert, TruncatedMeanCertificate), law
-
-
-def test_sampled_density_draws_follow_the_cells():
-    """Cell frequencies of the draws match values * step (4.5 sigma), the
-    empty cell gets none, and draws are uniform inside a cell."""
-    law = SampledDensityLaw(-1.0, 0.25, (0.5, 0.0, 1.5, 2.0))
-    n = 200_000
-    x = law.sample(np.random.default_rng(21), n)
-    edges = -1.0 + 0.25 * np.arange(5)
-    counts, _ = np.histogram(x, bins=edges)
-    p = np.array(law.values) * law.step
-    assert np.all(np.abs(counts - n * p) <= 4.5 * np.sqrt(n * p * (1 - p)))
-    assert counts[1] == 0
-    assert x.min() >= -1.0 and x.max() < 0.0
-    last = x[x >= -0.25]
-    assert abs(np.mean(last) + 0.125) < 4.5 * 0.25 / np.sqrt(12 * last.size)
 
 
 def test_default_sets_give_up_on_constant():
