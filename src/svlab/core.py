@@ -68,6 +68,25 @@ error is below about u (3 B L R_k + L M_k), u = 2^-53, over L blocked
 levels, where R_k = sum_j |decay|^(k-1-j) |x_j| + |decay|^k |y0| and M_k
 weights each term of R_k by its lag; the sequential recurrence's is
 u (R_k + 2 M_k).
+
+`causal_convolution` is the one truncated convolution of matrix power
+series, y[k] = sum_{j<=k} K[k-j] s[j] (Henrici, SIAM Rev. 21, 1979): one
+real FFT of each input zero-padded to L, the smallest power of two >=
+2n - 1, one per-frequency product summed elementwise over the inputs in a
+fixed order, and one inverse FFT cut to n rows, in O(L log L d e) for
+K (n, d, e) against the O(n^2 d e) of the direct sum. numpy's pocketfft
+transforms each column alone, and no BLAS call touches the product, so the
+bits depend on n (through L), the column's data and the SIMD level of the
+complex multiply, not on the BLAS kernel or thread count. The error is
+normwise, not relative per row: in the rounding model of the FFT (Higham,
+Accuracy and Stability of Numerical Algorithms, 2nd ed., section 24.1),
+with rounding errors spread over the frequencies, the transforms add about
+log2 L roundings and the per-frequency sum of e products e more, so output
+column a is within (e + log2 L) u sum_b ||K[:, a, b]||_2 ||s[:, b]||_2 of
+the exact sum in every row, u = 2^-53 (the worst case puts an l1 norm in
+place of one 2-norm). So a small y[k] beside large ones carries their
+absolute error, and a longer n, whose L may be larger, need not reproduce
+a shorter n's leading rows bit for bit.
 """
 from __future__ import annotations
 
@@ -475,6 +494,31 @@ def _scan_powers(decay: float):
     return B, q, rq
 
 
+def causal_convolution(K: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """y[k] = sum_{j<=k} K[k-j] s[j] for k < n, K of shape (n, d, e) and s
+    of shape (n, e); y has shape (n, d). One rfft of each input padded to
+    L, the smallest power of two >= 2n - 1, the e products summed in order
+    and one irfft: O(L log L d e), and every row of column a within (e +
+    log2 L) u sum_b ||K[:, a, b]||_2 ||s[:, b]||_2 of the exact sum (module
+    docstring). np.fft loads at the first call."""
+    K = np.asarray(K, float)
+    s = np.asarray(s, float)
+    if K.ndim != 3 or s.shape != (len(K), K.shape[2]):
+        raise ValueError(f"kernel shape {K.shape} and signal shape "
+                         f"{s.shape} are not (n, d, e) and (n, e)")
+    n, d, e = K.shape
+    if n == 0:
+        return np.zeros((0, d))
+    L = 1 << (2 * n - 2).bit_length()
+    Kf = np.fft.rfft(K, L, axis=0)
+    sf = np.fft.rfft(s, L, axis=0)
+    # an elementwise sum over the inputs, not matmul, keeps BLAS off the bits
+    yf = Kf[:, :, 0] * sf[:, None, 0]
+    for b in range(1, e):
+        yf += Kf[:, :, b] * sf[:, None, b]
+    return np.fft.irfft(yf, L, axis=0)[:n]
+
+
 class CompiledMeasure:
     """A measure bound to a grid, compiled once into a lag-reversed tap slab:
     atom lags snapped to whole steps, density cells sampled at left
@@ -735,13 +779,24 @@ class NoiseSpec:
     family: str
     laws: tuple
 
-    _FAMILIES = ("gaussian-iid", "two-point", "uniform")
+    # the law type of each family; a two-point law has two outcomes
+    _FAMILIES = {"gaussian-iid": GaussianLaw, "two-point": FiniteDiscreteLaw,
+                 "uniform": UniformLaw}
 
     def __post_init__(self):
-        if self.family not in self._FAMILIES:
+        law_type = self._FAMILIES.get(self.family)
+        if law_type is None:
             raise ValueError(f"unknown noise family {self.family!r}")
         if not self.laws:
             raise ValueError("noise needs one law per component")
+        for law in self.laws:
+            if not isinstance(law, law_type):
+                raise ValueError(f"noise family {self.family!r} takes "
+                                 f"{law_type.__name__} laws, got "
+                                 f"{type(law).__name__}")
+            if self.family == "two-point" and len(law.outcomes) != 2:
+                raise ValueError(f"a two-point law has two outcomes, got "
+                                 f"{len(law.outcomes)}")
 
     @property
     def dim(self) -> int:

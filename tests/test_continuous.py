@@ -509,6 +509,20 @@ def test_grid_convolution_matches_loop():
         np.testing.assert_allclose(out[k], ref, atol=1e-12)
 
 
+def test_grid_convolution_row_zero_is_exactly_zero():
+    """The sum over j < 0 is empty: row 0 is 0.0 (not -0.0 or round-off)
+    for nonzero kernel and signal values, scalar and matrix."""
+    rng = np.random.default_rng(5)
+    g = GridSpec(0.1, 7.0)
+    n1 = g.n_steps + 1
+    out = grid_convolution(rng.standard_normal(n1), rng.standard_normal(n1), g)
+    assert out.shape == (n1,) and out[:1].tobytes() == np.zeros(1).tobytes()
+    out = grid_convolution(rng.standard_normal((n1, 3, 2)),
+                           rng.standard_normal((n1, 2)), g)
+    assert out.shape == (n1, 3)
+    assert out[0].tobytes() == np.zeros(3).tobytes()
+
+
 def test_lp_time_integral_left_riemann():
     g = GridSpec(0.25, 2.0)
     S = lp_time_integral(np.ones((g.n_steps + 1, 1)), 4.0, g)

@@ -418,7 +418,8 @@ _BLAS_DIGEST = """
 import hashlib
 import numpy as np
 from svlab.core import GeometricTail, MatrixKernelSeq, NoiseSpec
-from svlab.discrete import DiscreteSystem, resolvent_seq, simulate_direct
+from svlab.discrete import (DiscreteSystem, resolvent_seq, simulate_direct,
+                            simulate_via_resolvent)
 d, N = 6, 1500
 rng = np.random.default_rng(8)
 entries = {lag: 0.1 / (lag + 1) * (rng.random((d, d)) - 0.5)
@@ -427,8 +428,11 @@ kernel = MatrixKernelSeq(d, entries, GeometricTail(12, 0.01 * np.ones((d, d)), 0
 sys_ = DiscreteSystem(kernel, N, 0.1 * rng.standard_normal((N, d)),
                       0.2 * rng.standard_normal((N, d, d)), NoiseSpec.gaussian(d),
                       initial=np.ones(d))
-h = hashlib.sha256(resolvent_seq(kernel, N).tobytes())
-h.update(simulate_direct(sys_, noise=rng.standard_normal((N, d))).tobytes())
+R = resolvent_seq(kernel, N)
+h = hashlib.sha256(R.tobytes())
+xi = rng.standard_normal((N, d))
+h.update(simulate_direct(sys_, noise=xi).tobytes())
+h.update(simulate_via_resolvent(R, sys_, xi).tobytes())
 # no tail and entries out to lag 1000: a 1001-lag slab
 far = MatrixKernelSeq(d, {lag: 0.1 / (lag + 1) * (rng.random((d, d)) - 0.5)
                           for lag in (0, 1, 3, 40, 300, 700, 1000)})
@@ -467,9 +471,10 @@ def test_slab_bits_do_not_depend_on_blas_threads():
     lags for the d = 6 tail kernel), so the long discrete slab is the
     no-tail kernel with entries out to lag 1000, at d = 6 and N = 1500; the
     continuous ones have 400 taps. The digest covers both discrete solvers
-    on both kernels, both continuous solver families, both continuous
-    resolvents and a 9-path ensemble, two blocks of paths, each over 600
-    steps: nine solve blocks and a remainder."""
+    on both kernels, the resolvent route on the tail kernel, both
+    continuous solver families, both continuous resolvents and a 9-path
+    ensemble, two blocks of paths, each over 600 steps: nine solve blocks
+    and a remainder."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(svlab.__file__)))
     digests = []
     for threads in ("1", "2"):
@@ -552,6 +557,67 @@ def test_solvers_agree_on_shared_streams():
         voc = simulate_via_resolvent(resolvent_seq(K, N), sys_, xi)
         gap = np.abs(direct - voc).max() / (np.abs(direct).max() + 1.0)
         assert gap < 1e-9
+
+
+def _voc_case(d, N, seed):
+    rng = np.random.default_rng(seed)
+    K = random_summable_kernel(rng, d)
+    sys_ = DiscreteSystem(K, N, 0.1 * rng.standard_normal((N, d)),
+                          0.2 * rng.standard_normal((N, d, d)),
+                          NoiseSpec.gaussian(d),
+                          initial=rng.standard_normal(d))
+    x0, xi = draw_noise(sys_, rng_stream(seed, 0))
+    return sys_, resolvent_seq(K, N), x0, xi
+
+
+def _voc_gap(sys_, R, x0, xi):
+    direct = simulate_direct(sys_, noise=xi, initial=x0)
+    voc = simulate_via_resolvent(R, sys_, xi, x0)
+    return np.abs(direct - voc).max() / (np.abs(direct).max() + 1.0)
+
+
+def test_voc_row_zero_is_resolvent_times_initial_exactly():
+    """The convolution fills rows 1.. only, so X(0) is R(0) x0 = x0 to the
+    bit, with a nonzero drive at every step."""
+    for d in (1, 3):
+        sys_, R, x0, xi = _voc_case(d, 130, 40 + d)
+        X = simulate_via_resolvent(R, sys_, xi, x0)
+        assert X[0].tobytes() == x0.tobytes()
+
+
+def test_voc_detects_a_one_percent_change_to_one_resolvent_entry():
+    """Mutation check of the dual route: the route stays within 1e-13 of
+    the direct solver, and a 1 % change to one entry of R(k), k = 0, 1, 5
+    or 20, moves the max-normalised gap past 1e-9."""
+    sys_, R, x0, xi = _voc_case(2, 200, 7)
+    assert _voc_gap(sys_, R, x0, xi) <= 1e-13
+    for k, (a, b) in ((0, (0, 0)), (1, (1, 1)), (5, (0, 1)), (20, (1, 0))):
+        bad = R.copy()
+        bad[k, a, b] *= 1.01
+        assert _voc_gap(sys_, bad, x0, xi) > 1e-9, k
+
+
+def test_voc_rejects_wrong_shapes():
+    """Wrong-shaped noise, initial data or resolvent steps raise instead of
+    broadcasting: at d = m = 1 a (5, 2) noise would add both columns and a
+    (3,) initial vector would sum its entries into X(0)."""
+    K = MatrixKernelSeq(1, {0: [[-0.5]]})
+    sys_ = DiscreteSystem(K, 5, 1.0, 1.0, NoiseSpec.gaussian(1),
+                          initial=np.array([2.0]))
+    R = resolvent_seq(K, 5)
+    with pytest.raises(ValueError, match=r"noise shape \(5, 2\) != \(5, 1\)"):
+        simulate_via_resolvent(R, sys_, np.ones((5, 2)))
+    with pytest.raises(ValueError, match=r"noise shape \(5,\) != \(5, 1\)"):
+        simulate_via_resolvent(R, sys_, np.ones(5))
+    with pytest.raises(ValueError, match=r"initial shape \(3,\) != \(1,\)"):
+        simulate_via_resolvent(R, sys_, np.ones((5, 1)), np.ones(3))
+    with pytest.raises(ValueError, match=r"step shape \(2, 2\) != \(1, 1\)"):
+        simulate_via_resolvent(np.ones((6, 2, 2)), sys_, np.ones((5, 1)))
+    with pytest.raises(ValueError, match=r"step shape \(\) != \(1, 1\)"):
+        simulate_via_resolvent(np.ones(6), sys_, np.ones((5, 1)))
+    np.testing.assert_allclose(
+        simulate_via_resolvent(R, sys_, np.ones((5, 1))),
+        simulate_direct(sys_, np.ones((5, 1))), rtol=0, atol=1e-13)
 
 
 def test_direct_same_seed_same_path():
