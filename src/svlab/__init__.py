@@ -36,7 +36,7 @@ from .continuous import (ContinuousSystem, DelaySystem, RootScanResult,
                          simulate_ou, simulate_sfde, simulate_sve,
                          sve_ensemble_lp_tail, trailing_window_average)
 from .conditions import (ExpFilterEquivalence, WindowProfile,
-                         exceedance_partial_sums, exp_filter_equivalence,
+                         exp_filter_equivalence,
                          diffusion_window_evidence, forcing_window_evidence,
                          gaussian_exceedance_series, irregular_window_sums,
                          profile_lp_evidence, unit_window_evidence,

@@ -19,21 +19,24 @@ with the running sum carried into the next slice's first sample. That is
 the very addition one cumsum over the chunk makes, so the lattice has the
 bits of one cumsum per chunk.
 
-An integrand that declares a support (corpus.support_of) is evaluated and
-summed only there: each cell end reads the running sum of the support
-samples at or before it, which has the bits of summing the zeros in
-between. A profile is never held whole: its L^p partial sums and segment
-suprema are reduced in blocks of PROFILE_BLOCK points read off the lattice
-into one reused buffer.
+Every sampler reads sample i at t = i * step: the lattice, the unit windows
+and the exponential filter alike. An integrand that declares a support
+(corpus.support_of) is evaluated and summed only there: each cell end reads
+the running sum of the support samples at or before it, which has the bits
+of summing the zeros in between. A profile is never held whole: its L^p
+partial sums and segment suprema are reduced in blocks of PROFILE_BLOCK
+points read off the lattice into one reused buffer.
 
-The L^p partial sums are read only at checkpoints, so they are not a
-cumsum (_sums_at): each block of PROFILE_BLOCK terms, anchored at index 0,
-is summed pairwise, the block sums are added in order, and a checkpoint
-inside a block adds the pairwise sum of that block up to it. A checkpoint's
-value depends on its own index alone. For non-negative terms the relative
-error is below about (32 + n / PROFILE_BLOCK) u at n terms, u = 2^-53
-(Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 4.2),
-against up to n u for one sequential cumsum.
+Every series check reads its sums only at checkpoints, by one rule that is
+not a cumsum (_sums_at): the L^p sums of the window profiles, the
+unit-window sums of cond-sigma-low, the exceedance series of s-epsilon and
+both routes of the p < 1 lemma. Each block of PROFILE_BLOCK terms, anchored
+at index 0, is summed pairwise, the block sums are added in order, and a
+checkpoint inside a block adds the pairwise sum of that block up to it. A
+checkpoint's value depends on its own index alone. For non-negative terms
+the relative error is below about (32 + n / PROFILE_BLOCK) u at n terms,
+u = 2^-53 (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+4.2), against up to n u for one sequential cumsum.
 """
 from __future__ import annotations
 
@@ -43,7 +46,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from . import corpus
-from .core import GridSpec, divisions, exp_scan
+from .core import GridSpec, divisions, exp_scan, positive_exponent
 from .evidence import (DIVERGENT, INCONCLUSIVE, SATISFIED, SUMMABLE, VIOLATED,
                        EvidenceReport, TailThresholds, _tail_rule,
                        as_condition_verdict,
@@ -116,14 +119,13 @@ def _support_indices(support, first: int, n: int, step: float) -> np.ndarray:
                           + [np.empty(0, np.int64)])
 
 
-def _on_support(f: Callable, first: int, n: int, step: float,
-                times: Callable):
+def _on_support(f: Callable, first: int, n: int, step: float):
     """None when f declares no support (corpus.support_of) on the samples
     first .. first + n - 1; else (j, v), j the indices in [0, n) of the
     samples within two points of the support, increasing, and
-    v = f(times(first + j)), evaluated on at most LATTICE_SLICE points a
+    v = f((first + j) * step), evaluated on at most LATTICE_SLICE points a
     call. f is 0.0 at every other sample."""
-    t0, t1 = times(np.array([first, first + n]))
+    t0, t1 = np.array([first, first + n]) * step
     support = corpus.support_of(f, t0, t1)
     if support is None:
         return None
@@ -131,37 +133,36 @@ def _on_support(f: Callable, first: int, n: int, step: float,
     vals = np.empty(idx.size)
     for lo in range(0, idx.size, LATTICE_SLICE):
         j = idx[lo:lo + LATTICE_SLICE]
-        vals[lo:lo + j.size] = f(times(first + j))
+        vals[lo:lo + j.size] = f((first + j) * step)
     return idx, vals
 
 
 def _sample_dense(f: Callable, out: np.ndarray, first: int,
-                  times: Callable) -> None:
-    """out[j] = f(times(first + j)), f evaluated on at most LATTICE_SLICE
+                  step: float) -> None:
+    """out[j] = f((first + j) * step), f evaluated on at most LATTICE_SLICE
     points a call."""
     for lo in range(0, out.size, LATTICE_SLICE):
         hi = min(lo + LATTICE_SLICE, out.size)
-        out[lo:hi] = f(times(np.arange(first + lo, first + hi)))
+        out[lo:hi] = f(np.arange(first + lo, first + hi) * step)
 
 
-def _sample(f: Callable, out: np.ndarray, first: int, step: float,
-            times: Callable) -> None:
-    """out[j] = f(times(first + j)), where times maps integer sample
-    indices to increasing times about step apart.
+def _sample(f: Callable, n: int, step: float) -> np.ndarray:
+    """f at the n sample times i * step, i = 0 .. n - 1.
 
     f is evaluated on at most LATTICE_SLICE points a call (_sample_dense),
     so it must be pointwise, f(t)[i] a function of t[i] alone. Where f
-    declares a support, f is evaluated only on it (_on_support) and out is
-    zero elsewhere, so out gets the same bits. out is whatever its caller
-    needs whole (unit_windows, exp_filter_equivalence); the window lattice
-    holds no such buffer and samples its dense chunks a slice at a time.
+    declares a support, f is evaluated only on it (_on_support) and the
+    samples are zero elsewhere, with the same bits. Its callers
+    (unit_windows, exp_filter_equivalence) need the samples whole; the
+    window lattice holds no such array and samples a slice at a time.
     """
-    on_support = _on_support(f, first, out.size, step, times)
-    if on_support is not None:
-        out.fill(0.0)
+    out = np.zeros(n)
+    on_support = _on_support(f, 0, n, step)
+    if on_support is None:
+        _sample_dense(f, out, 0, step)
+    else:
         out[on_support[0]] = on_support[1]
-        return
-    _sample_dense(f, out, first, times)
+    return out
 
 
 def _cumulative_on_lattice(f: Callable, n_cells: int, h: float,
@@ -183,7 +184,6 @@ def _cumulative_on_lattice(f: Callable, n_cells: int, h: float,
     chunk's sums to F[pos], never -0.0, removes that sign.
     """
     step = h / refine
-    times = lambda i: i * step
     F = np.empty(n_cells + 1)
     F[0] = 0.0
     block = max(1, LATTICE_CHUNK // refine)
@@ -192,14 +192,14 @@ def _cumulative_on_lattice(f: Callable, n_cells: int, h: float,
     pos = 0
     while pos < n_cells:
         nb = min(block, n_cells - pos)
-        on_support = _on_support(f, pos * refine, nb * refine, step, times)
+        on_support = _on_support(f, pos * refine, nb * refine, step)
         if on_support is None:
             if buf is None:
                 buf = np.empty(min(width, n_cells) * refine)
             for c in range(0, nb, width):
                 m = min(width, nb - c)
                 cs = buf[:m * refine]
-                _sample_dense(f, cs, (pos + c) * refine, times)
+                _sample_dense(f, cs, (pos + c) * refine, step)
                 if c:
                     cs[0] = carry + cs[0]
                 np.cumsum(cs, out=cs)
@@ -283,6 +283,12 @@ def _sums_at(blocks: Iterable[tuple[int, np.ndarray]], stops) -> np.ndarray:
     return out
 
 
+def _blocks(terms: np.ndarray):
+    """A whole array as the (start, terms) blocks _sums_at reads."""
+    return ((lo, terms[lo:lo + PROFILE_BLOCK])
+            for lo in range(0, terms.size, PROFILE_BLOCK))
+
+
 def profile_lp_evidence(profile: WindowProfile, p: float,
                         checkpoint_times: Optional[Sequence[float]] = None,
                         thresholds: TailThresholds = TailThresholds()
@@ -296,7 +302,7 @@ def profile_lp_evidence(profile: WindowProfile, p: float,
     off blocks of PROFILE_BLOCK points by _sums_at, pairwise within a block:
     for n points, relative error below about (32 + n / PROFILE_BLOCK) u.
     """
-    if p < 1:
+    if positive_exponent(p) < 1:
         raise ValueError("exponent p must be >= 1")
     grid = profile.grid
     if checkpoint_times is None:
@@ -364,7 +370,7 @@ def forcing_window_evidence(f: Callable, p: float, grid: GridSpec,
                             thresholds: TailThresholds = TailThresholds()
                             ) -> EvidenceReport:
     """Forcing admissibility: every window profile of f lies in L^p."""
-    if p < 1:
+    if positive_exponent(p) < 1:
         raise ValueError("exponent p must be >= 1")
     return _multi_theta_report("forcing-window-lp", f, p, grid, thetas,
                                quad_step, checkpoint_times, thresholds,
@@ -379,7 +385,7 @@ def diffusion_window_evidence(sigma: Callable, p: float, grid: GridSpec,
                               ) -> EvidenceReport:
     """Diffusion admissibility for p >= 2: window profiles of sigma^2 in
     L^{p/2}, one scalar component at a time."""
-    if p < 2:
+    if positive_exponent(p) < 2:
         raise ValueError("this check is for p >= 2; use unit_window_evidence")
     return _multi_theta_report("diffusion-window-lp", corpus.Square(sigma),
                                p / 2.0, grid, thetas, quad_step,
@@ -389,13 +395,16 @@ def diffusion_window_evidence(sigma: Callable, p: float, grid: GridSpec,
 # ---------------------------------------------------------------------------
 # unit windows of sigma^2 and the exceedance series
 
+def _unit_sums(samples: np.ndarray, k: int) -> np.ndarray:
+    """Left-Riemann unit-window integrals of samples at t = i * (1/k)."""
+    return samples.reshape(-1, k).sum(axis=1) * (1.0 / k)
+
+
 def unit_windows(sigma_sq: Callable, n_windows: int,
                  quad_step: float = 1e-3) -> np.ndarray:
     """I_n = integral_n^{n+1} sigma^2, n = 0..n_windows-1, left-Riemann."""
     k = divisions(1.0, quad_step, "quad_step must divide 1")
-    vals = np.empty(n_windows * k)
-    _sample(sigma_sq, vals, 0, 1.0 / k, lambda i: i / k)
-    return vals.reshape(n_windows, k).sum(axis=1) / k
+    return _unit_sums(_sample(sigma_sq, n_windows * k, 1.0 / k), k)
 
 
 def unit_window_checkpoints(n_windows: int, checkpoints=None) -> list[int]:
@@ -419,13 +428,11 @@ def unit_window_evidence(sigma: Callable, p: float, n_windows: int,
     Stated for 1 <= p < 2; larger p reuses the same partial-sum machinery
     (the sequence test is then stronger than the windowed-integral one).
     """
-    if p < 1:
+    if positive_exponent(p) < 1:
         raise ValueError("exponent p must be >= 1")
     cps = unit_window_checkpoints(n_windows, checkpoints)
     I = unit_windows(corpus.Square(sigma), n_windows, quad_step)
-    terms = I ** (p / 2.0)
-    S = np.concatenate([[0.0], np.cumsum(terms)])
-    at = [float(S[c]) for c in cps]
+    at = [float(x) for x in _sums_at(_blocks(I ** (p / 2.0)), cps)]
     verdict = as_condition_verdict(tail_verdict(at[-2], at[-1], thresholds)) \
         if len(cps) >= 3 else INCONCLUSIVE
     return EvidenceReport(
@@ -436,27 +443,6 @@ def unit_window_evidence(sigma: Callable, p: float, n_windows: int,
          "tail_increment": at[-1] - at[-2] if len(at) > 1 else None,
          "first_windows": [float(x) for x in I[:8]], **_few(cps)},
         thresholds.as_dict(), verdict)
-
-
-def exceedance_partial_sums(windows: np.ndarray, eps: float) -> np.ndarray:
-    """Partial sums of sqrt(I_n) exp(-eps / I_n); zero windows contribute 0.
-
-    Compensated (Kahan) accumulation: partial sums are compared against
-    closed forms at ~1e-12 absolute, tighter than plain cumsum drift."""
-    I = np.asarray(windows, float)
-    terms = np.zeros(len(I))
-    pos = I > 0
-    terms[pos] = np.sqrt(I[pos]) * np.exp(-eps / I[pos])
-    out = np.zeros(len(I) + 1)
-    total = 0.0
-    carry = 0.0
-    for n, t in enumerate(terms):
-        y = t - carry
-        s = total + y
-        carry = (s - total) - y
-        total = s
-        out[n + 1] = total
-    return out
 
 
 def gaussian_exceedance_series(sigma: Optional[Callable] = None,
@@ -482,10 +468,12 @@ def gaussian_exceedance_series(sigma: Optional[Callable] = None,
     if windows is None:
         windows = unit_windows(corpus.Square(sigma), n_windows, quad_step)
     windows = np.asarray(windows, float)
+    pos = windows > 0    # a zero window adds 0
     per = []
     for eps in eps_list:
-        S = exceedance_partial_sums(windows, eps)
-        at = [float(S[c]) for c in cps]
+        terms = np.zeros(windows.size)
+        terms[pos] = np.sqrt(windows[pos]) * np.exp(-eps / windows[pos])
+        at = [float(x) for x in _sums_at(_blocks(terms), cps)]
         v = tail_verdict(at[-2], at[-1], thresholds) if len(cps) >= 3 \
             else INCONCLUSIVE
         per.append({"eps": float(eps), "partial_sums": at, "verdict": v})
@@ -530,8 +518,7 @@ def exp_filter_equivalence(f: Callable, beta: float, p: float, horizon: int,
     k = divisions(1.0, step_h, "step_h must divide 1")
     h = 1.0 / k
     n = horizon * k
-    fv = np.empty(n)
-    _sample(f, fv, 0, h, lambda i: i * h)
+    fv = _sample(f, n, h)
     if np.any(fv < 0):
         bad = int(np.argmax(fv < 0))
         raise ValueError(f"negative forcing sample at t = {bad * h:g}")
@@ -539,13 +526,9 @@ def exp_filter_equivalence(f: Callable, beta: float, p: float, horizon: int,
     cps = default_checkpoints(horizon)
     decay = np.exp(-beta * h)
     v = exp_scan(0.0, (1.0 - decay) / beta * fv, decay)[:n]
-    blocks = ((lo, v[lo:lo + PROFILE_BLOCK] ** p)
-              for lo in range(0, n, PROFILE_BLOCK))
+    blocks = ((lo, b ** p) for lo, b in _blocks(v))
     at_int = [float(x) for x in _sums_at(blocks, [c * k for c in cps]) * h]
-
-    windows = fv.reshape(horizon, k).sum(axis=1) * h
-    wsums = np.concatenate([[0.0], np.cumsum(windows ** p)])
-    at_win = [float(wsums[c]) for c in cps]
+    at_win = [float(x) for x in _sums_at(_blocks(_unit_sums(fv, k) ** p), cps)]
     v_int = tail_verdict(at_int[-2], at_int[-1], thresholds)
     v_win = tail_verdict(at_win[-2], at_win[-1], thresholds)
     params = {"beta": beta, "p": p, "horizon": horizon, "step_h": h}
@@ -591,7 +574,7 @@ def irregular_window_sums(f: Callable, breakpoints: Sequence[float],
     Returns (windows, partial_sums); partial_sums[k] covers the first k
     windows. Spacing violations name the offending index.
     """
-    if p < 1:
+    if positive_exponent(p) < 1:
         raise ValueError("exponent p must be >= 1")
     a = irregular_breakpoints(breakpoints, alpha, beta)
     windows = np.array([
@@ -616,7 +599,8 @@ def segment_grid(segment_times: Sequence[float], step_h: float
     return grid, idx
 
 
-def window_fading_evidence(f: Callable, thetas: Sequence[float] = (0.5, 1.0, 2.0),
+def window_fading_evidence(f: Callable,
+                           thetas: Sequence[float] = DEFAULT_THETAS,
                            segment_times: Sequence[float] = DEFAULT_SEGMENT_TIMES,
                            step_h: float = 1e-5, tol: float = 1e-2,
                            thresholds: TailThresholds = TailThresholds()

@@ -183,19 +183,19 @@ def lemma_p_lt_1():
 @_register("s-epsilon")
 def s_epsilon():
     rows = []
-    ones = np.ones(512)
-    for eps in (0.1, 1.0):
-        S = conditions.exceedance_partial_sums(ones, eps)
-        gap = float(abs(S[-1] - 512 * np.exp(-eps)))
-        rows.append(_num_row(f"closed-form gap, unit windows, eps={eps}",
+    unit = conditions.gaussian_exceedance_series(
+        windows=np.ones(512), eps_list=(0.1, 1.0), checkpoints=(512,))
+    for e in unit.diagnostics["per_eps"]:
+        gap = abs(e["partial_sums"][0] - 512 * np.exp(-e["eps"]))
+        rows.append(_num_row(f"closed-form gap, unit windows, eps={e['eps']}",
                              gap, 1e-12))
     n = np.arange(512)
     spike_windows_ = np.where(n >= 2, 1.0 / np.maximum(n, 1), 0.0)
-    S1 = conditions.exceedance_partial_sums(spike_windows_, 1.0)
-    tail1 = float(S1[-1] - S1[31])
+    tails = conditions.gaussian_exceedance_series(
+        windows=spike_windows_, eps_list=(1.0, 0.1), checkpoints=(31, 512))
+    tail1, tail01 = [e["partial_sums"][1] - e["partial_sums"][0]
+                     for e in tails.diagnostics["per_eps"]]
     rows.append(_num_row("spike tail beyond n=30, eps=1", tail1, 1e-6))
-    S01 = conditions.exceedance_partial_sums(spike_windows_, 0.1)
-    tail01 = float(S01[-1] - S01[31])
     rows.append(_row("spike tail beyond n=30, eps=0.1", "%.4g" % tail01,
                      "reported (series summable, tail O(1))", "-", True))
     rep = conditions.gaussian_exceedance_series(

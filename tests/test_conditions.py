@@ -10,8 +10,7 @@ import pytest
 from svlab import conditions, corpus, evidence
 from svlab.conditions import (
     DIVERGENT, INCONCLUSIVE, SATISFIED, SUMMABLE, VIOLATED,
-    diffusion_window_evidence, exceedance_partial_sums,
-    exp_filter_equivalence, forcing_window_evidence,
+    diffusion_window_evidence, exp_filter_equivalence, forcing_window_evidence,
     gaussian_exceedance_series, irregular_window_sums, profile_lp_evidence,
     unit_window_evidence, unit_windows, window_fading_evidence,
     window_integral, window_profiles)
@@ -211,7 +210,9 @@ def test_support_sampling_keeps_unit_window_and_filter_bits(beta, k):
         edge = conditions.LATTICE_SLICE / k
         assert any(lo < edge < hi for lo, hi in support)
     sq = corpus.Square(sig)
-    dense = np.asarray(sq(np.arange(8 * k) / k)).reshape(8, k).sum(axis=1) / k
+    step = 1.0 / k
+    dense = np.asarray(sq(np.arange(8 * k) * step)).reshape(8, k).sum(axis=1) \
+        * step
     assert unit_windows(sq, 8, 1.0 / k).tobytes() == dense.tobytes()
     spike = corpus.SpikeFamily(beta)
     pair = exp_filter_equivalence(spike, 1.0, 0.5, 8, 1.0 / k)
@@ -380,6 +381,46 @@ def test_exp_filter_sums_are_blocked_pairwise_sums(p):
     assert np.array(got).tobytes() == np.array(ref).tobytes()
 
 
+def test_series_checkpoint_sums_are_blocked_pairwise_sums():
+    """The series checks read their checkpoints by the same rule: the sums
+    of unit_window_evidence, of gaussian_exceedance_series and of the
+    lemma's window route equal the blocked pairwise sums of their terms bit
+    for bit, past the first PROFILE_BLOCK too (40 000 windows at quad_step
+    1), and a checkpoint's sum does not depend on the other checkpoints."""
+    B = conditions.PROFILE_BLOCK
+    n, p = 40_000, 1.5
+    sigma = lambda t: 1.0 / np.sqrt(1.0 + 0.01 * t) + 0.3 * np.sin(t) ** 2
+    cps = [1000, B - 5, B, B + 7, n]
+    I = unit_windows(corpus.Square(sigma), n, 1.0)
+
+    def sums(terms, stops):
+        return np.array([_blocked_pairwise_sum(terms, c) for c in stops])
+
+    rep = unit_window_evidence(sigma, p, n, 1.0, cps)
+    got = np.array(rep.diagnostics["checkpoint_values"])
+    assert got.tobytes() == sums(I ** (p / 2.0), cps).tobytes()
+    alone = unit_window_evidence(sigma, p, n, 1.0, [n])
+    assert alone.diagnostics["checkpoint_values"] == [got[-1]]
+
+    rep = gaussian_exceedance_series(sigma, (0.1, 1.0), n, quad_step=1.0,
+                                     checkpoints=cps)
+    for entry in rep.diagnostics["per_eps"]:
+        terms = np.sqrt(I) * np.exp(-entry["eps"] / I)
+        got = np.array(entry["partial_sums"])
+        assert got.tobytes() == sums(terms, cps).tobytes()
+        alone = gaussian_exceedance_series(sigma, (entry["eps"],), n,
+                                           quad_step=1.0, checkpoints=[n])
+        assert alone.diagnostics["per_eps"][0]["partial_sums"] == [got[-1]]
+
+    f = lambda t: 1.0 + np.cos(0.5 * t)
+    pair = exp_filter_equivalence(f, 1.0, 0.6, n, 1.0)
+    stops = evidence.default_checkpoints(n)
+    assert stops[-1] > B
+    windows = np.asarray(f(np.arange(n) * 1.0), float)
+    got = pair.window_report.diagnostics["checkpoint_values"]
+    assert np.array(got).tobytes() == sums(windows ** 0.6, stops).tobytes()
+
+
 def test_lp_checkpoint_sums_meet_the_pairwise_error_bound():
     """Checkpoint sums of |profile|^p stay within 1e-14 relative of
     math.fsum of the same terms. The bound comes before the measurement:
@@ -525,6 +566,25 @@ def test_forcing_window_evidence_aggregates_thetas():
     assert bad.verdict == VIOLATED
 
 
+@pytest.mark.parametrize("p", [math.nan, math.inf])
+def test_window_checks_reject_non_finite_exponents(p):
+    """nan and inf pass a bare p < 1 (and p < 2) guard: |0.5|^inf = 0 read
+    satisfied, 1^nan = 1 read violated. Each check refuses them by the one
+    exponent rule of core."""
+    g = GridSpec(0.1, 8.0)
+    one = corpus.ConstFamily(1.0)
+    calls = [
+        lambda: forcing_window_evidence(one, p, g, thetas=(0.5,)),
+        lambda: diffusion_window_evidence(one, p, g, thetas=(0.5,)),
+        lambda: profile_lp_evidence(window_integral(one, 0.5, g), p),
+        lambda: unit_window_evidence(one, p, 64),
+        lambda: irregular_window_sums(one, [0.0, 1.0, 2.0], p,
+                                      alpha=1.0, beta=1.0)]
+    for call in calls:
+        with pytest.raises(ValueError, match="finite positive"):
+            call()
+
+
 def test_diffusion_window_evidence_requires_p_at_least_two():
     with pytest.raises(ValueError, match="p >= 2"):
         diffusion_window_evidence(corpus.zero_f, 1.0, GridSpec(0.1, 8.0))
@@ -595,8 +655,10 @@ def test_exceedance_harmonic_windows_summable():
     w = np.where(n >= 2, 1.0 / np.maximum(n, 1), 0.0)
     rep = gaussian_exceedance_series(windows=w)
     assert rep.verdict == SUMMABLE
-    S = exceedance_partial_sums(w, 1.0)
-    assert S[-1] - S[30] < 1e-6
+    tail = gaussian_exceedance_series(windows=w, eps_list=(1.0,),
+                                      checkpoints=(30, 512))
+    S = tail.diagnostics["per_eps"][0]["partial_sums"]
+    assert S[1] - S[0] < 1e-6
 
 
 def test_exceedance_rejects_nonpositive_eps():
@@ -605,18 +667,23 @@ def test_exceedance_rejects_nonpositive_eps():
 
 
 def test_exceedance_sums_monotone_in_n_and_eps():
+    # at checkpoints far apart against round-off; a larger eps gives a
+    # sum no larger at every checkpoint
     rng = np.random.default_rng(3)
     w = rng.uniform(0.0, 2.0, size=200)
-    lo = exceedance_partial_sums(w, 0.5)
-    hi = exceedance_partial_sums(w, 2.0)
+    rep = gaussian_exceedance_series(windows=w, eps_list=(0.5, 2.0),
+                                     checkpoints=(1, 25, 50, 100, 200))
+    lo, hi = [np.array(e["partial_sums"]) for e in rep.diagnostics["per_eps"]]
     assert np.all(np.diff(lo) >= 0.0)
     assert np.all(np.diff(hi) >= 0.0)
     assert np.all(lo >= hi)
 
 
 def test_exceedance_zero_window_terms_vanish():
-    S = exceedance_partial_sums(np.zeros(16), 0.1)
-    np.testing.assert_array_equal(S, np.zeros(17))
+    rep = gaussian_exceedance_series(windows=np.zeros(16),
+                                     checkpoints=(1, 2, 4, 8, 16))
+    for entry in rep.diagnostics["per_eps"]:
+        assert entry["partial_sums"] == [0.0] * 5
 
 
 # exponential-filter equivalence ---------------------------------------------
@@ -724,7 +791,7 @@ def test_fading_zero_and_constant():
     assert rep.verdict == VIOLATED
     # for constant f every window integral equals its width
     sups = [e["segment_sups"][-1] for e in rep.diagnostics["per_theta"]]
-    np.testing.assert_allclose(sups, [0.5, 1.0, 2.0], atol=1e-6)
+    np.testing.assert_allclose(sups, [0.5, 1.0, 2.0, 4.0], atol=1e-6)
 
 
 def test_fading_oscillatory_satisfied():
