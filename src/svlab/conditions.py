@@ -10,22 +10,30 @@ three-valued tail rules to their L^p / l^p partial integrals.
 (default 0.5, 1, 2, 4); the aggregate verdict is the worst per-width one.
 All widths of one check share one cumulative lattice, evaluated once up to
 the widest window and read per width. Its bits do not depend on which
-widths are requested: the lattice is built in chunks anchored at t = 0 and
-summed in sequence, so a longer lattice has the same prefix as a shorter
-one, and each profile equals the one a lattice of its own width gives. No
-chunk is held whole beside the lattice: a dense chunk is sampled, summed
-and written a slice of whole cells at a time through one reused buffer,
-with the running sum carried into the next slice's first sample. That is
-the very addition one cumsum over the chunk makes, so the lattice has the
-bits of one cumsum per chunk.
+widths are requested: the lattice is built in chunks anchored at t = 0,
+each one blocked prefix sum (core.prefix_blocks, the one prefix rule of
+svlab) with blocks of core.PREFIX_BLOCK samples anchored at the chunk's
+first sample, so a longer lattice has the same prefix as a shorter one,
+and each profile equals the one a lattice of its own width gives. For
+non-negative samples a lattice value is within (B + k / B + 1) u of its
+exact sum at k samples into a chunk, B = PREFIX_BLOCK, u = 2^-53, against
+up to k u for one sequential cumsum (Higham, Accuracy and Stability of
+Numerical Algorithms, 2nd ed., 4.2). No chunk is held whole beside the
+lattice: a dense chunk is sampled and summed LATTICE_SLICE samples, whole
+blocks, at a time through one reused buffer, each slice taking the
+carried total of the slices before it, and every cell end in a slice is
+read off it. Those are the additions one blocked prefix over the chunk
+makes, so the lattice has its bits however the chunk is sliced.
 
 Every sampler reads sample i at t = i * step: the lattice, the unit windows
 and the exponential filter alike. An integrand that declares a support
-(corpus.support_of) is evaluated and summed only there: each cell end reads
-the running sum of the support samples at or before it, which has the bits
-of summing the zeros in between. A profile is never held whole: its L^p
-partial sums and segment suprema are reduced in blocks of PROFILE_BLOCK
-points read off the lattice into one reused buffer.
+(corpus.support_of) is evaluated and summed only there: the lattice sums
+the blocks of the dense route that meet the support samples, zero-filled,
+and a cell end past them reads the carried total of the last one, which
+has the bits of summing the zero blocks in between. A profile is never
+held whole: its L^p partial sums and segment suprema are reduced in
+blocks of PROFILE_BLOCK points read off the lattice into one reused
+buffer.
 
 Every series check reads its sums only at checkpoints, by one rule that is
 not a cumsum (_sums_at): the L^p sums of the window profiles, the
@@ -46,7 +54,9 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from . import corpus
-from .core import GridSpec, divisions, exp_scan, positive_exponent
+from .core import (PREFIX_BLOCK, GridSpec, divisions, exp_scan,
+                   positive_exponent, prefix_blocks, prefix_sum,
+                   support_indices, whole_blocks)
 from .evidence import (DIVERGENT, INCONCLUSIVE, SATISFIED, SUMMABLE, VIOLATED,
                        EvidenceReport, TailThresholds, _tail_rule,
                        as_condition_verdict,
@@ -104,19 +114,13 @@ class WindowProfile:
 
 def _support_indices(support, first: int, n: int, step: float) -> np.ndarray:
     """The indices j in [0, n), increasing, of the samples first + j within
-    two points of a support interval (lo, hi), the sample times being about
-    step apart."""
+    two points of a support interval (lo, hi) (core.support_indices), the
+    sample times being about step apart: sample floor(lo / step) is at or
+    before the interval's first one, ceil(hi / step) at or past its last."""
     iv = np.asarray(support, float).reshape(-1, 2)
-    i0 = np.clip(np.floor(iv[:, 0] / step).astype(np.int64) - 2 - first, 0, n)
-    i1 = np.clip(np.ceil(iv[:, 1] / step).astype(np.int64) + 3 - first, 0, n)
-    spans = []
-    for a, b in sorted(zip(i0.tolist(), i1.tolist())):
-        if spans and a <= spans[-1][1]:
-            spans[-1][1] = max(spans[-1][1], b)
-        elif a < b:
-            spans.append([a, b])
-    return np.concatenate([np.arange(a, b) for a, b in spans]
-                          + [np.empty(0, np.int64)])
+    lo = np.floor(iv[:, 0] / step).astype(np.int64) - first
+    hi = np.ceil(iv[:, 1] / step).astype(np.int64) + 1 - first
+    return support_indices(lo.tolist(), hi.tolist(), n)
 
 
 def _on_support(f: Callable, first: int, n: int, step: float):
@@ -169,53 +173,65 @@ def _cumulative_on_lattice(f: Callable, n_cells: int, h: float,
                            refine: int) -> np.ndarray:
     """F[j] = left-Riemann integral of f over [0, j*h] at step h/refine.
 
-    The lattice runs in chunks of at most LATTICE_CHUNK points, each summed
-    from 0 (the chunk boundaries fix the bits), so long horizons stay in
-    memory. A dense chunk is never held whole: it is sampled, summed and
-    written to F a slice of max(1, LATTICE_SLICE // refine) whole cells at a
-    time, in one buffer reused by every slice. The running sum s of the
-    chunk carries across slices as an addend of the slice's first sample,
-    s + a_j, before its cumsum. np.cumsum adds in sequence, so that is the
-    very addition s_{j-1} + a_j of one cumsum over the chunk, and F has the
-    bits of one. Where f declares a support, a chunk sums only the samples
-    on it (_on_support), and each cell end reads the running sum of those
-    at or before it. That has the bits of summing the zeros too: adding 0.0
-    changes a running sum at most in the sign of a zero, and adding the
-    chunk's sums to F[pos], never -0.0, removes that sign.
+    The lattice runs in chunks of at most LATTICE_CHUNK points, each one
+    blocked prefix sum (core.prefix_blocks) with its blocks anchored at the
+    chunk's first sample, so long horizons stay in memory and a longer
+    lattice has the bits of a shorter one up to the shorter one's end. A
+    dense chunk is never held whole: it is sampled and summed
+    LATTICE_SLICE samples (whole blocks) at a time in one reused buffer,
+    each slice taking the carried total of the slices before it, and every
+    cell end inside a slice is read off it. Those are the additions one
+    prefix over the chunk makes, so F has its bits. Where f declares a
+    support, a chunk sums only the blocks of the dense route that meet the
+    support samples (_on_support), zero-filled, and a cell end past them
+    reads the carried total of the last one: a skipped block adds 0.0 to
+    the carried total, which changes a sum at most in the sign of a zero,
+    and adding the chunk's sums to F[pos], never -0.0, removes that sign.
     """
     step = h / refine
     F = np.empty(n_cells + 1)
     F[0] = 0.0
     block = max(1, LATTICE_CHUNK // refine)
-    width = max(1, LATTICE_SLICE // refine)
     buf = None
     pos = 0
     while pos < n_cells:
         nb = min(block, n_cells - pos)
-        on_support = _on_support(f, pos * refine, nb * refine, step)
+        n = nb * refine
+        on_support = _on_support(f, pos * refine, n, step)
         if on_support is None:
             if buf is None:
-                buf = np.empty(min(width, n_cells) * refine)
-            for c in range(0, nb, width):
-                m = min(width, nb - c)
-                cs = buf[:m * refine]
-                _sample_dense(f, cs, (pos + c) * refine, step)
-                if c:
-                    cs[0] = carry + cs[0]
-                np.cumsum(cs, out=cs)
+                buf = np.empty(min(LATTICE_SLICE, whole_blocks(n)))
+            carry = None
+            for a in range(0, n, LATTICE_SLICE):
+                k = min(LATTICE_SLICE, n - a)
+                cs = buf[:whole_blocks(k)]
+                _sample_dense(f, cs[:k], pos * refine + a, step)
+                cs[k:] = 0.0
+                prefix_blocks(cs.reshape(1, -1, PREFIX_BLOCK, 1), carry)
                 carry = cs[-1]
-                cells = F[pos + c + 1: pos + c + m + 1]
-                np.multiply(cs[refine - 1::refine], step, out=cells)
+                # the cells j whose end sample j * refine - 1 is in the slice
+                j0, j1 = a // refine + 1, (a + k) // refine
+                cells = F[pos + j0: pos + j1 + 1]
+                np.multiply(cs[j0 * refine - 1 - a: j1 * refine - a: refine],
+                            step, out=cells)
                 cells += F[pos]
         else:
             idx, vals = on_support
-            cs = np.empty(idx.size + 1)
-            cs[0] = 0.0
-            np.cumsum(vals, out=cs[1:])
-            ends = np.arange(refine - 1, nb * refine, refine)
-            at_ends = cs[np.searchsorted(idx, ends, side="right")]
+            blk, at = np.divmod(idx, PREFIX_BLOCK)
+            touched = np.unique(blk)
+            # the touched blocks behind one 0.0, the sum before them all
+            cs = np.zeros(1 + touched.size * PREFIX_BLOCK)
+            cs[1 + np.searchsorted(touched, blk) * PREFIX_BLOCK + at] = vals
+            prefix_blocks(cs[1:].reshape(1, -1, PREFIX_BLOCK, 1))
+            blk, at = np.divmod(np.arange(refine - 1, n, refine), PREFIX_BLOCK)
+            # r touched blocks at or before a cell end's block: its sum in
+            # the last of them, or that block's carried total past it
+            r = np.searchsorted(touched, blk, side="right")
+            hit = np.concatenate([[-1], touched])[r] == blk
+            ends = np.where(hit, (r - 1) * PREFIX_BLOCK + 1 + at,
+                            r * PREFIX_BLOCK)
             cells = F[pos + 1: pos + nb + 1]
-            np.multiply(at_ends, step, out=cells)
+            np.multiply(cs[ends], step, out=cells)
             cells += F[pos]
         pos += nb
     return F
@@ -457,7 +473,9 @@ def gaussian_exceedance_series(sigma: Optional[Callable] = None,
     eps > 0 marks almost-sure decay of the scalar noise-driven path.
 
     Windows may be passed directly; otherwise they are quadratures of
-    sigma^2. One verdict per eps plus their worst_verdict.
+    sigma^2. One verdict per eps plus their worst_verdict. A zero window
+    adds 0; a nan or negative window is a ValueError naming its first
+    index.
     """
     if any(e <= 0 for e in eps_list):
         raise ValueError("every eps must be positive")
@@ -468,6 +486,11 @@ def gaussian_exceedance_series(sigma: Optional[Callable] = None,
     if windows is None:
         windows = unit_windows(corpus.Square(sigma), n_windows, quad_step)
     windows = np.asarray(windows, float)
+    bad = np.flatnonzero(~(windows >= 0))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"window {i} is {windows[i]:g}; windows must be "
+                         f"non-negative numbers")
     pos = windows > 0    # a zero window adds 0
     per = []
     for eps in eps_list:
@@ -580,7 +603,7 @@ def irregular_window_sums(f: Callable, breakpoints: Sequence[float],
     windows = np.array([
         trapezoid_refined(f, a[i], a[i + 1], quad_step)
         for i in range(len(a) - 1)])
-    sums = np.concatenate([[0.0], np.cumsum(np.abs(windows) ** p)])
+    sums = np.concatenate([[0.0], prefix_sum(np.abs(windows) ** p)])
     return windows, sums
 
 

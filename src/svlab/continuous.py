@@ -50,7 +50,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .core import (DEFAULT_NORM, CompiledMeasure, GridSpec,
                    SignedMeasureRepr, causal_convolution, divisions, exp_scan,
                    is_neg_identity_point_mass, on_grid, path_rows,
-                   positive_exponent, rng_stream, run_paths, vector_norm)
+                   positive_exponent, prefix_sum, rng_stream, run_paths,
+                   vector_norm)
 from .evidence import (EvidenceReport, TailThresholds, median,
                        median_tail_verdict, time_checkpoints)
 from .quad import bisect_root_levels
@@ -268,14 +269,15 @@ def trailing_window_average(f, grid: GridSpec, d: int = 1) -> np.ndarray:
     value(t) = integral_0^1 integral_{max(t-u,0)}^t f(s) ds du, double
     left-endpoint quadrature on the grid; ValueError unless the grid step
     divides 1. The signal f is sampled by `core.on_grid` with per-time
-    shape (d,); the result has shape (n+1,) for d = 1, else (n+1, d)."""
+    shape (d,); the result has shape (n+1,) for d = 1, else (n+1, d). Both
+    running sums are core.prefix_sum, one per component."""
     n = grid.n_steps
     h = grid.step_h
     fv = on_grid(f, grid.times(), (d,), "signal")
     m = divisions(1.0, h, "the grid step must divide the unit width range")
     F = np.zeros((n + 1, d))
-    F[1:] = np.cumsum(fv[:n], axis=0) * h
-    G = np.cumsum(F, axis=0)
+    F[1:] = prefix_sum(fv[:n]) * h
+    G = prefix_sum(F)
     prev = np.arange(n + 1) - m
     wsum = G - np.where((prev >= 0)[:, None], G[np.maximum(prev, 0)], 0.0)
     out = h * (m * F - wsum)
@@ -532,16 +534,19 @@ def pathwise_gap(path: np.ndarray, reference: np.ndarray, grid: GridSpec,
 def lp_time_integral(path: np.ndarray, p: float, grid: GridSpec,
                      norm: str = DEFAULT_NORM) -> np.ndarray:
     """Left-Riemann cumulative integral of ||X||^p: value[k] covers [0, t_k],
-    p finite and positive; a 1-D path is one component (core.path_rows)."""
+    p finite and positive; a 1-D path is one component (core.path_rows).
+    The sums are one core.prefix_sum of the terms times h: value[k] is
+    within (35 + k / 32) u of its exact left-Riemann sum, u = 2^-53."""
     p = positive_exponent(p)
     vals = vector_norm(path_rows(path), norm)
     # in place: **= takes the scalar-power fast paths of ** (np.square for
     # p = 2), so the terms keep their bits
     vals **= p
-    out = np.empty(len(vals))
+    sums, n = prefix_sum(vals[:-1]), len(vals)
+    del vals  # the terms are summed: free them before out is allocated
+    out = np.empty(n)
     out[:1] = 0.0
-    np.cumsum(vals[:-1], out=out[1:])
-    out[1:] *= grid.step_h
+    np.multiply(sums, grid.step_h, out=out[1:])
     return out
 
 

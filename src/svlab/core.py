@@ -52,22 +52,43 @@ column make a path's bytes independent of the ensemble size and of the
 thread count that `run_paths` fans blocks out over; nor on the BLAS thread
 count, whose products keep each column's sums whole.
 
-`exp_scan` is a blocked scan (Blelloch, Prefix sums and their applications,
-CMU-CS-90-190, 1990) in blocks of SCAN_BLOCK = 256 rows anchored at row 0:
-a block is one cumsum of its rows times decay^-j, scaled back by decay^i,
-and the carries into the blocks are the same scan of the block ends with
-decay^B. The powers are sequential cumprod products, worked out once per
-decay and kept; B shrinks below SCAN_BLOCK where decay^B would leave
-[2^-500, 2^500], and where decay itself does the scan takes doubling
-steps. Only correctly rounded
-multiplies and adds and the sequential cumsum and cumprod make its bits,
-with no BLAS and no libm, so a column's bits depend on SCAN_BLOCK and the
-anchor alone: not on the other columns, not on n (a prefix of a scan is the
-shorter scan) and not on the SIMD level. Against the exact recurrence the
-error is below about u (3 B L R_k + L M_k), u = 2^-53, over L blocked
-levels, where R_k = sum_j |decay|^(k-1-j) |x_j| + |decay|^k |y0| and M_k
-weights each term of R_k by its lag; the sequential recurrence's is
-u (R_k + 2 M_k).
+`prefix_blocks` is the one prefix rule of svlab, and every running sum
+goes through it (Blelloch, Prefix sums and their applications,
+CMU-CS-90-190, 1990): blocks of PREFIX_BLOCK = 32 terms anchored at index
+0, a sequential running sum within each block, the block totals carried by
+one sequential sum, and each block adding the carried total of the blocks
+before it. `prefix_sum` lays any array out for it, each column a run of
+its own. Output k depends on terms 0..k and PREFIX_BLOCK alone: a prefix
+of a longer array is the shorter array's result, and a column's bits do
+not depend on the other columns. Only correctly rounded adds make its
+bits, with no BLAS and no libm, so they do not depend on the SIMD level
+either. numpy never vectorises a cumsum, so from PREFIX_ACROSS blocks on,
+counted over all runs, the in-block sums run as PREFIX_BLOCK - 1 vector
+adds across the blocks, which take 0.5-0.65 of a cumsum's time on a long
+column; fewer blocks run one cumsum along each block, which costs less
+there. Columns are not counted: across the blocks of a run with c
+columns, numpy's inner loops hold only c elements. Both orientations make
+the same additions in the same order, so they give the same bits. The error
+of output k is within (B + ceil(k / B) + 1) u sum_{j<=k} |x_j|, B =
+PREFIX_BLOCK, u = 2^-53, against up to k u sum_{j<=k} |x_j| for one
+sequential cumsum (Higham, Accuracy and Stability of Numerical
+Algorithms, 2nd ed., section 4.2).
+
+`exp_scan` is a blocked scan in blocks of SCAN_BLOCK = 256 rows anchored
+at row 0: a block is one blocked prefix sum of its rows times decay^-j,
+scaled back by decay^i, and the carries into the blocks are the same scan
+of the block ends with decay^B. The powers are sequential cumprod
+products, worked out once per decay and kept; B shrinks below SCAN_BLOCK,
+in whole prefix blocks, where decay^B would leave [2^-500, 2^500], and
+where decay^PREFIX_BLOCK does the scan takes doubling steps. Only
+correctly rounded multiplies and adds and the sequential cumprod make its
+bits, with no BLAS and no libm, so a column's bits depend on SCAN_BLOCK,
+PREFIX_BLOCK and the anchor alone: not on the other columns, not on n (a
+prefix of a scan is the shorter scan) and not on the SIMD level. Against
+the exact recurrence the error is below about u (3 B L R_k + L M_k),
+u = 2^-53, over L blocked levels, where R_k = sum_j |decay|^(k-1-j) |x_j|
++ |decay|^k |y0| and M_k weights each term of R_k by its lag; the
+sequential recurrence's is u (R_k + 2 M_k).
 
 `causal_convolution` is the one truncated convolution of matrix power
 series, y[k] = sum_{j<=k} K[k-j] s[j] (Henrici, SIAM Rev. 21, 1979): one
@@ -100,6 +121,7 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
+from . import corpus
 from .quad import adaptive_simpson
 
 ARTIFACT_VERSION = "0.1.0"
@@ -107,6 +129,11 @@ DEFAULT_NORM = "max"
 NORMS = ("max", "sum", "euclid")  # the kinds vector_norm takes
 SOLVE_BLOCK = 64
 SCAN_BLOCK = 256
+PREFIX_BLOCK = 32
+# a prefix sum adds its in-block sums across the blocks (one vector add per
+# block position) from this many (run, block) pairs on, and runs one cumsum
+# along each block below
+PREFIX_ACROSS = 512
 # every power decay^i a scan block multiplies by lies in [1/SCAN_RANGE, SCAN_RANGE]
 SCAN_RANGE = 2.0 ** 500
 
@@ -215,7 +242,8 @@ def on_grid(value, times: np.ndarray, shape: tuple, what: str) -> np.ndarray:
     full = (n,) + shape
     if value is None:
         return np.zeros(full)
-    v = np.asarray(value(times) if callable(value) else value, float)
+    v = np.asarray(_sample_signal(value, times) if callable(value)
+                   else value, float)
     # a callable's result is held constant only when it is a number: a 1-D
     # time profile must not pass for a constant vector when d == len(times)
     if v.shape != full and (v.ndim == 0
@@ -229,6 +257,47 @@ def on_grid(value, times: np.ndarray, shape: tuple, what: str) -> np.ndarray:
     if v.shape != full:
         raise ValueError(f"{what} shape {v.shape} != {full}")
     return v
+
+
+def _sample_signal(f: Callable, times) -> np.ndarray:
+    """f(times), times increasing. Where f declares a support
+    (corpus.support_of), f is evaluated in one call only at the times
+    within two points of a support interval or of the first or last time
+    (support_indices), the ends so that its own domain check sees the
+    whole range, and the rest is 0.0: the bytes of f(times) for a pointwise f
+    that is 0.0 off its support, without its full-length temporaries."""
+    n = len(times)
+    support = None if n == 0 else corpus.support_of(
+        f, times[0], np.nextafter(times[-1], np.inf))
+    if support is None:
+        return f(times)
+    times = np.asarray(times, float)
+    iv = np.asarray(support, float).reshape(-1, 2)
+    idx = support_indices(
+        np.searchsorted(times, iv[:, 0]).tolist() + [0, n - 1],
+        np.searchsorted(times, iv[:, 1], side="right").tolist() + [1, n], n)
+    vals = np.asarray(f(times[idx]), float)
+    out = np.zeros((n,) + vals.shape[1:])
+    out[idx] = vals
+    return out
+
+
+def support_indices(lo, hi, n: int) -> np.ndarray:
+    """The indices in [0, n), increasing and each once, of the samples
+    within two points of the spans [lo[k], hi[k]), lo and hi sequences of
+    ints: lo[k] at most the index of span k's first sample on a support
+    interval, hi[k] at least one past its last. The two points guard the
+    rounding of the sample times; spans that overlap or touch are merged
+    and empty ones dropped."""
+    spans = []
+    for a, b in sorted(zip(lo, hi)):
+        a, b = max(a - 2, 0), min(b + 2, n)
+        if spans and a <= spans[-1][1]:
+            spans[-1][1] = max(spans[-1][1], b)
+        elif a < b:
+            spans.append([a, b])
+    return np.concatenate([np.arange(a, b) for a, b in spans]
+                          + [np.empty(0, np.int64)])
 
 
 # ---------------------------------------------------------------------------
@@ -423,6 +492,57 @@ def _block_inverse(slab: np.ndarray, scale: float, B: int) -> np.ndarray:
         R[:, B - 1], (B, d, B * d), (-d * col, row, col))).reshape(B * d, B * d)
 
 
+def prefix_sum(x) -> np.ndarray:
+    """out[k] = x[0] + ... + x[k] along axis 0 by the blocked prefix rule
+    (`prefix_blocks`), an array of x's shape: every other index of x is a
+    column, laid out as a run of its own in whole blocks of PREFIX_BLOCK,
+    zero-padded, so out[k] depends on x[0..k] of its column alone."""
+    x = np.asarray(x, float)
+    n, c = len(x), math.prod(x.shape[1:])
+    L = whole_blocks(n)
+    buf = np.zeros((c, L))
+    buf[:, :n] = x.reshape(n, c).T
+    prefix_blocks(buf.reshape(c, L // PREFIX_BLOCK, PREFIX_BLOCK, 1))
+    return buf[:, :n].T.reshape(x.shape)
+
+
+def whole_blocks(n: int) -> int:
+    """n rounded up to whole blocks of PREFIX_BLOCK."""
+    return -(-n // PREFIX_BLOCK) * PREFIX_BLOCK
+
+
+def prefix_blocks(V: np.ndarray, carry: Optional[float] = None) -> None:
+    """The one prefix rule of svlab, in place on V of shape (m, nb,
+    PREFIX_BLOCK, c): m runs of nb blocks with c columns, each run summed
+    along its blocks.
+
+    Within a block the running sum is sequential from the block's first
+    term; the block totals are carried by one sequential sum, and each
+    block adds the carried total of the blocks before it. A given `carry`,
+    the sum of the terms before the run, is the first carried total, and
+    block 0 adds it. The in-block sums are PREFIX_BLOCK - 1 vector adds
+    across the blocks (position j += position j - 1) from PREFIX_ACROSS
+    (run, block) pairs on, else one sequential sum along each
+    block: the same additions in the same order, so the same bits (module
+    docstring)."""
+    m, nb, B, c = V.shape
+    if m * nb >= PREFIX_ACROSS:
+        W = V.transpose(2, 0, 1, 3)
+        for j in range(1, B):
+            np.add(W[j], W[j - 1], out=W[j])
+    else:
+        np.add.accumulate(V, axis=2, out=V)
+    if nb > 1 or carry is not None:
+        ends = V[:, :, -1]
+        if carry is not None:
+            V[:, 0] += carry
+        # a block's last sum plus the carry into it is the carry out of it
+        # (fp addition commutes), so the carries are added to whole blocks,
+        # which numpy does faster than to all but their last sums
+        carried = np.add.accumulate(ends, axis=1)
+        np.add(V[:, 1:], carried[:, :-1, None], out=V[:, 1:])
+
+
 def exp_scan(y0, drive: np.ndarray, decay: float) -> np.ndarray:
     """out[0] = y0, out[k+1] = decay out[k] + drive[k] along axis 0, shape
     (n+1,) + drive.shape[1:]; y0 is a number or an array of drive's row
@@ -447,8 +567,8 @@ def _scan(y0, x: np.ndarray, decay: float) -> np.ndarray:
         out[0] = y0
         return out
     B, q, rq = _scan_powers(decay)
-    if B <= 1:
-        # decay itself leaves the range: doubling steps over the rows [y0; x]
+    if B == 0:
+        # decay^PREFIX_BLOCK leaves the range: doubling steps over [y0; x]
         out = np.empty((n + 1, c))
         out[0] = y0
         out[1:] = x
@@ -458,19 +578,21 @@ def _scan(y0, x: np.ndarray, decay: float) -> np.ndarray:
             s, power = 2 * s, power * power
         return out
     # rows 1.. of out, zero-padded to whole blocks, hold S_b and then out;
-    # one block needs no padding, as rows past n touch no row up to n
+    # one block is padded to whole prefix blocks only, as rows past n touch
+    # no row up to n
     nb = -(-n // B)
     if nb == 1:
-        B = n
+        B = whole_blocks(n)
     out = np.empty((1 + nb * B, c))
     out[0] = y0
     out[1:n + 1] = x
     out[n + 1:] = 0.0
     S = out[1:].reshape(nb, B, c)
     S *= rq[:B]
-    np.cumsum(S, axis=1, out=S)
-    carry = _scan(out[0], q[B - 1, 0] * S[:-1, -1], q[B, 0])
-    carry *= decay
+    prefix_blocks(S.reshape(nb, B // PREFIX_BLOCK, PREFIX_BLOCK, c))
+    # one block's carry is y0: the scan of no block ends
+    carry = decay * out[:1] if nb == 1 else \
+        decay * _scan(out[0], q[B - 1, 0] * S[:-1, -1], q[B, 0])
     S += carry[:, None]
     S *= q[:B]
     return out[:n + 1]
@@ -479,15 +601,17 @@ def _scan(y0, x: np.ndarray, decay: float) -> np.ndarray:
 @functools.lru_cache(maxsize=64)
 def _scan_powers(decay: float):
     """(B, q, 1/q) of a scan with this decay: q[i] = decay^i, i <= B, from
-    one sequential cumprod, B the largest b <= SCAN_BLOCK with every |q[i]|,
-    i <= b, in [1/SCAN_RANGE, SCAN_RANGE], and 1/q[i] for i < B as a (B, 1)
-    column. Worked out once per decay, so the many short scans of an
+    one sequential cumprod, B the largest multiple b of PREFIX_BLOCK up to
+    SCAN_BLOCK with every |q[i]|, i <= b, in [1/SCAN_RANGE, SCAN_RANGE]
+    (0 if there is none), and 1/q[i] for i < B as a (B, 1) column.
+    Worked out once per decay, so the many short scans of an
     ensemble and the levels of one scan pay for it once."""
     q = np.full(SCAN_BLOCK + 1, decay)
     q[0] = 1.0
     np.cumprod(q, out=q)
     inside = (np.abs(q) >= 1.0 / SCAN_RANGE) & (np.abs(q) <= SCAN_RANGE)
     B = SCAN_BLOCK if inside.all() else int(np.argmin(inside)) - 1
+    B -= B % PREFIX_BLOCK
     rq = (1.0 / q[:B])[:, None]
     q = q[:, None]
     q.flags.writeable = rq.flags.writeable = False

@@ -1052,6 +1052,19 @@ def test_check_report_with_non_finite_values_exits_numeric(tmp_path, capsys):
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_s_epsilon_nan_window_exits_numeric(tmp_path, capsys):
+    # osc is negative at t = 3, so sqrt gives nan there and window 2 of
+    # the squared sigma is nan; it must not pass as a zero window
+    cfg = write_config(tmp_path, "c.json", {
+        "schema_version": 1, "condition": "s-epsilon",
+        "sigma": "sqrt(osc(alpha=0.1,beta=0.5))", "n_windows": 64})
+    out = tmp_path / "o"
+    assert main(["check", "--config", cfg, "--out", str(out)]) == EXIT_NUMERIC
+    assert "numeric error: window 2 is nan" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
 def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 

@@ -14,7 +14,7 @@ from svlab.conditions import (
     gaussian_exceedance_series, irregular_window_sums, profile_lp_evidence,
     unit_window_evidence, unit_windows, window_fading_evidence,
     window_integral, window_profiles)
-from svlab.core import GridSpec, exp_scan
+from svlab.core import PREFIX_BLOCK, GridSpec, exp_scan
 
 
 # window profiles ------------------------------------------------------------
@@ -68,7 +68,8 @@ def test_window_integral_additive():
 ])
 def test_window_profiles_match_standalone_bytes(h, T, quad_step):
     """Slices of the shared lattice are bit-identical to one lattice per
-    width: chunks are anchored at t = 0 and cumsum adds in sequence."""
+    width: chunks are anchored at t = 0 and a blocked prefix's output k
+    depends on its first k + 1 terms alone."""
     f = lambda t: np.sin(3.0 * t) * np.exp(-0.01 * t) + 0.1
     g = GridSpec(h, T)
     thetas = (0.5, 1.0, 2.0, 4.0)
@@ -79,9 +80,28 @@ def test_window_profiles_match_standalone_bytes(h, T, quad_step):
         assert prof.values.tobytes() == alone.values.tobytes()
 
 
+def _blocked_prefix(x):
+    """The blocked prefix rule written out from its definition, never
+    through svlab: in-block running sums in sequence from each block's
+    first term, the block totals carried by a Python loop of float adds,
+    and each block but the first adding the carried total before it."""
+    B = PREFIX_BLOCK
+    nb = -(-x.size // B)
+    V = np.zeros((nb, B))
+    V.ravel()[:x.size] = x
+    for j in range(1, B):
+        V[:, j] += V[:, j - 1]
+    before = [0.0] * nb
+    for b in range(1, nb):
+        before[b] = V[0, -1] if b == 1 else before[b - 1] + V[b - 1, -1]
+    V[1:] += np.array(before[1:])[:, None]
+    return V.ravel()[:x.size]
+
+
 def _one_shot_lattice(f, n_cells, h, refine):
-    """The lattice as one evaluation of f at every point and one cumsum per
-    chunk: the reference of the sliced, support-aware lattice."""
+    """The lattice as one evaluation of f at every point and one blocked
+    prefix per chunk, blocks anchored at the chunk's first point: the
+    reference of the sliced, support-aware lattice."""
     block = conditions.LATTICE_CHUNK // refine
     step = h / refine
     ref = np.empty(n_cells + 1)
@@ -90,7 +110,7 @@ def _one_shot_lattice(f, n_cells, h, refine):
     while pos < n_cells:
         nb = min(block, n_cells - pos)
         t = (pos * refine + np.arange(nb * refine)) * step
-        cs = np.cumsum(np.asarray(f(t), float)) * step
+        cs = _blocked_prefix(np.asarray(f(t), float)) * step
         ref[pos + 1: pos + nb + 1] = ref[pos] + cs[refine - 1::refine]
         pos += nb
     return ref
@@ -123,27 +143,33 @@ _OSC = "osc(alpha=0.1,beta=0.5)"
                  id="sqrt(spike(beta=0.32))"),
     pytest.param(_OSC, 1, None, id="osc-refine1"),
     pytest.param(_OSC, 7, None, id="osc-refine7"),
-    # one cell a slice, of more points than a slice: 40-cell chunks
+    # cells of more points than a slice, so some slices hold no cell end:
+    # 40-cell chunks
     pytest.param(_OSC, _WIDE, 2 * (conditions.LATTICE_CHUNK // _WIDE) + 3,
                  id="osc-one-cell-slices"),
     pytest.param("even-zeros", 1, None, id="even-zeros-refine1"),
     pytest.param("even-zeros", 7, None, id="even-zeros-refine7")])
 def test_lattice_slices_keep_one_shot_chunk_bits(name, refine, n_cells):
-    """Sampling and summing a chunk slice by slice, the running sum carried
-    into each slice's first sample, gives the bytes of one evaluation and
-    one cumsum per chunk. The lattice spans two full chunks and a short
-    third, at a point step of 1e-4; every chunk ends in a partial slice."""
+    """Sampling and summing a chunk slice by slice, each slice whole blocks
+    that take the carried total of the slices before them, gives the bytes
+    of one evaluation and one blocked prefix per chunk. The lattice spans
+    two full chunks and a short third, at a point step of 1e-4; but for
+    the cells wider than a slice, every chunk ends in a partial slice and
+    the third in a partial block."""
     step = 1e-4
     h = refine * step
     f = EvenZeros(step) if name == "even-zeros" else corpus.resolve(name)
     block = conditions.LATTICE_CHUNK // refine
     if n_cells is None:
         n_cells = 2 * block + 123
-    width = max(1, conditions.LATTICE_SLICE // refine)
-    assert width == 1 or block % width != 0
+    points = block * refine
+    if refine != _WIDE:
+        assert points % conditions.LATTICE_SLICE != 0
+        assert (n_cells - 2 * block) * refine % PREFIX_BLOCK != 0
     if name == "even-zeros":
-        starts = np.array([c * block + k for c in range(3)
-                           for k in range(0, block, width)]) * refine
+        starts = np.array([c * points + k for c in range(3)
+                           for k in range(0, points,
+                                          conditions.LATTICE_SLICE)])
         assert np.all(starts % 2 == 0)
         assert np.all(np.signbit(f(starts * step)))
     got = conditions._cumulative_on_lattice(f, n_cells, h, refine)
@@ -664,6 +690,19 @@ def test_exceedance_harmonic_windows_summable():
 def test_exceedance_rejects_nonpositive_eps():
     with pytest.raises(ValueError, match="positive"):
         gaussian_exceedance_series(windows=np.ones(8), eps_list=(0.1, 0.0))
+
+
+@pytest.mark.parametrize("bad", [np.nan, -1.0])
+def test_exceedance_rejects_nan_and_negative_windows(bad):
+    """Only an exact zero window adds 0: a nan or negative one raises,
+    naming its first index, whether every window or a later one is bad."""
+    with pytest.raises(ValueError, match="window 0 is"):
+        gaussian_exceedance_series(windows=np.full(512, bad))
+    w = np.ones(512)
+    w[[7, 100]] = bad
+    w[:7] = 0.0
+    with pytest.raises(ValueError, match="window 7 is"):
+        gaussian_exceedance_series(windows=w)
 
 
 def test_exceedance_sums_monotone_in_n_and_eps():

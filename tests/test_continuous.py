@@ -299,6 +299,56 @@ def test_scalar_signal_is_s_times_one_or_identity(sampled, expected):
     assert got.tobytes() == expected.tobytes()
 
 
+class _Counted:
+    """A signal that declares the support of f and counts the points it is
+    evaluated at."""
+
+    def __init__(self, f):
+        self.f, self.points = f, 0
+
+    def __call__(self, t):
+        self.points += np.size(t)
+        return self.f(t)
+
+    def support(self, t0, t1):
+        return corpus.support_of(self.f, t0, t1)
+
+
+@pytest.mark.parametrize("beta", [0.25, 0.4])
+def test_on_grid_evaluates_a_support_declaring_signal_on_its_support(beta):
+    """sqrt(spike) at the 320 001 times of h = 1e-4, T = 32, and at every
+    third of them shifted off the grid, has the bytes of evaluating it at
+    every time; it is evaluated at under a sixth of the times, and sampling
+    it peaks below twice the result's size."""
+    import tracemalloc
+
+    f = corpus.resolve(f"sqrt(spike(beta={beta}))")
+    times = GridSpec(1e-4, 32.0).times()
+    for t in (times, times[::3] + 1.25e-5):
+        counted = _Counted(f)
+        got = core.on_grid(counted, t, (), "signal")
+        assert got.tobytes() == np.asarray(f(t), float).tobytes()
+        assert counted.points < t.size / 6
+    tracemalloc.start()
+    try:
+        got = core.on_grid(f, times, (), "signal")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * got.nbytes
+
+
+@pytest.mark.parametrize("tau", [0.5, 2.0])
+@pytest.mark.parametrize("psi", ["spike(beta=0.32)", "sqrt(spike(beta=0.32))"])
+def test_spike_history_is_rejected_at_every_size(psi, tau):
+    """The spike family is defined on t >= 0 only, and its support on the
+    negative times of a delay history is empty: sampling it there on its
+    support still raises, on 5 001 history times and on 20 001."""
+    with pytest.raises(ValueError, match="defined on t >= 0"):
+        DelaySystem(point_mass([[-0.5]], location=-tau), tau,
+                    corpus.resolve(psi), GridSpec(1e-4, 0.01))
+
+
 def test_profile_and_constant_vector_differ_when_dim_equals_the_times():
     # d == len(times) == 10: a callable's profile is tiled over the
     # components, a non-callable length-d array is held constant over time

@@ -1,6 +1,7 @@
 """Grid, measure, kernel, exponential-scan, causal-convolution and
 randomness-contract tests."""
 
+import itertools
 import math
 import os
 import subprocess
@@ -11,6 +12,7 @@ import pytest
 
 import svlab
 
+from svlab import core
 from svlab.core import (
     CompiledMeasure,
     DensitySample,
@@ -22,6 +24,7 @@ from svlab.core import (
     MatrixKernelSeq,
     MeasureError,
     NoiseSpec,
+    PREFIX_BLOCK,
     SCAN_BLOCK,
     RunManifest,
     SignedMeasureRepr,
@@ -34,6 +37,7 @@ from svlab.core import (
     is_neg_identity_point_mass,
     neg_identity_point_mass,
     point_mass,
+    prefix_sum,
     rng_stream,
     _scan_powers,
     two_point_law,
@@ -324,6 +328,130 @@ def test_vector_norm_kinds():
 
 
 # ---------------------------------------------------------------------------
+# prefix sums
+
+def _prefix_input(n, signed):
+    """Uniform terms on [0, 1), or signed ones spread over twenty binades,
+    with a run of exact zeros."""
+    rng = np.random.default_rng(11)
+    x = rng.random(n)
+    if signed:
+        x = (x - 0.5) * np.exp2(rng.integers(-20, 1, n))
+    x[n // 3: n // 3 + 40] = 0.0
+    return x
+
+
+def _fsum_checkpoints(n):
+    """Every index up to 3 B, the ends of the blocks around 2^k and 30
+    spread indices: math.fsum costs O(k) a prefix, so a long array is read
+    at checkpoints."""
+    B = PREFIX_BLOCK
+    ks = set(range(min(n, 3 * B)))
+    for e in range(6, 22):
+        ks.update(k for k in ((1 << e) - 1, (1 << e) + B - 1, (1 << e) + B)
+                  if k < n)
+    ks.update(np.linspace(0, n - 1, 30).astype(int).tolist() if n else [])
+    return sorted(ks)
+
+
+@pytest.mark.parametrize("signed", [False, True], ids=["non-negative",
+                                                        "signed"])
+@pytest.mark.parametrize("n", [0, 1, PREFIX_BLOCK - 1, PREFIX_BLOCK,
+                               PREFIX_BLOCK + 1, 40_000, 2_000_000])
+def test_prefix_sum_meets_its_error_bound_against_fsum(n, signed):
+    """Bound, stated before measuring: |s^_k - s_k| <= (B + ceil(k / B) +
+    1) u sum_{j<=k} |x_j|, B = PREFIX_BLOCK, u = 2^-53, s_k = math.fsum of
+    the first k + 1 terms. The in-block sums round at most B - 1 times,
+    the carried totals ceil(k / B) - 1 times, the block's add of its carry
+    once, and the reference, correctly rounded, at most u |s_k|."""
+    x = _prefix_input(n, signed)
+    got = prefix_sum(x)
+    assert got.shape == x.shape
+    terms, absolute = x.tolist(), np.abs(x).tolist()
+    for k in _fsum_checkpoints(n):
+        exact = math.fsum(itertools.islice(terms, k + 1))
+        bound = (PREFIX_BLOCK + -(-k // PREFIX_BLOCK) + 1) * U * \
+            math.fsum(itertools.islice(absolute, k + 1))
+        assert abs(got[k] - exact) <= bound, k
+
+
+def _rule_in_python(x):
+    """The blocked prefix rule in Python floats, one term at a time: a
+    running sum from each block's first term, plus, past block 0, the
+    running total of the blocks before it."""
+    out, carried = [], None
+    for lo in range(0, len(x), PREFIX_BLOCK):
+        s = None
+        for v in x[lo:lo + PREFIX_BLOCK]:
+            s = v if s is None else s + v
+            out.append(s if carried is None else s + carried)
+        carried = s if carried is None else carried + s
+    return np.array(out, float)
+
+
+@pytest.mark.parametrize("n", [1, PREFIX_BLOCK + 7, 16_000, 17_000])
+def test_prefix_sum_has_the_bits_of_its_rule(n):
+    """prefix_sum against the rule written out term by term, below and above
+    the orientation switch, on signed terms."""
+    x = _prefix_input(n, True)
+    assert prefix_sum(x).tobytes() == _rule_in_python(x.tolist()).tobytes()
+
+
+def _both_orientations(monkeypatch, run):
+    """run() with the in-block sums as vector adds across the blocks and as
+    one cumsum along each block."""
+    outs = []
+    for across in (0, 1 << 62):
+        monkeypatch.setattr(core, "PREFIX_ACROSS", across)
+        outs.append(run())
+    return outs
+
+
+@pytest.mark.parametrize("n", [5, 300, 16_000, 17_000, 70_001])
+def test_prefix_sum_orientations_give_the_same_bits(monkeypatch, n):
+    """Vector adds across the blocks and a cumsum along each block make the
+    same additions in the same order, below and above the size at which
+    prefix_sum switches (PREFIX_ACROSS blocks over all columns, each column
+    a run of its own: between 16 000 and 17 000 terms for one column), for
+    one column and three."""
+    assert 16_000 < core.PREFIX_ACROSS * PREFIX_BLOCK < 17_000
+    x = _prefix_input(3 * n, True).reshape(n, 3)
+    for arr in (x[:, 0], x):
+        loop, along = _both_orientations(monkeypatch, lambda: prefix_sum(arr))
+        assert loop.tobytes() == along.tobytes() == prefix_sum(arr).tobytes()
+
+
+def test_prefix_sum_prefix_and_column_bits():
+    """A prefix of the terms gives the leading outputs bit for bit, and a
+    column of a many-column call has the bits of its one-column call, on
+    both sides of the orientation switch."""
+    x = _prefix_input(3 * 40_000, True).reshape(40_000, 3)
+    full = prefix_sum(x)
+    for m in (0, 1, PREFIX_BLOCK - 1, PREFIX_BLOCK, PREFIX_BLOCK + 1, 300,
+              5_000, 16_383, 16_385, 39_999):
+        assert prefix_sum(x[:m]).tobytes() == full[:m].tobytes()
+        assert prefix_sum(x[:m, 1]).tobytes() == full[:m, 1].tobytes()
+    for j in range(3):
+        assert prefix_sum(x[:, j]).tobytes() == full[:, j].tobytes()
+        assert prefix_sum(x[:300, j]).tobytes() == full[:300, j].tobytes()
+
+
+@pytest.mark.parametrize("n", [3, 40, 100, 20_000])
+def test_prefix_sum_keeps_the_signs_of_zero_sums(monkeypatch, n):
+    """On signed zeros a running sum is -0.0 exactly while every term so
+    far is -0.0, as in one sequential cumsum: in either orientation, with
+    the first +0.0 inside a block, at a block's start and past the end."""
+    rng = np.random.default_rng(2)
+    for first in (n // 2 + 3, PREFIX_BLOCK, n):
+        z = np.full(n, -0.0)
+        z[first:] = np.where(rng.random(max(n - first, 0)) < 0.5, 0.0, -0.0)
+        want = np.signbit(np.cumsum(z))
+        for got in _both_orientations(monkeypatch, lambda: prefix_sum(z)):
+            assert np.array_equal(np.signbit(got), want)
+            assert not np.any(got)
+
+
+# ---------------------------------------------------------------------------
 # exponential scan and what importing svlab loads
 
 U = 2.0 ** -53
@@ -380,9 +508,10 @@ def test_exp_scan_meets_its_error_bound_against_the_exact_recurrence(
     |decay|^(k-1-j) |x_j| + |decay|^k |y0| is the running magnitude and M_k
     the same sum with each term weighted by its lag k-1-j (k for y0). A
     blocked level rounds a term's coefficient at most about 3 B times (the
-    powers q[i] and 1 / q[j], the block cumsum), these 612 rows take at most
-    two blocked levels, the carried powers of decay add about one rounding
-    a step of lag per level, and 2^-1022 covers powers that underflow. The
+    powers q[i] and 1 / q[j], the block's prefix sum), these 612 rows take
+    at most two blocked levels, the carried powers of decay add about one
+    rounding a step of lag per level, and 2^-1022 covers powers that
+    underflow. The
     rows cross two block ends into a partial third block."""
     n = 2 * SCAN_BLOCK + 100
     shape = (n,) if d is None else (n, d)
